@@ -61,8 +61,6 @@ _EXPORTS = {
     "MetricReport": "metrics",
     "MetricSettings": "metrics",
     "frechet_distance": "metrics",
-    "precision_recall": "metrics",
-    "density_coverage": "metrics",
     "prdc": "metrics",
     "mmd": "metrics",
     "f1_score": "metrics",

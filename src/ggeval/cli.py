@@ -61,13 +61,6 @@ def _require(value, what):
     return value
 
 
-def _write_csv(path, rows):
-    from .graphs import atomic_write_text
-
-    text = "\n".join(",".join(str(c) for c in row) for row in rows) + "\n"
-    atomic_write_text(path, text)
-
-
 def _write_matrix(path, matrix):
     import io
 
@@ -83,7 +76,12 @@ def _write_matrix(path, matrix):
 def _read_matrix(path):
     import numpy as np
 
-    return np.loadtxt(path, delimiter=",", ndmin=2)
+    from .errors import ParseError
+
+    try:
+        return np.loadtxt(path, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise ParseError(f"{path}: not a numeric CSV matrix: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -108,8 +106,9 @@ def cmd_generate(ns) -> int:
 
 
 def cmd_features(ns) -> int:
+    from .benchmark import rows_to_csv
     from .features import clustering_vector, degrees, four_node_clustering_vector
-    from .graphs import load_graphs
+    from .graphs import atomic_write_text, load_graphs
 
     path = _require(_opt(ns, "infile", None), "--in")
     out = _require(_opt(ns, "out", None), "--out")
@@ -121,7 +120,7 @@ def cmd_features(ns) -> int:
         c4 = four_node_clustering_vector(g)
         for v in range(g.num_nodes):
             rows.append((gi, v, int(deg[v]), repr(float(c3[v])), repr(float(c4[v]))))
-    _write_csv(out, rows)
+    atomic_write_text(out, rows_to_csv(rows))
     log.info("features in=%s graphs=%d out=%s", path, len(graph_set), out)
     return 0
 
@@ -130,15 +129,16 @@ def _encoder_config(ns):
     from .encoder import EncoderConfig
 
     return EncoderConfig(
-        num_layers=_opt(ns, "layers", 3, int),
-        hidden=_opt(ns, "hidden", 32, int),
-        feature_config=_opt(ns, "features", "none"),
+        num_layers=_opt(ns, "layers", EncoderConfig.num_layers, int),
+        hidden=_opt(ns, "hidden", EncoderConfig.hidden, int),
+        feature_config=_opt(ns, "features", EncoderConfig.feature_config),
     )
 
 
 def cmd_train(ns) -> int:
+    from .benchmark import rows_to_csv
     from .encoder import save_params
-    from .graphs import load_graphs
+    from .graphs import atomic_write_text, load_graphs
     from .training import TRAIN_VARIANTS, TrainConfig, train_graphcl
 
     data = _require(_opt(ns, "data", None), "--data")
@@ -150,10 +150,10 @@ def cmd_train(ns) -> int:
     graph_set = load_graphs(data)
     enc_cfg = _encoder_config(ns)
     train_cfg = TRAIN_VARIANTS[variant](TrainConfig(
-        epochs=_opt(ns, "epochs", 100, int),
-        batch_size=_opt(ns, "batch_size", 32, int),
-        lr=_opt(ns, "lr", 0.01, float),
-        tau=_opt(ns, "tau", 0.2, float),
+        epochs=_opt(ns, "epochs", TrainConfig.epochs, int),
+        batch_size=_opt(ns, "batch_size", TrainConfig.batch_size, int),
+        lr=_opt(ns, "lr", TrainConfig.lr, float),
+        tau=_opt(ns, "tau", TrainConfig.tau, float),
         seed=ns.seed,
     ))
     log.info("train data=%s graphs=%d variant=%s seed=%d epochs=%d",
@@ -162,9 +162,9 @@ def cmd_train(ns) -> int:
     save_params(result.params, out)
     history = _opt(ns, "history", None)
     if history is not None:
-        _write_csv(history, [("epoch", "loss")] + [
+        atomic_write_text(history, rows_to_csv([("epoch", "loss")] + [
             (i, repr(loss)) for i, loss in enumerate(result.epoch_losses)
-        ])
+        ]))
     log.info("train done loss=%.6f -> %.6f ckpt=%s",
              result.epoch_losses[0], result.epoch_losses[-1], out)
     return 0
@@ -185,11 +185,11 @@ def cmd_embed(ns) -> int:
 
 def cmd_evaluate(ns) -> int:
     from .graphs import atomic_write_text
-    from .metrics import MetricSettings, evaluate
+    from .metrics import DEFAULT_KNN_K, MetricSettings, evaluate
 
     ref = _read_matrix(_require(_opt(ns, "ref", None), "--ref"))
     gen = _read_matrix(_require(_opt(ns, "gen", None), "--gen"))
-    settings = MetricSettings(knn_k=_opt(ns, "k", 5, int))
+    settings = MetricSettings(knn_k=_opt(ns, "k", DEFAULT_KNN_K, int))
     report = evaluate(ref, gen, settings)
     out = _opt(ns, "out", None)
     payload = json.dumps(report.as_dict(), indent=2, sort_keys=True)
@@ -206,10 +206,11 @@ def cmd_benchmark(ns) -> int:
     from functools import partial
 
     from . import __version__
-    from .benchmark import PERTURBATION_KINDS, curves_to_csv, rho_summary, run_benchmark
+    from .benchmark import (DEFAULT_NUM_CLUSTERS, DEFAULT_RATIO_STEP, PERTURBATION_KINDS,
+                            curves_to_csv, rho_summary, run_benchmark)
     from .encoder import embed_union, load_params
     from .graphs import atomic_write_text, load_graphs
-    from .metrics import METRIC_NAMES, MetricSettings
+    from .metrics import DEFAULT_KNN_K, METRIC_NAMES, MetricSettings
 
     data = _require(_opt(ns, "data", None), "--data")
     kind = _opt(ns, "kind", "mix_random").replace("-", "_")
@@ -218,8 +219,8 @@ def cmd_benchmark(ns) -> int:
                          f"choose from {sorted(PERTURBATION_KINDS)}")
     out = _require(_opt(ns, "out", None), "--out")
     num_seeds = _opt(ns, "seeds", 1, int)
-    step = _opt(ns, "step", 0.01, float)
-    num_clusters = _opt(ns, "num_clusters", 10, int)
+    step = _opt(ns, "step", DEFAULT_RATIO_STEP, float)
+    num_clusters = _opt(ns, "num_clusters", DEFAULT_NUM_CLUSTERS, int)
     params = load_params(_require(_opt(ns, "params", None), "--params"))
     reference = load_graphs(data)
     seeds = tuple(range(ns.seed, ns.seed + num_seeds))
@@ -227,7 +228,7 @@ def cmd_benchmark(ns) -> int:
     curves = run_benchmark(
         reference, partial(embed_union, params), kind, seeds=seeds, step=step,
         num_clusters=num_clusters,
-        settings=MetricSettings(knn_k=_opt(ns, "k", 5, int)),
+        settings=MetricSettings(knn_k=_opt(ns, "k", DEFAULT_KNN_K, int)),
     )
     atomic_write_text(out, curves_to_csv(curves))
     summary_path = _opt(ns, "summary", None) or str(Path(out).with_suffix("")) + \
@@ -310,16 +311,16 @@ def cmd_reproduce(ns) -> int:
     if experiment != "community-mix-random":
         raise UsageError(f"unknown experiment {experiment!r}; "
                          f"available: community-mix-random")
-    num_seeds = _opt(ns, "seeds", 5, int)
+    num_seeds = _opt(ns, "seeds", len(ReproduceConfig.seeds), int)
     config = ReproduceConfig(
-        dataset_count=_opt(ns, "count", 100, int),
+        dataset_count=_opt(ns, "count", ReproduceConfig.dataset_count, int),
         dataset_seed=ns.seed,
-        epochs=_opt(ns, "epochs", 50, int),
-        step=_opt(ns, "step", 0.02, float),
+        epochs=_opt(ns, "epochs", ReproduceConfig.epochs, int),
+        step=_opt(ns, "step", ReproduceConfig.step, float),
         seeds=tuple(range(ns.seed, ns.seed + num_seeds)),
-        variant=_opt(ns, "variant", "graphcl"),
-        num_layers=_opt(ns, "layers", 3, int),
-        hidden=_opt(ns, "hidden", 32, int),
+        variant=_opt(ns, "variant", ReproduceConfig.variant),
+        num_layers=_opt(ns, "layers", ReproduceConfig.num_layers, int),
+        hidden=_opt(ns, "hidden", ReproduceConfig.hidden, int),
         feature_config=_opt(ns, "features", ReproduceConfig.feature_config),
     )
     out_dir = _opt(ns, "out", "reproduce-out")
@@ -358,8 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
     parser.add_argument("--threads", type=int,
                         help="BLAS/OpenMP thread count (set before numpy loads)")
-    parser.add_argument("--format", choices=["jsonl"], default="jsonl",
-                        help="graph container format")
     parser.add_argument("--verbose", action="store_true",
                         help="debug-level logging")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -137,8 +137,8 @@ def init_random(config: EncoderConfig, seed: int = 0) -> EncoderParams:
     return EncoderParams(config=config, weights=weights, running=running)
 
 
-def spectral_norm(matrix: np.ndarray, tol: float = 1e-12, max_iter: int = 5000) -> float:
-    """Largest singular value by power iteration on the Gram matrix."""
+def spectral_norm(matrix: np.ndarray) -> float:
+    """Largest singular value, from LAPACK's SVD."""
     w = np.asarray(matrix, dtype=np.float64)
     if w.ndim != 2:
         raise ValueError("spectral_norm expects a matrix")
@@ -146,42 +146,33 @@ def spectral_norm(matrix: np.ndarray, tol: float = 1e-12, max_iter: int = 5000) 
         raise ValueError("spectral_norm expects finite entries")
     if w.size == 0:
         return 0.0
-    rng = np.random.Generator(np.random.PCG64(12345))
-    v = rng.standard_normal(w.shape[1])
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    for _ in range(max_iter):
-        u = w @ v
-        nu = np.linalg.norm(u)
-        if nu == 0.0:
-            return 0.0
-        v = w.T @ (u / nu)
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            return 0.0
-        v /= nv
-        prev, sigma = sigma, nv
-        if abs(sigma - prev) <= tol * max(sigma, 1.0):
-            break
-    return float(sigma)
+    return float(np.linalg.svd(w, compute_uv=False)[0])
 
 
-def project_lipschitz(params: EncoderParams, lam: float | None = None) -> EncoderParams:
-    """Rescale every linear weight whose spectral norm exceeds lam.
+def project_lipschitz_inplace(params: EncoderParams, lam: float | None = None) -> None:
+    """Scale every linear weight whose spectral norm exceeds lam down to lam.
 
-    Idempotent: matrices already inside the ball are untouched; others are
-    scaled to norm exactly lam. Biases and normalization parameters are
-    never modified.
+    Replaces the offending matrices in params.weights. Matrices already
+    inside the ball are untouched; biases and normalization parameters
+    are never modified.
     """
     if lam is None:
         lam = params.config.lipschitz_bound
     if not lam > 0:
         raise ValueError("lipschitz bound must be > 0")
-    out = params.copy()
-    for name, w in out.weight_matrices():
+    for name, w in params.weight_matrices():
         sigma = spectral_norm(w)
         if sigma > lam:
-            out.weights[name] = w * (lam / sigma)
+            params.weights[name] = w * (lam / sigma)
+
+
+def project_lipschitz(params: EncoderParams, lam: float | None = None) -> EncoderParams:
+    """Copy of params with project_lipschitz_inplace applied.
+
+    Idempotent up to rounding: oversized matrices are scaled to norm lam.
+    """
+    out = params.copy()
+    project_lipschitz_inplace(out, lam)
     return out
 
 

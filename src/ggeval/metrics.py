@@ -46,17 +46,7 @@ def _psd_sqrt(c: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(vals)) @ vecs.T
 
 
-def frechet_distance_detailed(real: np.ndarray, gen: np.ndarray):
-    """Frechet distance plus the magnitude of clamped negative eigenvalues.
-
-    ||mu_r - mu_g||^2 + Tr(C_r + C_g - 2 (C_r C_g)^{1/2}), with the cross
-    term evaluated through the symmetric product sqrt(C_r) C_g sqrt(C_r)
-    so only real eigenvalues of a symmetric matrix are involved.
-    Covariances use ddof=1. Identical sets give 0 up to float error.
-    The second return value diagnoses how much negative eigenvalue mass
-    the PSD clamp removed (float noise at healthy inputs).
-    """
-    real, gen = _check_sets(real, gen)
+def _frechet(real: np.ndarray, gen: np.ndarray):
     mu_r = real.mean(axis=0)
     mu_g = gen.mean(axis=0)
     c_r = np.atleast_2d(np.cov(real, rowvar=False, ddof=1))
@@ -69,20 +59,61 @@ def frechet_distance_detailed(real: np.ndarray, gen: np.ndarray):
     return max(fd, 0.0), clamp
 
 
+def frechet_distance_detailed(real: np.ndarray, gen: np.ndarray):
+    """Frechet distance plus the magnitude of clamped negative eigenvalues.
+
+    ||mu_r - mu_g||^2 + Tr(C_r + C_g - 2 (C_r C_g)^{1/2}), with the cross
+    term evaluated through the symmetric product sqrt(C_r) C_g sqrt(C_r)
+    so only real eigenvalues of a symmetric matrix are involved.
+    Covariances use ddof=1. Identical sets give 0 up to float error.
+    The second return value diagnoses how much negative eigenvalue mass
+    the PSD clamp removed (float noise at healthy inputs).
+    """
+    return _frechet(*_check_sets(real, gen))
+
+
 def frechet_distance(real: np.ndarray, gen: np.ndarray) -> float:
     return frechet_distance_detailed(real, gen)[0]
 
 
-def _knn_radii(dist_self: np.ndarray, k: int) -> np.ndarray:
+def _pooled_sq(real: np.ndarray, gen: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances over the pooled rows, real rows first.
+
+    PRDC, the median bandwidth and the RBF kernel read blocks of this one
+    matrix. The blocks equal separate cdist calls, and their sqrt equals
+    scipy's Euclidean distance, bit for bit.
+    """
+    pooled = np.vstack([real, gen])
+    return cdist(pooled, pooled, "sqeuclidean")
+
+
+def _knn_radii(sq_self: np.ndarray, k: int) -> np.ndarray:
     """Distance from each point to its k-th nearest other point."""
-    n = dist_self.shape[0]
+    n = sq_self.shape[0]
     if k < 1:
         raise KTooLargeError("k must be >= 1")
     if k > n - 1:
         raise KTooLargeError(f"k={k} needs at least {k + 1} rows, got {n}")
-    d = dist_self.copy()
+    d = sq_self.copy()
     np.fill_diagonal(d, np.inf)
-    return np.partition(d, k - 1, axis=1)[:, k - 1]
+    d.partition(k - 1, axis=1)
+    # sqrt is monotone, so it commutes with taking the k-th smallest
+    return np.sqrt(d[:, k - 1])
+
+
+def _prdc(sq: np.ndarray, m: int, k: int) -> dict:
+    rad_real = _knn_radii(sq[:m, :m], k)
+    rad_gen = _knn_radii(sq[m:, m:], k)
+    cross = np.sqrt(sq[:m, m:])  # (num_real, num_gen)
+
+    in_real_ball = cross <= rad_real[:, None]
+    in_gen_ball = cross <= rad_gen[None, :]
+    return {
+        "precision": float(in_real_ball.any(axis=0).mean()),
+        "recall": float(in_gen_ball.any(axis=1).mean()),
+        "density": float(in_real_ball.sum(axis=0).mean() / k),
+        "coverage": float(in_real_ball.any(axis=1).mean()),
+    }
 
 
 def prdc(real: np.ndarray, gen: np.ndarray, k: int = DEFAULT_KNN_K) -> dict:
@@ -97,32 +128,7 @@ def prdc(real: np.ndarray, gen: np.ndarray, k: int = DEFAULT_KNN_K) -> dict:
     point's own set, self excluded.
     """
     real, gen = _check_sets(real, gen)
-    rad_real = _knn_radii(cdist(real, real), k)
-    rad_gen = _knn_radii(cdist(gen, gen), k)
-    cross = cdist(real, gen)  # (num_real, num_gen)
-
-    in_real_ball = cross <= rad_real[:, None]
-    in_gen_ball = cross <= rad_gen[None, :]
-    precision = float(in_real_ball.any(axis=0).mean())
-    recall = float(in_gen_ball.any(axis=1).mean())
-    density = float(in_real_ball.sum(axis=0).mean() / k)
-    coverage = float(in_real_ball.any(axis=1).mean())
-    return {
-        "precision": precision,
-        "recall": recall,
-        "density": density,
-        "coverage": coverage,
-    }
-
-
-def precision_recall(real, gen, k: int = DEFAULT_KNN_K):
-    out = prdc(real, gen, k)
-    return out["precision"], out["recall"]
-
-
-def density_coverage(real, gen, k: int = DEFAULT_KNN_K):
-    out = prdc(real, gen, k)
-    return out["density"], out["coverage"]
+    return _prdc(_pooled_sq(real, gen), real.shape[0], k)
 
 
 def f1_score(x: float, y: float) -> float:
@@ -140,29 +146,43 @@ def f1_score(x: float, y: float) -> float:
 MMD_KERNELS = ("linear", "rbf", "poly")
 
 
-def median_heuristic_sigma(real: np.ndarray, gen: np.ndarray) -> float:
-    """Median pairwise distance over the pooled sample; 1.0 if degenerate."""
-    pooled = np.vstack([real, gen])
-    d = cdist(pooled, pooled)
-    vals = d[np.triu_indices_from(d, k=1)]
-    med = float(np.median(vals)) if vals.size else 0.0
+def _median_sigma(sq: np.ndarray) -> float:
+    vals = np.sqrt(sq[np.triu(np.ones(sq.shape, dtype=bool), k=1)])
+    med = float(np.median(vals, overwrite_input=True)) if vals.size else 0.0
     if not np.isfinite(med) or med <= 0.0:
         return 1.0
     return med
 
 
-def _kernel_matrix(a, b, kernel: str, sigma: float | None):
-    if kernel == "linear":
-        return a @ b.T
-    if kernel == "poly":
-        return (a @ b.T + 1.0) ** 3
+def median_heuristic_sigma(real: np.ndarray, gen: np.ndarray) -> float:
+    """Median pairwise distance over the pooled sample; 1.0 if degenerate."""
+    return _median_sigma(_pooled_sq(real, gen))
+
+
+def _kernel_blocks(real, gen, kernel: str, sq, sigma):
+    """(K_rr, K_gg, K_rg); the rbf kernel reads the pooled squared distances."""
     if kernel == "rbf":
-        sq = cdist(a, b, metric="sqeuclidean")
+        m = real.shape[0]
         # sq/sigma^2 may overflow to inf for denormal sigma; exp(-inf) = 0
         # is the correct limit, so suppress the spurious warning
         with np.errstate(over="ignore"):
-            return np.exp(-sq / (2.0 * sigma * sigma))
-    raise ValueError(f"unknown kernel {kernel!r}")
+            return tuple(np.exp(-block / (2.0 * sigma * sigma))
+                         for block in (sq[:m, :m], sq[m:, m:], sq[:m, m:]))
+    pairs = ((real, real), (gen, gen), (real, gen))
+    if kernel == "linear":
+        return tuple(a @ b.T for a, b in pairs)
+    return tuple((a @ b.T + 1.0) ** 3 for a, b in pairs)
+
+
+def _mmd(k_rr, k_gg, k_rg, unbiased: bool) -> float:
+    m, n = k_rg.shape
+    if unbiased:
+        term_r = (k_rr.sum() - np.trace(k_rr)) / (m * (m - 1))
+        term_g = (k_gg.sum() - np.trace(k_gg)) / (n * (n - 1))
+    else:
+        term_r = k_rr.sum() / (m * m)
+        term_g = k_gg.sum() / (n * n)
+    return float(term_r + term_g - 2.0 * k_rg.sum() / (m * n))
 
 
 def mmd(real: np.ndarray, gen: np.ndarray, kernel: str = "rbf",
@@ -178,20 +198,10 @@ def mmd(real: np.ndarray, gen: np.ndarray, kernel: str = "rbf",
     real, gen = _check_sets(real, gen, too_few=DegenerateSetError)
     if kernel not in MMD_KERNELS:
         raise ValueError(f"unknown kernel {kernel!r}")
+    sq = _pooled_sq(real, gen) if kernel == "rbf" else None
     if kernel == "rbf" and sigma is None:
-        sigma = median_heuristic_sigma(real, gen)
-    k_rr = _kernel_matrix(real, real, kernel, sigma)
-    k_gg = _kernel_matrix(gen, gen, kernel, sigma)
-    k_rg = _kernel_matrix(real, gen, kernel, sigma)
-    m = real.shape[0]
-    n = gen.shape[0]
-    if unbiased:
-        term_r = (k_rr.sum() - np.trace(k_rr)) / (m * (m - 1))
-        term_g = (k_gg.sum() - np.trace(k_gg)) / (n * (n - 1))
-    else:
-        term_r = k_rr.sum() / (m * m)
-        term_g = k_gg.sum() / (n * n)
-    return float(term_r + term_g - 2.0 * k_rg.sum() / (m * n))
+        sigma = _median_sigma(sq)
+    return _mmd(*_kernel_blocks(real, gen, kernel, sq, sigma), unbiased)
 
 
 METRIC_NAMES = (
@@ -254,20 +264,22 @@ def evaluate(real: np.ndarray, gen: np.ndarray,
     bandwidth (median heuristic unless overridden) alongside the scores.
     """
     real, gen = _check_sets(real, gen)
-    scores = prdc(real, gen, settings.knn_k)
+    sq = _pooled_sq(real, gen)
+    scores = _prdc(sq, real.shape[0], settings.knn_k)
     sigma = settings.rbf_sigma
     if sigma is None:
-        sigma = median_heuristic_sigma(real, gen)
+        sigma = _median_sigma(sq)
+    unbiased = settings.mmd_unbiased
     return MetricReport(
-        fd=frechet_distance(real, gen),
+        fd=_frechet(real, gen)[0],
         precision=scores["precision"],
         recall=scores["recall"],
         density=scores["density"],
         coverage=scores["coverage"],
         f1_pr=f1_score(scores["precision"], scores["recall"]),
         f1_dc=f1_score(scores["density"], scores["coverage"]),
-        mmd_linear=mmd(real, gen, "linear", unbiased=settings.mmd_unbiased),
-        mmd_rbf=mmd(real, gen, "rbf", unbiased=settings.mmd_unbiased, sigma=sigma),
+        mmd_linear=_mmd(*_kernel_blocks(real, gen, "linear", sq, sigma), unbiased),
+        mmd_rbf=_mmd(*_kernel_blocks(real, gen, "rbf", sq, sigma), unbiased),
         k=settings.knn_k,
         rbf_sigma=sigma,
     )

@@ -22,13 +22,17 @@ from .encoder import (
     EncoderConfig,
     EncoderParams,
     forward_batch,
+    graph_features,
     init_random,
     orthogonal_matrix,
     pack_graphs,
+    project_lipschitz_inplace,
     spectral_norm,
 )
 from .errors import DegenerateBatchError, FeatureMismatchError, NonFiniteGradientError
-from .features import structural_features
+# unused here since attach_features goes through graph_features, but the
+# benchmark's tracer (perfbench/tracer.py) wraps this name in this module
+from .features import structural_features  # noqa: F401
 from .generators import substream
 from .graphs import Graph
 
@@ -385,32 +389,20 @@ def attach_features(graphs, encoder_config: EncoderConfig):
     """Graphs with node features fixed on the original topology.
 
     Views produced later carry these rows, so perturbed topologies keep
-    the statistics of the unperturbed graph.
+    the statistics of the unperturbed graph. Graphs that already carry
+    features come back unchanged.
     """
     out = []
     for i, g in enumerate(graphs):
-        if g.node_features is not None:
-            if g.node_features.shape[1] != encoder_config.in_dim:
-                raise FeatureMismatchError(
-                    f"graph {i}: carries {g.node_features.shape[1]}-dim features, "
-                    f"config expects {encoder_config.in_dim}"
-                )
-            out.append(g)
-            continue
-        if encoder_config.feature_config == "provided":
-            raise FeatureMismatchError(f"graph {i}: expected provided node features")
-        feats = structural_features(g, encoder_config.feature_config)
-        out.append(Graph(g.num_nodes, g.edges, node_features=feats,
-                         edge_features=g.edge_features))
+        try:
+            feats = graph_features(g, encoder_config)
+        except FeatureMismatchError as exc:
+            raise FeatureMismatchError(f"graph {i}: {exc}") from exc
+        if feats is not g.node_features:
+            g = Graph(g.num_nodes, g.edges, node_features=feats,
+                      edge_features=g.edge_features)
+        out.append(g)
     return out
-
-
-def _project_weights_inplace(params: EncoderParams) -> None:
-    lam = params.config.lipschitz_bound
-    for name, mat in params.weight_matrices():
-        sigma = spectral_norm(mat)
-        if sigma > lam:
-            params.weights[name] = mat * (lam / sigma)
 
 
 def train_step(params: EncoderParams, head: dict, views1, views2, loss_fn,
@@ -432,7 +424,7 @@ def train_step(params: EncoderParams, head: dict, views1, views2, loss_fn,
     trainables = {**params.weights, **head}
     optimizer.update(trainables, grads)
     if lipschitz:
-        _project_weights_inplace(params)
+        project_lipschitz_inplace(params)
     return loss
 
 
@@ -456,7 +448,7 @@ def train_graphcl(graphs, encoder_config: EncoderConfig,
     head = init_head(encoder_config.embedding_dim, head_rng)
     optimizer = AdamState(lr=train_config.lr)
     if train_config.lipschitz_enabled:
-        _project_weights_inplace(params)
+        project_lipschitz_inplace(params)
 
     epoch_losses = []
     for epoch in range(train_config.epochs):

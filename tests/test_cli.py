@@ -145,6 +145,18 @@ def test_evaluate_k_too_large_fails_cleanly(tmp_path, capsys):
     assert "evaluate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["1,2\n3,abc\n", "1,2,3\n4,5\n"],
+                         ids=["non-numeric", "ragged"])
+def test_evaluate_malformed_csv_fails_cleanly(tmp_path, capsys, text):
+    ref, _ = embedding_files(tmp_path)
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    assert run("evaluate", "--ref", str(ref), "--gen", str(bad)) == 1
+    err = capsys.readouterr().err
+    assert "ParseError" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 # --- benchmark ---------------------------------------------------------------
 
 
@@ -212,6 +224,25 @@ def test_reproduce_features_default_follows_config(tmp_path):
                "--step", "0.5", "--seeds", "1", "--layers", "1", "--hidden", "4") == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["config"]["feature_config"] == ReproduceConfig().feature_config
+
+
+def test_reproduce_defaults_are_the_config_defaults(monkeypatch):
+    import ggeval.reproduce
+    from ggeval.reproduce import ReproduceConfig
+
+    seen = []
+
+    class Stop(Exception):
+        pass
+
+    def fake_run_reproduction(config, **kwargs):
+        seen.append(config)
+        raise Stop
+
+    monkeypatch.setattr(ggeval.reproduce, "run_reproduction", fake_run_reproduction)
+    with pytest.raises(Stop):
+        run("reproduce")
+    assert seen == [ReproduceConfig()]
 
 
 # --- config file and global flags ---------------------------------------------

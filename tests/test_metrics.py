@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.spatial.distance import pdist
 
 from ggeval.errors import (
     DegenerateSetError,
@@ -17,7 +18,6 @@ from ggeval.metrics import (
     REPORT_FIELDS,
     MetricReport,
     MetricSettings,
-    density_coverage,
     evaluate,
     f1_score,
     frechet_distance,
@@ -25,7 +25,6 @@ from ggeval.metrics import (
     median_heuristic_sigma,
     mmd,
     prdc,
-    precision_recall,
 )
 
 
@@ -107,7 +106,7 @@ def test_prdc_disjoint_sets():
 
 def test_precision_is_recall_reflected():
     a, b = sample(10, rows=18), sample(11, rows=23, shift=0.3)
-    assert precision_recall(a, b, k=4)[0] == precision_recall(b, a, k=4)[1]
+    assert prdc(a, b, k=4)["precision"] == prdc(b, a, k=4)["recall"]
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -128,13 +127,6 @@ def test_prdc_k_too_large():
         prdc(h, h, k=5)
     with pytest.raises(KTooLargeError):
         prdc(h, h, k=0)
-
-
-def test_density_coverage_wrapper():
-    a, b = sample(13), sample(14)
-    d, c = density_coverage(a, b, k=2)
-    out = prdc(a, b, k=2)
-    assert (d, c) == (out["density"], out["coverage"])
 
 
 # -------------------------------------------------------------------- f1
@@ -228,6 +220,10 @@ def test_median_heuristic_values():
     gen = np.array([[1.0], [1.0]])
     assert median_heuristic_sigma(real, gen) == 1.0  # [0,0,1,1,1,1] -> 1
     assert median_heuristic_sigma(real, real) == 1.0  # degenerate -> fallback
+    rng = np.random.default_rng(36)
+    for rows in (5, 6):  # 10 and 15 pairs: an even and an odd count
+        a, b = rng.normal(size=(rows - 2, 3)), rng.normal(size=(2, 3))
+        assert median_heuristic_sigma(a, b) == np.median(pdist(np.vstack([a, b])))
 
 
 # ------------------------------------------------------------- invariance
@@ -296,6 +292,44 @@ def test_evaluate_sigma_override_recorded():
     report = evaluate(a, b, MetricSettings(rbf_sigma=2.5))
     assert report.rbf_sigma == 2.5
     assert report.mmd_rbf == pytest.approx(mmd(a, b, "rbf", sigma=2.5), abs=1e-15)
+
+
+@pytest.mark.parametrize("unbiased", [True, False])
+@pytest.mark.parametrize("rbf_sigma", [None, 0.7])
+def test_evaluate_matches_public_parts_bitwise(unbiased, rbf_sigma):
+    # unequal set sizes, so a transposed or misplaced block of the pooled
+    # distance matrix cannot go unnoticed
+    a, b = sample(32, rows=23, dim=5), sample(33, rows=31, dim=5, shift=0.3)
+    report = evaluate(a, b, MetricSettings(knn_k=4, mmd_unbiased=unbiased,
+                                           rbf_sigma=rbf_sigma))
+    scores = prdc(a, b, k=4)
+    assert report.fd == frechet_distance(a, b)
+    for name, value in scores.items():
+        assert report[name] == value, name
+    assert report.f1_pr == f1_score(scores["precision"], scores["recall"])
+    assert report.f1_dc == f1_score(scores["density"], scores["coverage"])
+    assert report.mmd_linear == mmd(a, b, "linear", unbiased=unbiased)
+    assert report.mmd_rbf == mmd(a, b, "rbf", unbiased=unbiased, sigma=rbf_sigma)
+    assert report.rbf_sigma == (median_heuristic_sigma(a, b) if rbf_sigma is None
+                                else rbf_sigma)
+    assert report.k == 4
+
+
+def test_evaluate_checks_once_and_builds_one_distance_matrix(monkeypatch):
+    import ggeval.metrics as metrics
+
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("cdist", "_check_sets"):
+        monkeypatch.setattr(metrics, name, counting(name, getattr(metrics, name)))
+    evaluate(sample(34, rows=12), sample(35, rows=9))
+    assert sorted(calls) == ["_check_sets", "cdist"]
 
 
 def test_evaluate_biased_setting():
