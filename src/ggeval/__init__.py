@@ -21,7 +21,6 @@ _EXPORTS = {
     "load_graphs": "graphs",
     "save_graphs": "graphs",
     "adjacency": "graphs",
-    "canonicalize": "graphs",
     "degrees": "features",
     "clustering_coefficient": "features",
     "clustering_vector": "features",
@@ -73,7 +72,6 @@ _EXPORTS = {
     "cluster_wl": "benchmark",
     "spearman": "benchmark",
     "run_benchmark": "benchmark",
-    "benchmark_curve": "benchmark",
     "verify_local_equivalence": "distinguishability",
     "verify_wl_separation": "distinguishability",
     "verify_cycle_pair": "distinguishability",

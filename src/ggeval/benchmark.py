@@ -20,7 +20,7 @@ import numpy as np
 from .errors import AllClustersSelectedError
 from .features import wl_kernel_gram
 from .generators import gen_er, substream
-from .graphs import Graph, GraphSet
+from .graphs import Graph, GraphSet, adjacency
 from .metrics import METRIC_NAMES, REPORT_FIELDS, MetricSettings, evaluate
 
 # metrics that decrease under growing perturbation get their sign flipped
@@ -60,11 +60,8 @@ def perturb_mix_random(graph_set: GraphSet, r: float, rng) -> GraphSet:
 
 def _rewire_graph(graph: Graph, r: float, rng) -> Graph:
     n = graph.num_nodes
-    nbrs = [set() for _ in range(n)]
-    for u, v in graph.edges:
-        nbrs[u].add(v)
-        nbrs[v].add(u)
-    edges = list(graph.edges)
+    nbrs = [set(neighbors) for neighbors in adjacency(graph)]
+    edges = graph.edge_array().tolist()
     for idx in range(len(edges)):
         if rng.random() >= r:
             continue
@@ -78,7 +75,7 @@ def _rewire_graph(graph: Graph, r: float, rng) -> Graph:
         nbrs[moved].discard(stable)
         nbrs[stable].add(target)
         nbrs[target].add(stable)
-        edges[idx] = (min(stable, target), max(stable, target))
+        edges[idx] = [min(stable, target), max(stable, target)]
     return Graph(n, edges)
 
 
@@ -309,28 +306,16 @@ def _sweep(reference, embed, kind, seed, ratios, labels, medoids, settings):
                           reports=tuple(reports), rhos=rhos, zero_variance=flags)
 
 
-def benchmark_curve(reference: GraphSet, embed, kind: str, seed: int = 0,
-                    step: float = DEFAULT_RATIO_STEP,
-                    num_clusters: int = DEFAULT_NUM_CLUSTERS,
-                    settings: MetricSettings = MetricSettings(),
-                    wl_depth: int = 3) -> BenchmarkCurve:
-    """One perturbation sweep for one kind and one seed.
-
-    embed is a callable (set_a, set_b) -> (H_a, H_b) producing embedding
-    matrices on a common scale; the encoder's union embedding and any
-    baseline descriptor both fit this shape.
-    """
-    return run_benchmark(reference, embed, kind, seeds=(seed,), step=step,
-                         num_clusters=num_clusters, settings=settings,
-                         wl_depth=wl_depth)[0]
-
-
 def run_benchmark(reference: GraphSet, embed, kind: str, seeds=(0,),
                   step: float = DEFAULT_RATIO_STEP,
                   num_clusters: int = DEFAULT_NUM_CLUSTERS,
                   settings: MetricSettings = MetricSettings(),
                   wl_depth: int = 3):
     """One curve per seed for the given perturbation kind.
+
+    embed is a callable (set_a, set_b) -> (H_a, H_b) producing embedding
+    matrices on a common scale; the encoder's union embedding and any
+    baseline descriptor both fit this shape.
 
     Clustering for the mode perturbations is deterministic, so it is
     computed once and shared across seeds; only the perturbation draws

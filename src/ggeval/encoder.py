@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import FeatureMismatchError
+from .errors import FeatureMismatchError, ParseError
 from .features import FEATURE_CONFIGS, feature_dim, structural_features
 from .graphs import Graph, atomic_write_text
 
@@ -341,13 +341,53 @@ def save_params(params: EncoderParams, path) -> None:
 
 
 def load_params(path) -> EncoderParams:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    """Read a checkpoint written by save_params.
+
+    The payload must match the layout init_random(config) builds: the
+    version, every weight and running key, every shape, and finite
+    values. Anything else raises ParseError.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ParseError(f"invalid checkpoint JSON ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise ParseError("checkpoint is not a JSON object")
     version = payload.get("version")
     if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version!r}")
+        raise ParseError(f"unsupported checkpoint version {version!r}")
+    try:
+        config = EncoderConfig.from_dict(payload["config"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"invalid checkpoint config ({exc!r})") from exc
+    layout = init_random(config)
     return EncoderParams(
-        config=EncoderConfig.from_dict(payload["config"]),
-        weights={k: np.asarray(v, dtype=np.float64) for k, v in payload["weights"].items()},
-        running={k: np.asarray(v, dtype=np.float64) for k, v in payload["running"].items()},
+        config=config,
+        weights=_checked_arrays(payload, "weights", layout.weights),
+        running=_checked_arrays(payload, "running", layout.running),
     )
+
+
+def _checked_arrays(payload, section, layout):
+    """The section's arrays, in layout order, if keys and shapes match it."""
+    stored = payload.get(section)
+    if not isinstance(stored, dict):
+        raise ParseError(f"checkpoint {section!r} is missing or not an object")
+    missing = sorted(set(layout) - set(stored))
+    extra = sorted(set(stored) - set(layout))
+    if missing or extra:
+        raise ParseError(f"checkpoint {section!r} keys: missing {missing}, unexpected {extra}")
+    out = {}
+    for key, expected in layout.items():
+        try:
+            arr = np.asarray(stored[key], dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"checkpoint {section}[{key!r}] is not a numeric array") from exc
+        if arr.shape != expected.shape:
+            raise ParseError(f"checkpoint {section}[{key!r}] has shape {arr.shape}, "
+                             f"expected {expected.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise ParseError(f"checkpoint {section}[{key!r}] has non-finite values")
+        out[key] = arr
+    return out

@@ -191,9 +191,7 @@ def orbit_census_4(graph: Graph) -> OrbitCensus:
     if n < 4:
         return OrbitCensus(counts)
     quads = np.array(list(itertools.combinations(range(n), 4)), dtype=np.int64)
-    adj = np.zeros((n, n), dtype=bool)
-    for u, v in graph.edges:
-        adj[u, v] = adj[v, u] = True
+    adj = _adjacency_matrix(graph).astype(bool)
     mask = np.zeros(len(quads), dtype=np.int64)
     for bit, (i, j) in enumerate(_PAIRS):
         mask |= adj[quads[:, i], quads[:, j]].astype(np.int64) << bit

@@ -41,7 +41,7 @@ def gen_er(n: int, p: float, rng) -> Graph:
         return Graph(n)
     iu, iv = np.triu_indices(n, k=1)
     keep = rng.random(iu.size) < p
-    return Graph(n, edges=list(zip(iu[keep].tolist(), iv[keep].tolist())))
+    return Graph(n, edges=np.column_stack((iu[keep], iv[keep])))
 
 
 def gen_community(num_nodes: int, p: float = 0.3, inter_frac: float = 0.05, rng=0) -> Graph:
@@ -59,13 +59,10 @@ def gen_community(num_nodes: int, p: float = 0.3, inter_frac: float = 0.05, rng=
         raise InfeasibleInterEdgesError(
             f"{num_inter} inter-community edges requested, only {half * half} pairs exist"
         )
-    edges = []
-    for offset in (0, half):
-        block = gen_er(half, p, rng)
-        edges.extend((u + offset, v + offset) for u, v in block.edges)
+    blocks = [gen_er(half, p, rng).edge_array() + offset for offset in (0, half)]
     cross = rng.choice(half * half, size=num_inter, replace=False)
-    edges.extend((int(c) // half, half + int(c) % half) for c in cross)
-    return Graph(num_nodes, edges=edges)
+    blocks.append(np.column_stack((cross // half, half + cross % half)))
+    return Graph(num_nodes, edges=np.concatenate(blocks))
 
 
 def gen_grid(rows: int, cols: int) -> Graph:

@@ -1,7 +1,7 @@
 """Canonical undirected graph representation and JSON-lines serialization.
 
 A Graph stores a dense node index range 0..num_nodes-1 and a canonical edge
-list: every pair as (min, max), deduplicated, sorted lexicographically.
+array: every pair as (min, max), deduplicated, sorted lexicographically.
 Graphs and GraphSets are immutable after construction and safe to share
 across threads.
 """
@@ -34,6 +34,8 @@ def _as_feature_matrix(values, expected_rows, what):
         )
     if not np.all(np.isfinite(arr)):
         raise InvariantViolationError(f"{what} contains non-finite values")
+    if arr is values and arr.flags.writeable:
+        arr = arr.copy()  # the caller can still write to its own array
     arr = np.ascontiguousarray(arr)
     arr.flags.writeable = False
     return arr
@@ -46,10 +48,15 @@ class Graph:
     Construction canonicalizes the edge list: pairs are stored as
     (min, max), duplicates removed, sorted lexicographically. Self-loops
     and out-of-range endpoints raise instead of being dropped silently.
+    The canonical edges live in one read-only (num_edges, 2) int64 array
+    (``edge_array()``); ``edges`` is the same list as a tuple of int
+    pairs, built on first access.
     """
 
     num_nodes: int
-    edges: tuple = ()
+    # no class-level default: after construction ``edges`` is served by
+    # __getattr__ from the edge array
+    edges: tuple = field(default_factory=tuple)
     node_features: np.ndarray | None = None
     edge_features: np.ndarray | None = None
 
@@ -59,26 +66,38 @@ class Graph:
             raise InvariantViolationError(f"num_nodes must be >= 0, got {n}")
         object.__setattr__(self, "num_nodes", n)
 
-        raw = [(int(u), int(v)) for u, v in self.edges]
-        for u, v in raw:
-            if u == v:
-                raise SelfLoopError(f"self-loop at node {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise EndpointOutOfRangeError(f"edge ({u},{v}) outside [0,{n})")
-        normalized = [(min(u, v), max(u, v)) for u, v in raw]
-        order = sorted(range(len(normalized)), key=lambda i: normalized[i])
-        canonical = []
-        kept = []
-        for i in order:
-            if canonical and canonical[-1] == normalized[i]:
-                if self.edge_features is not None:
-                    raise InvariantViolationError(
-                        f"duplicate edge {normalized[i]} with edge features present"
-                    )
-                continue
-            canonical.append(normalized[i])
-            kept.append(i)
-        object.__setattr__(self, "edges", tuple(canonical))
+        try:
+            raw = np.asarray(self.edges, dtype=np.int64)
+        except OverflowError as exc:
+            raise EndpointOutOfRangeError(f"edge endpoint outside [0,{n})") from exc
+        if raw.size == 0:
+            raw = raw.reshape(0, 2)
+        if raw.ndim != 2 or raw.shape[1] != 2:
+            raise InvariantViolationError(
+                f"edges must be a sequence of (u, v) pairs, got shape {raw.shape}"
+            )
+        lo = raw.min(axis=1)
+        hi = raw.max(axis=1)
+        bad = (lo == hi) | (lo < 0) | (hi >= n)
+        if bad.any():
+            i = int(np.argmax(bad))
+            a, b = int(raw[i, 0]), int(raw[i, 1])
+            if a == b:
+                raise SelfLoopError(f"self-loop at node {a}")
+            raise EndpointOutOfRangeError(f"edge ({a},{b}) outside [0,{n})")
+        # first occurrence of each pair, in (min, max) lexicographic order
+        keys, kept = np.unique(lo * n + hi, return_index=True)
+        if self.edge_features is not None and keys.size < len(raw):
+            ordered = np.sort(lo * n + hi)
+            dup = int(ordered[1:][ordered[1:] == ordered[:-1]][0])
+            raise InvariantViolationError(
+                f"duplicate edge {(dup // n, dup % n)} with edge features present"
+            )
+        # fancy indexing copies, so a caller's array is never aliased
+        edges = np.column_stack((lo[kept], hi[kept]))
+        edges.flags.writeable = False
+        object.__delattr__(self, "edges")
+        object.__setattr__(self, "_edges", edges)
 
         if self.node_features is not None:
             object.__setattr__(
@@ -90,14 +109,23 @@ class Graph:
             ef.flags.writeable = False
             object.__setattr__(self, "edge_features", ef)
 
+    def __getattr__(self, name):
+        # reached only when normal lookup fails: ``edges`` before its
+        # first access, or a genuinely missing attribute
+        if name != "edges" or "_edges" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        edges = tuple(map(tuple, self._edges.tolist()))
+        object.__setattr__(self, "edges", edges)
+        return edges
+
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self._edges)
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
-        if self.num_nodes != other.num_nodes or self.edges != other.edges:
+        if self.num_nodes != other.num_nodes or not np.array_equal(self._edges, other._edges):
             return False
         for a, b in ((self.node_features, other.node_features),
                      (self.edge_features, other.edge_features)):
@@ -108,29 +136,40 @@ class Graph:
         return True
 
     def __hash__(self):
-        return hash((self.num_nodes, self.edges))
+        return hash((self.num_nodes, self._edges.tobytes()))
 
     def edge_array(self) -> np.ndarray:
-        """Edges as an int array of shape (num_edges, 2); empty -> (0, 2)."""
-        if not self.edges:
-            return np.zeros((0, 2), dtype=np.int64)
-        return np.asarray(self.edges, dtype=np.int64)
+        """Canonical edges, read-only int64 of shape (num_edges, 2); empty -> (0, 2)."""
+        return self._edges
 
+    def neighbors(self):
+        """(indptr, indices) CSR adjacency, computed once per graph.
 
-def canonicalize(graph: Graph) -> Graph:
-    """Reapply edge canonicalization. Identity on already-valid graphs."""
-    return Graph(graph.num_nodes, graph.edges, graph.node_features, graph.edge_features)
+        Node u's neighbors are indices[indptr[u]:indptr[u + 1]], ascending;
+        both arrays are read-only int64.
+        """
+        csr = self.__dict__.get("_csr")
+        if csr is None:
+            e = self._edges
+            src = np.concatenate((e[:, 0], e[:, 1]))
+            dst = np.concatenate((e[:, 1], e[:, 0]))
+            order = np.lexsort((dst, src))
+            indptr = np.zeros(self.num_nodes + 1, dtype=np.int64)
+            np.cumsum(np.bincount(src, minlength=self.num_nodes), out=indptr[1:])
+            indices = dst[order]
+            indptr.flags.writeable = False
+            indices.flags.writeable = False
+            csr = (indptr, indices)
+            object.__setattr__(self, "_csr", csr)
+        return csr
 
 
 def adjacency(graph: Graph) -> list[list[int]]:
     """Per-node sorted neighbor lists. N(u) contains v iff N(v) contains u."""
-    neigh = [[] for _ in range(graph.num_nodes)]
-    for u, v in graph.edges:
-        neigh[u].append(v)
-        neigh[v].append(u)
-    for lst in neigh:
-        lst.sort()
-    return neigh
+    indptr, indices = graph.neighbors()
+    flat = indices.tolist()
+    bounds = indptr.tolist()
+    return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,7 +209,7 @@ class GraphSet:
 def _graph_to_record(graph: Graph) -> dict:
     return {
         "n": graph.num_nodes,
-        "edges": [list(e) for e in graph.edges],
+        "edges": graph.edge_array().tolist(),
         "x": None if graph.node_features is None else graph.node_features.tolist(),
         "e": None if graph.edge_features is None else graph.edge_features.tolist(),
     }
@@ -189,11 +228,12 @@ def _graph_from_record(record: dict, index: int) -> Graph:
     if not isinstance(edges, list):
         raise ParseError("'edges' must be a list of [u, v] pairs", record=index)
     for e in edges:
-        if not (isinstance(e, list) and len(e) == 2 and all(isinstance(x, int) for x in e)):
+        if not (isinstance(e, list) and len(e) == 2
+                and all(isinstance(x, int) and not isinstance(x, bool) for x in e)):
             raise ParseError(f"malformed edge entry {e!r}", record=index)
     return Graph(
         num_nodes=n,
-        edges=[tuple(e) for e in edges],
+        edges=edges,
         node_features=record.get("x"),
         edge_features=record.get("e"),
     )

@@ -24,14 +24,16 @@ from .encoder import (
     forward_batch,
     graph_features,
     init_random,
+    max_weight_spectral_norm,
     orthogonal_matrix,
     pack_graphs,
     project_lipschitz_inplace,
-    spectral_norm,
 )
+# unused here (attach_features goes through graph_features, the debug
+# re-check through max_weight_spectral_norm), but the benchmark's tracer
+# (perfbench/tracer.py) wraps these names in this module
+from .encoder import spectral_norm  # noqa: F401
 from .errors import DegenerateBatchError, FeatureMismatchError, NonFiniteGradientError
-# unused here since attach_features goes through graph_features, but the
-# benchmark's tracer (perfbench/tracer.py) wraps this name in this module
 from .features import structural_features  # noqa: F401
 from .generators import substream
 from .graphs import Graph
@@ -47,20 +49,15 @@ def induced_subgraph(graph: Graph, nodes) -> Graph:
     Node feature rows follow their nodes; edge feature rows follow the
     surviving edges.
     """
-    nodes = sorted(int(v) for v in nodes)
-    relabel = {old: new for new, old in enumerate(nodes)}
-    keep_mask = []
-    edges = []
-    for u, v in graph.edges:
-        inside = u in relabel and v in relabel
-        keep_mask.append(inside)
-        if inside:
-            edges.append((relabel[u], relabel[v]))
+    nodes = np.sort(np.fromiter(nodes, dtype=np.int64))
+    relabel = np.full(graph.num_nodes, -1, dtype=np.int64)
+    relabel[nodes] = np.arange(len(nodes))
+    # the relabeling is monotone, so the surviving edges stay canonical
+    edges = relabel[graph.edge_array()]
+    keep = (edges >= 0).all(axis=1)
     nf = graph.node_features[nodes] if graph.node_features is not None else None
-    ef = None
-    if graph.edge_features is not None:
-        ef = graph.edge_features[np.asarray(keep_mask, dtype=bool)]
-    return Graph(len(nodes), edges, node_features=nf, edge_features=ef)
+    ef = graph.edge_features[keep] if graph.edge_features is not None else None
+    return Graph(len(nodes), edges[keep], node_features=nf, edge_features=ef)
 
 
 def node_drop(graph: Graph, p: float, rng) -> Graph:
@@ -72,10 +69,9 @@ def node_drop(graph: Graph, p: float, rng) -> Graph:
 def edge_drop(graph: Graph, p: float, rng) -> Graph:
     """Remove each edge independently with probability p; nodes unchanged."""
     keep = rng.random(graph.num_edges) >= p
-    edges = [e for e, k in zip(graph.edges, keep) if k]
     ef = graph.edge_features[keep] if graph.edge_features is not None else None
-    return Graph(graph.num_nodes, edges, node_features=graph.node_features,
-                 edge_features=ef)
+    return Graph(graph.num_nodes, graph.edge_array()[keep],
+                 node_features=graph.node_features, edge_features=ef)
 
 
 def subgraph_walk(graph: Graph, length: int, rng) -> Graph:
@@ -84,17 +80,14 @@ def subgraph_walk(graph: Graph, length: int, rng) -> Graph:
     The walk starts at a uniform node and takes up to `length` steps to a
     uniform neighbor; it stops early at a node with no neighbors.
     """
-    neigh = [[] for _ in range(graph.num_nodes)]
-    for u, v in graph.edges:
-        neigh[u].append(v)
-        neigh[v].append(u)
+    indptr, indices = graph.neighbors()
     cur = int(rng.integers(graph.num_nodes))
     visited = {cur}
     for _ in range(length):
-        options = neigh[cur]
-        if not options:
+        start, stop = int(indptr[cur]), int(indptr[cur + 1])
+        if start == stop:
             break
-        cur = options[int(rng.integers(len(options)))]
+        cur = int(indices[start + int(rng.integers(stop - start))])
         visited.add(cur)
     return induced_subgraph(graph, visited)
 
@@ -105,7 +98,7 @@ def attribute_mask(graph: Graph, p: float, rng) -> Graph:
         raise FeatureMismatchError("attribute_mask needs node features")
     masked = graph.node_features.copy()
     masked[rng.random(graph.num_nodes) < p] = 0.0
-    return Graph(graph.num_nodes, graph.edges, node_features=masked,
+    return Graph(graph.num_nodes, graph.edge_array(), node_features=masked,
                  edge_features=graph.edge_features)
 
 
@@ -399,7 +392,7 @@ def attach_features(graphs, encoder_config: EncoderConfig):
         except FeatureMismatchError as exc:
             raise FeatureMismatchError(f"graph {i}: {exc}") from exc
         if feats is not g.node_features:
-            g = Graph(g.num_nodes, g.edges, node_features=feats,
+            g = Graph(g.num_nodes, g.edge_array(), node_features=feats,
                       edge_features=g.edge_features)
         out.append(g)
     return out
@@ -469,7 +462,7 @@ def train_graphcl(graphs, encoder_config: EncoderConfig,
                            train_config.lipschitz_enabled)
             )
             if train_config.debug_checks and train_config.lipschitz_enabled:
-                worst = max(spectral_norm(m) for _, m in params.weight_matrices())
+                worst = max_weight_spectral_norm(params)
                 if worst > params.config.lipschitz_bound + 1e-6:
                     raise AssertionError(
                         f"spectral norm {worst} escaped the bound after an update"

@@ -11,7 +11,6 @@ from ggeval.benchmark import (
     KEEP_METRICS,
     PERTURBATION_KINDS,
     _round_half_up,
-    benchmark_curve,
     cluster_wl,
     curves_to_csv,
     mode_grid,
@@ -345,16 +344,16 @@ def test_run_benchmark_unknown_kind():
 def test_benchmark_deterministic_and_seed_sensitive():
     gs = small_set(8)
     embed = random_embed()
-    a = benchmark_curve(gs, embed, "mix_random", seed=3, step=0.5)
-    b = benchmark_curve(gs, embed, "mix_random", seed=3, step=0.5)
-    c = benchmark_curve(gs, embed, "mix_random", seed=4, step=0.5)
+    a = run_benchmark(gs, embed, "mix_random", seeds=(3,), step=0.5)[0]
+    b = run_benchmark(gs, embed, "mix_random", seeds=(3,), step=0.5)[0]
+    c = run_benchmark(gs, embed, "mix_random", seeds=(4,), step=0.5)[0]
     assert a.reports == b.reports
     assert a.reports != c.reports
 
 
 def test_baseline_run_starts_at_ideal():
     # r=0 compares the set with itself: identity values by construction
-    curve = benchmark_curve(small_set(8), random_embed(), "mix_random", step=0.5)
+    curve = run_benchmark(small_set(8), random_embed(), "mix_random", step=0.5)[0]
     first = curve.reports[0]
     assert first.fd < 1e-8
     assert first.precision == 1.0 and first.coverage == 1.0

@@ -157,6 +157,29 @@ def test_evaluate_malformed_csv_fails_cleanly(tmp_path, capsys, text):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["embed", "benchmark"])
+@pytest.mark.parametrize("corruption", ["wrong shape", "dropped key", "invalid json"])
+def test_corrupt_checkpoint_fails_cleanly(workspace, tmp_path, capsys, command, corruption):
+    _, data, ckpt = workspace
+    blob = json.loads(ckpt.read_text())
+    if corruption == "wrong shape":
+        blob["weights"]["l0.m0.W"] = blob["weights"]["l0.m0.W"] * 2
+        text = json.dumps(blob)
+    elif corruption == "dropped key":
+        del blob["weights"]["l1.m1.b"]
+        text = json.dumps(blob)
+    else:
+        text = ckpt.read_text()[:-10]
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    io = ["--in", str(data)] if command == "embed" else ["--data", str(data)]
+    assert run(command, "--params", str(bad), *io,
+               "--out", str(tmp_path / "out.csv")) == 1
+    err = capsys.readouterr().err
+    assert "ParseError" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 # --- benchmark ---------------------------------------------------------------
 
 

@@ -16,7 +16,7 @@ from ggeval.encoder import (
     save_params,
     spectral_norm,
 )
-from ggeval.errors import FeatureMismatchError
+from ggeval.errors import FeatureMismatchError, ParseError
 from ggeval.generators import gen_community, gen_cycle_pair, gen_grid, substream
 from ggeval.graphs import Graph
 
@@ -328,5 +328,46 @@ def test_checkpoint_version_guard(tmp_path):
     blob = json.loads(path.read_text())
     blob["version"] = 99
     path.write_text(json.dumps(blob))
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError, match="version 99"):
+        load_params(path)
+
+
+# name -> (edit of the saved JSON payload, expected message fragment)
+CHECKPOINT_CORRUPTIONS = {
+    "dropped bias": (lambda b: b["weights"].pop("l1.m1.b"), "missing"),
+    "dropped running var": (lambda b: b["running"].pop("l0.m0.var"), "missing"),
+    "unexpected weight": (lambda b: b["weights"].update({"l9.m0.W": [[1.0]]}), "unexpected"),
+    "wrong-shaped matrix": (lambda b: b["weights"].update({"l0.m0.W": [[0.5] * 32] * 2}),
+                            "shape"),
+    "wrong-shaped running mean": (lambda b: b["running"].update({"l2.m0.mean": [0.0] * 3}),
+                                  "shape"),
+    "non-numeric weight": (lambda b: b["weights"].update({"l0.m0.b": ["x"] * 32}), "numeric"),
+    "non-finite weight": (lambda b: b["weights"].update({"l1.m0.gamma": [float("nan")] * 32}),
+                          "non-finite"),
+    "invalid config value": (lambda b: b["config"].update(hidden=0), "config"),
+    "unknown config field": (lambda b: b["config"].update(width=3), "config"),
+    "weights not an object": (lambda b: b.update(weights=[]), "not an object"),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(CHECKPOINT_CORRUPTIONS))
+def test_corrupt_checkpoint_raises_parse_error(tmp_path, corruption):
+    import json
+
+    path = tmp_path / "enc.json"
+    save_params(init_random(EncoderConfig(), seed=0), path)
+    blob = json.loads(path.read_text())
+    corrupt, message = CHECKPOINT_CORRUPTIONS[corruption]
+    corrupt(blob)
+    path.write_text(json.dumps(blob))
+    with pytest.raises(ParseError, match=message):
+        load_params(path)
+
+
+@pytest.mark.parametrize("text", ["{not json", "[1, 2]", '{"version": 1}'],
+                         ids=["invalid JSON", "not an object", "no config"])
+def test_malformed_checkpoint_file_raises_parse_error(tmp_path, text):
+    path = tmp_path / "enc.json"
+    path.write_text(text)
+    with pytest.raises(ParseError):
         load_params(path)

@@ -16,7 +16,6 @@ from ggeval.graphs import (
     GraphSet,
     adjacency,
     atomic_write_text,
-    canonicalize,
     load_graphs,
     save_graphs,
 )
@@ -94,7 +93,7 @@ def test_graph_equality_and_hash():
 
 def test_canonicalize_idempotent():
     g = Graph(4, edges=[(2, 1), (0, 3)])
-    assert canonicalize(g) == g
+    assert Graph(g.num_nodes, g.edge_array()) == g
 
 
 def test_adjacency_symmetric_and_sorted():
@@ -215,3 +214,11 @@ def test_round_trip_random_graphs(tmp_path_factory, seed):
     path = tmp_path_factory.mktemp("rt") / "g.jsonl"
     save_graphs(GraphSet("g", (g,)), path)
     assert load_graphs(path)[0] == g
+
+
+@pytest.mark.parametrize("edge", ["[true, 2]", "[0, false]"])
+def test_bool_endpoint_rejected(tmp_path, edge):
+    path = tmp_path / "bool.jsonl"
+    path.write_text('{"n": 3, "edges": [' + edge + ']}\n')
+    with pytest.raises(ParseError, match="malformed edge entry"):
+        load_graphs(path)
