@@ -67,10 +67,16 @@ def _rewire_graph(graph: Graph, r: float, rng) -> Graph:
             continue
         u, v = edges[idx]
         stable, moved = (u, v) if rng.integers(2) == 0 else (v, u)
-        candidates = [w for w in range(n) if w != stable and w not in nbrs[stable]]
-        if not candidates:
+        num_candidates = n - 1 - len(nbrs[stable])
+        if not num_candidates:
             continue
-        target = candidates[int(rng.integers(len(candidates)))]
+        # the j-th node that is neither stable nor one of its neighbors:
+        # step j past every excluded node at or below it, in ascending order
+        target = int(rng.integers(num_candidates))
+        for w in sorted(nbrs[stable] | {stable}):
+            if w > target:
+                break
+            target += 1
         nbrs[stable].discard(moved)
         nbrs[moved].discard(stable)
         nbrs[stable].add(target)

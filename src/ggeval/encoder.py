@@ -225,19 +225,20 @@ def pack_graphs(graphs, config: EncoderConfig) -> BatchedGraphs:
     total = int(offsets[-1])
     x = np.vstack(feats) if total else np.zeros((0, config.in_dim))
 
-    rows, cols = [np.arange(total)], [np.arange(total)]  # the +I part
-    for g, off in zip(graphs, offsets):
-        e = g.edge_array() + off
-        rows.extend([e[:, 0], e[:, 1]])
-        cols.extend([e[:, 1], e[:, 0]])
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
+    edges = np.concatenate([np.zeros((2, 0), np.int64)] + [g.edge_array().T for g in graphs],
+                           axis=1)
+    # shift each graph's edges by the index of its first packed node
+    edges += np.repeat(offsets[:-1], [g.num_edges for g in graphs])
+    diag = np.arange(total)  # the +I part
+    # Each graph's edges are sorted (u, v) pairs with u < v, so this order
+    # (the (v, u) entries, the diagonal, then the (u, v) entries) fills
+    # every CSR row in ascending column order and scipy skips its per-row
+    # sort. Any order gives the same canonical matrix.
+    rows = np.concatenate((edges[1], diag, edges[0]))
+    cols = np.concatenate((edges[0], diag, edges[1]))
+    del edges  # not held through the CSR conversion, where memory peaks
     agg = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(total, total))
-
-    gidx = np.repeat(np.arange(len(graphs)), sizes)
-    pool = sp.csr_matrix(
-        (np.ones(total), (gidx, np.arange(total))), shape=(len(graphs), total)
-    )
+    pool = sp.csr_matrix((np.ones(total), diag, offsets), shape=(len(graphs), total))
     return BatchedGraphs(features=x, agg=agg, pool=pool, sizes=sizes)
 
 
@@ -264,25 +265,34 @@ def forward_batch(params: EncoderParams, batch: BatchedGraphs, mode: str = "eval
         steps = []
         for m in range(cfg.mlp_depth):
             lin_in = z
-            z = z @ w[f"l{k}.m{m}.W"] + w[f"l{k}.m{m}.b"]
+            z = z @ w[f"l{k}.m{m}.W"]
+            z += w[f"l{k}.m{m}.b"]
             step = {"lin_in": lin_in}
             if m < cfg.mlp_depth - 1:
+                # same operations, in the same order, as z.mean and z.var
+                n = z.shape[0]
                 mean = z.mean(axis=0)
-                var = z.var(axis=0)
+                z -= mean
+                var = np.square(z).sum(axis=0) / n
                 if mode == "train":
-                    n = z.shape[0]
                     unbiased = var * (n / (n - 1)) if n > 1 else var
                     params.running[f"l{k}.m{m}.mean"] *= 1 - BN_MOMENTUM
                     params.running[f"l{k}.m{m}.mean"] += BN_MOMENTUM * mean
                     params.running[f"l{k}.m{m}.var"] *= 1 - BN_MOMENTUM
                     params.running[f"l{k}.m{m}.var"] += BN_MOMENTUM * unbiased
                 inv_std = 1.0 / np.sqrt(var + BN_EPS)
-                normed = (z - mean) * inv_std
-                z = normed * w[f"l{k}.m{m}.gamma"] + w[f"l{k}.m{m}.beta"]
-                pre_relu = z
-                z = np.maximum(z, 0.0)
+                z *= inv_std
                 if collect_cache:
-                    step.update(normed=normed, inv_std=inv_std, pre_relu=pre_relu)
+                    # the reverse pass reads normed and pre_relu, so keep both
+                    normed = z
+                    z = normed * w[f"l{k}.m{m}.gamma"]
+                    z += w[f"l{k}.m{m}.beta"]
+                    step.update(normed=normed, inv_std=inv_std, pre_relu=z)
+                    z = np.maximum(z, 0.0)
+                else:
+                    z *= w[f"l{k}.m{m}.gamma"]
+                    z += w[f"l{k}.m{m}.beta"]
+                    np.maximum(z, 0.0, out=z)
             if collect_cache:
                 steps.append(step)
         if collect_cache:

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from .errors import (
     DegenerateSetError,
@@ -76,35 +76,46 @@ def frechet_distance(real: np.ndarray, gen: np.ndarray) -> float:
     return frechet_distance_detailed(real, gen)[0]
 
 
-def _pooled_sq(real: np.ndarray, gen: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances over the pooled rows, real rows first.
+def _sq_dists(real: np.ndarray, gen: np.ndarray):
+    """Squared Euclidean distances (real-real, gen-gen, real-gen), each pair once.
 
-    PRDC, the median bandwidth and the RBF kernel read blocks of this one
-    matrix. The blocks equal separate cdist calls, and their sqrt equals
-    scipy's Euclidean distance, bit for bit.
+    The within-set blocks are pdist's condensed vectors, the cross block
+    is the (num_real, num_gen) cdist matrix. PRDC, the median bandwidth
+    and the RBF kernel read these three blocks. Their entries equal cdist
+    over the pooled rows, and their sqrt equals scipy's Euclidean
+    distance, bit for bit.
     """
-    pooled = np.vstack([real, gen])
-    return cdist(pooled, pooled, "sqeuclidean")
+    return (pdist(real, "sqeuclidean"), pdist(gen, "sqeuclidean"),
+            cdist(real, gen, "sqeuclidean"))
 
 
-def _knn_radii(sq_self: np.ndarray, k: int) -> np.ndarray:
-    """Distance from each point to its k-th nearest other point."""
-    n = sq_self.shape[0]
+def _expand(sq):
+    """The three blocks as full matrices; each within-set block is expanded once."""
+    sq_rr, sq_gg, sq_rg = sq
+    return squareform(sq_rr), squareform(sq_gg), sq_rg
+
+
+def _knn_radii(d: np.ndarray, k: int) -> np.ndarray:
+    """Distance from each point to its k-th nearest other point.
+
+    d is the full squared-distance matrix within one set; it is not
+    modified. Its zero diagonal is the smallest entry of each row, so the
+    k-th nearest other point is the row's (k+1)-th smallest entry.
+    """
+    n = d.shape[0]
     if k < 1:
         raise KTooLargeError("k must be >= 1")
     if k > n - 1:
         raise KTooLargeError(f"k={k} needs at least {k + 1} rows, got {n}")
-    d = sq_self.copy()
-    np.fill_diagonal(d, np.inf)
-    d.partition(k - 1, axis=1)
     # sqrt is monotone, so it commutes with taking the k-th smallest
-    return np.sqrt(d[:, k - 1])
+    return np.sqrt(np.partition(d, k, axis=1)[:, k])
 
 
-def _prdc(sq: np.ndarray, m: int, k: int) -> dict:
-    rad_real = _knn_radii(sq[:m, :m], k)
-    rad_gen = _knn_radii(sq[m:, m:], k)
-    cross = np.sqrt(sq[:m, m:])  # (num_real, num_gen)
+def _prdc(full, k: int) -> dict:
+    sq_rr, sq_gg, sq_rg = full
+    rad_real = _knn_radii(sq_rr, k)
+    rad_gen = _knn_radii(sq_gg, k)
+    cross = np.sqrt(sq_rg)  # (num_real, num_gen)
 
     in_real_ball = cross <= rad_real[:, None]
     in_gen_ball = cross <= rad_gen[None, :]
@@ -128,7 +139,7 @@ def prdc(real: np.ndarray, gen: np.ndarray, k: int = DEFAULT_KNN_K) -> dict:
     point's own set, self excluded.
     """
     real, gen = _check_sets(real, gen)
-    return _prdc(_pooled_sq(real, gen), real.shape[0], k)
+    return _prdc(_expand(_sq_dists(real, gen)), k)
 
 
 def f1_score(x: float, y: float) -> float:
@@ -146,8 +157,10 @@ def f1_score(x: float, y: float) -> float:
 MMD_KERNELS = ("linear", "rbf", "poly")
 
 
-def _median_sigma(sq: np.ndarray) -> float:
-    vals = np.sqrt(sq[np.triu(np.ones(sq.shape, dtype=bool), k=1)])
+def _median_sigma(sq) -> float:
+    sq_rr, sq_gg, sq_rg = sq
+    # every unordered pair of the pooled rows once
+    vals = np.sqrt(np.concatenate((sq_rr, sq_gg, sq_rg.ravel())))
     med = float(np.median(vals, overwrite_input=True)) if vals.size else 0.0
     if not np.isfinite(med) or med <= 0.0:
         return 1.0
@@ -156,18 +169,16 @@ def _median_sigma(sq: np.ndarray) -> float:
 
 def median_heuristic_sigma(real: np.ndarray, gen: np.ndarray) -> float:
     """Median pairwise distance over the pooled sample; 1.0 if degenerate."""
-    return _median_sigma(_pooled_sq(real, gen))
+    return _median_sigma(_sq_dists(real, gen))
 
 
-def _kernel_blocks(real, gen, kernel: str, sq, sigma):
-    """(K_rr, K_gg, K_rg); the rbf kernel reads the pooled squared distances."""
+def _kernel_blocks(real, gen, kernel: str, full, sigma):
+    """(K_rr, K_gg, K_rg); the rbf kernel reads the expanded squared-distance blocks."""
     if kernel == "rbf":
-        m = real.shape[0]
         # sq/sigma^2 may overflow to inf for denormal sigma; exp(-inf) = 0
         # is the correct limit, so suppress the spurious warning
         with np.errstate(over="ignore"):
-            return tuple(np.exp(-block / (2.0 * sigma * sigma))
-                         for block in (sq[:m, :m], sq[m:, m:], sq[:m, m:]))
+            return tuple(np.exp(-block / (2.0 * sigma * sigma)) for block in full)
     pairs = ((real, real), (gen, gen), (real, gen))
     if kernel == "linear":
         return tuple(a @ b.T for a, b in pairs)
@@ -198,10 +209,13 @@ def mmd(real: np.ndarray, gen: np.ndarray, kernel: str = "rbf",
     real, gen = _check_sets(real, gen, too_few=DegenerateSetError)
     if kernel not in MMD_KERNELS:
         raise ValueError(f"unknown kernel {kernel!r}")
-    sq = _pooled_sq(real, gen) if kernel == "rbf" else None
-    if kernel == "rbf" and sigma is None:
-        sigma = _median_sigma(sq)
-    return _mmd(*_kernel_blocks(real, gen, kernel, sq, sigma), unbiased)
+    full = None
+    if kernel == "rbf":
+        sq = _sq_dists(real, gen)
+        if sigma is None:
+            sigma = _median_sigma(sq)
+        full = _expand(sq)
+    return _mmd(*_kernel_blocks(real, gen, kernel, full, sigma), unbiased)
 
 
 METRIC_NAMES = (
@@ -264,11 +278,13 @@ def evaluate(real: np.ndarray, gen: np.ndarray,
     bandwidth (median heuristic unless overridden) alongside the scores.
     """
     real, gen = _check_sets(real, gen)
-    sq = _pooled_sq(real, gen)
-    scores = _prdc(sq, real.shape[0], settings.knn_k)
+    sq = _sq_dists(real, gen)
     sigma = settings.rbf_sigma
     if sigma is None:
         sigma = _median_sigma(sq)
+    full = _expand(sq)
+    del sq  # the condensed within-set blocks are not read again
+    scores = _prdc(full, settings.knn_k)
     unbiased = settings.mmd_unbiased
     return MetricReport(
         fd=_frechet(real, gen)[0],
@@ -278,8 +294,8 @@ def evaluate(real: np.ndarray, gen: np.ndarray,
         coverage=scores["coverage"],
         f1_pr=f1_score(scores["precision"], scores["recall"]),
         f1_dc=f1_score(scores["density"], scores["coverage"]),
-        mmd_linear=_mmd(*_kernel_blocks(real, gen, "linear", sq, sigma), unbiased),
-        mmd_rbf=_mmd(*_kernel_blocks(real, gen, "rbf", sq, sigma), unbiased),
+        mmd_linear=_mmd(*_kernel_blocks(real, gen, "linear", full, sigma), unbiased),
+        mmd_rbf=_mmd(*_kernel_blocks(real, gen, "rbf", full, sigma), unbiased),
         k=settings.knn_k,
         rbf_sigma=sigma,
     )

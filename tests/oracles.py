@@ -12,10 +12,14 @@ import itertools
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 import scipy.stats
+from scipy.spatial.distance import cdist
 
+from ggeval.encoder import BN_EPS, BN_MOMENTUM, BatchedGraphs, graph_features
 from ggeval.errors import EndpointOutOfRangeError, InvariantViolationError, SelfLoopError
-from ggeval.graphs import Graph
+from ggeval.graphs import Graph, adjacency
+from ggeval.metrics import f1_score, frechet_distance
 
 
 def canonical_edges_slow(num_nodes: int, edges, has_edge_features: bool = False):
@@ -304,3 +308,179 @@ def random_graph(rng: np.random.Generator, n: int, p: float) -> Graph:
             if rng.random() < p:
                 edges.append((u, v))
     return Graph(num_nodes=n, edges=tuple(edges))
+
+
+def rewire_graph_slow(graph: Graph, r: float, rng) -> Graph:
+    """Edge rewiring that lists every candidate target, same RNG draws."""
+    n = graph.num_nodes
+    nbrs = [set(neighbors) for neighbors in adjacency(graph)]
+    edges = graph.edge_array().tolist()
+    for idx in range(len(edges)):
+        if rng.random() >= r:
+            continue
+        u, v = edges[idx]
+        stable, moved = (u, v) if rng.integers(2) == 0 else (v, u)
+        candidates = [w for w in range(n) if w != stable and w not in nbrs[stable]]
+        if not candidates:
+            continue
+        target = candidates[int(rng.integers(len(candidates)))]
+        nbrs[stable].discard(moved)
+        nbrs[moved].discard(stable)
+        nbrs[stable].add(target)
+        nbrs[target].add(stable)
+        edges[idx] = [min(stable, target), max(stable, target)]
+    return Graph(n, edges)
+
+
+# ---------------------------------------------------------------------------
+# the scoring path with one fresh array per operation: the reference for
+# the in-place forward, the one-pass packing and the blockwise distances
+
+
+def pack_graphs_slow(graphs, config) -> BatchedGraphs:
+    """Packing with per-graph edge offsets and a COO-built pooling matrix."""
+    feats = [graph_features(g, config) for g in graphs]
+    sizes = np.array([g.num_nodes for g in graphs], dtype=np.int64)
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    total = int(offsets[-1])
+    x = np.vstack(feats) if total else np.zeros((0, config.in_dim))
+    rows, cols = [np.arange(total)], [np.arange(total)]
+    for g, off in zip(graphs, offsets):
+        e = g.edge_array() + off
+        rows.extend([e[:, 0], e[:, 1]])
+        cols.extend([e[:, 1], e[:, 0]])
+    rows = np.concatenate(rows)
+    cols = np.concatenate(cols)
+    agg = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(total, total))
+    gidx = np.repeat(np.arange(len(graphs)), sizes)
+    pool = sp.csr_matrix(
+        (np.ones(total), (gidx, np.arange(total))), shape=(len(graphs), total)
+    )
+    return BatchedGraphs(features=x, agg=agg, pool=pool, sizes=sizes)
+
+
+def forward_batch_slow(params, batch, mode="eval", collect_cache=False):
+    """Forward pass with z.mean / z.var and a new array for every step."""
+    cfg = params.config
+    w = params.weights
+    h = batch.features
+    readouts = []
+    cache = {"batch": batch, "layers": []} if collect_cache else None
+    for k in range(cfg.num_layers):
+        lc = {"h_in": h} if collect_cache else None
+        z = batch.agg @ h
+        if collect_cache:
+            lc["agg_out"] = z
+        steps = []
+        for m in range(cfg.mlp_depth):
+            lin_in = z
+            z = z @ w[f"l{k}.m{m}.W"] + w[f"l{k}.m{m}.b"]
+            step = {"lin_in": lin_in}
+            if m < cfg.mlp_depth - 1:
+                mean = z.mean(axis=0)
+                var = z.var(axis=0)
+                if mode == "train":
+                    n = z.shape[0]
+                    unbiased = var * (n / (n - 1)) if n > 1 else var
+                    params.running[f"l{k}.m{m}.mean"] *= 1 - BN_MOMENTUM
+                    params.running[f"l{k}.m{m}.mean"] += BN_MOMENTUM * mean
+                    params.running[f"l{k}.m{m}.var"] *= 1 - BN_MOMENTUM
+                    params.running[f"l{k}.m{m}.var"] += BN_MOMENTUM * unbiased
+                inv_std = 1.0 / np.sqrt(var + BN_EPS)
+                normed = (z - mean) * inv_std
+                z = normed * w[f"l{k}.m{m}.gamma"] + w[f"l{k}.m{m}.beta"]
+                pre_relu = z
+                z = np.maximum(z, 0.0)
+                step.update(normed=normed, inv_std=inv_std, pre_relu=pre_relu)
+            steps.append(step)
+        if collect_cache:
+            lc["steps"] = steps
+            lc["h_out"] = z
+            cache["layers"].append(lc)
+        h = z
+        readouts.append(batch.pool @ h)
+    emb = np.hstack(readouts)
+    if collect_cache:
+        cache["embedding"] = emb
+    return emb, cache
+
+
+def pooled_sq(real, gen):
+    """One squared-distance matrix over the pooled rows, real rows first."""
+    pooled = np.vstack([real, gen])
+    return cdist(pooled, pooled, "sqeuclidean")
+
+
+def prdc_pooled(real, gen, k=5) -> dict:
+    sq = pooled_sq(real, gen)
+    m = len(real)
+
+    def radii(block):
+        d = block.copy()
+        np.fill_diagonal(d, np.inf)
+        d.partition(k - 1, axis=1)
+        return np.sqrt(d[:, k - 1])
+
+    rad_real = radii(sq[:m, :m])
+    rad_gen = radii(sq[m:, m:])
+    cross = np.sqrt(sq[:m, m:])
+    in_real_ball = cross <= rad_real[:, None]
+    in_gen_ball = cross <= rad_gen[None, :]
+    return {
+        "precision": float(in_real_ball.any(axis=0).mean()),
+        "recall": float(in_gen_ball.any(axis=1).mean()),
+        "density": float(in_real_ball.sum(axis=0).mean() / k),
+        "coverage": float(in_real_ball.any(axis=1).mean()),
+    }
+
+
+def median_sigma_pooled(real, gen) -> float:
+    """Median over the strict upper triangle of the pooled matrix."""
+    sq = pooled_sq(real, gen)
+    vals = np.sqrt(sq[np.triu(np.ones(sq.shape, dtype=bool), k=1)])
+    med = float(np.median(vals, overwrite_input=True)) if vals.size else 0.0
+    if not np.isfinite(med) or med <= 0.0:
+        return 1.0
+    return med
+
+
+def mmd_pooled(real, gen, kernel="rbf", unbiased=True, sigma=None) -> float:
+    """Squared MMD with the rbf kernel read from the pooled matrix."""
+    m = len(real)
+    if kernel == "rbf":
+        sq = pooled_sq(real, gen)
+        if sigma is None:
+            sigma = median_sigma_pooled(real, gen)
+        with np.errstate(over="ignore"):
+            k_rr, k_gg, k_rg = (np.exp(-block / (2.0 * sigma * sigma))
+                                for block in (sq[:m, :m], sq[m:, m:], sq[:m, m:]))
+    else:
+        pairs = ((real, real), (gen, gen), (real, gen))
+        if kernel == "linear":
+            k_rr, k_gg, k_rg = (a @ b.T for a, b in pairs)
+        else:
+            k_rr, k_gg, k_rg = ((a @ b.T + 1.0) ** 3 for a, b in pairs)
+    n = len(gen)
+    if unbiased:
+        term_r = (k_rr.sum() - np.trace(k_rr)) / (m * (m - 1))
+        term_g = (k_gg.sum() - np.trace(k_gg)) / (n * (n - 1))
+    else:
+        term_r = k_rr.sum() / (m * m)
+        term_g = k_gg.sum() / (n * n)
+    return float(term_r + term_g - 2.0 * k_rg.sum() / (m * n))
+
+
+def evaluate_pooled(real, gen, knn_k=5, mmd_unbiased=True, rbf_sigma=None) -> dict:
+    """Every MetricReport field, each metric read from the pooled matrix."""
+    scores = prdc_pooled(real, gen, knn_k)
+    sigma = median_sigma_pooled(real, gen) if rbf_sigma is None else rbf_sigma
+    return {
+        "fd": frechet_distance(real, gen),
+        **scores,
+        "f1_pr": f1_score(scores["precision"], scores["recall"]),
+        "f1_dc": f1_score(scores["density"], scores["coverage"]),
+        "mmd_linear": mmd_pooled(real, gen, "linear", mmd_unbiased),
+        "mmd_rbf": mmd_pooled(real, gen, "rbf", mmd_unbiased, sigma),
+        "k": knn_k,
+        "rbf_sigma": sigma,
+    }

@@ -3,6 +3,8 @@ from functools import partial
 import numpy as np
 import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ggeval.benchmark import (
     DEFAULT_NUM_CLUSTERS,
@@ -10,6 +12,7 @@ from ggeval.benchmark import (
     FLIP_METRICS,
     KEEP_METRICS,
     PERTURBATION_KINDS,
+    _rewire_graph,
     _round_half_up,
     cluster_wl,
     curves_to_csv,
@@ -140,6 +143,21 @@ def test_rewire_changes_graphs_at_high_ratio():
     gs = small_set()
     out = perturb_rewire(gs, 1.0, substream(8))
     assert sum(a != b for a, b in zip(out, gs)) >= 8
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(0, 12), p=st.floats(0.0, 1.0), r=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**31 - 1))
+def test_rewire_matches_candidate_list_oracle(n, p, r, seed):
+    # dense graphs included, so stable endpoints with no free target occur
+    graph = gen_er(n, p, seed)
+    rng_fast = np.random.default_rng(seed + 1)
+    rng_slow = np.random.default_rng(seed + 1)
+    fast = _rewire_graph(graph, r, rng_fast)
+    slow = oracles.rewire_graph_slow(graph, r, rng_slow)
+    assert fast.edges == slow.edges and fast.num_nodes == slow.num_nodes
+    # the same draws were consumed
+    assert rng_fast.random() == rng_slow.random()
 
 
 # ------------------------------------------------------------- spearman

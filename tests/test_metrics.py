@@ -297,8 +297,8 @@ def test_evaluate_sigma_override_recorded():
 @pytest.mark.parametrize("unbiased", [True, False])
 @pytest.mark.parametrize("rbf_sigma", [None, 0.7])
 def test_evaluate_matches_public_parts_bitwise(unbiased, rbf_sigma):
-    # unequal set sizes, so a transposed or misplaced block of the pooled
-    # distance matrix cannot go unnoticed
+    # unequal set sizes, so a transposed or swapped distance block cannot
+    # go unnoticed
     a, b = sample(32, rows=23, dim=5), sample(33, rows=31, dim=5, shift=0.3)
     report = evaluate(a, b, MetricSettings(knn_k=4, mmd_unbiased=unbiased,
                                            rbf_sigma=rbf_sigma))
@@ -315,7 +315,7 @@ def test_evaluate_matches_public_parts_bitwise(unbiased, rbf_sigma):
     assert report.k == 4
 
 
-def test_evaluate_checks_once_and_builds_one_distance_matrix(monkeypatch):
+def test_evaluate_checks_once_and_computes_each_distance_once(monkeypatch):
     import ggeval.metrics as metrics
 
     calls = []
@@ -326,10 +326,13 @@ def test_evaluate_checks_once_and_builds_one_distance_matrix(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("cdist", "_check_sets"):
+    for name in ("cdist", "pdist", "squareform", "_check_sets"):
         monkeypatch.setattr(metrics, name, counting(name, getattr(metrics, name)))
     evaluate(sample(34, rows=12), sample(35, rows=9))
-    assert sorted(calls) == ["_check_sets", "cdist"]
+    # within-set pairs once each through pdist, cross pairs through one cdist;
+    # each within-set block is expanded to a full matrix once
+    assert sorted(calls) == ["_check_sets", "cdist", "pdist", "pdist",
+                             "squareform", "squareform"]
 
 
 def test_evaluate_biased_setting():
