@@ -103,7 +103,7 @@ def perturb_rewire(graph_set: GraphSet, r: float, rng) -> GraphSet:
 # WL-kernel clustering for the mode perturbations
 
 
-def cluster_wl(graph_set: GraphSet, num_clusters: int, h: int = 3):
+def cluster_wl(graph_set: GraphSet, num_clusters: int):
     """Complete-linkage agglomerative clustering in WL-kernel space.
 
     Pairwise distance is the kernel-induced d(i,j) =
@@ -119,7 +119,7 @@ def cluster_wl(graph_set: GraphSet, num_clusters: int, h: int = 3):
     n = len(graph_set)
     if not 1 <= num_clusters <= n:
         raise ValueError(f"num_clusters must be in [1, {n}]")
-    gram = wl_kernel_gram(list(graph_set), h=h)
+    gram = wl_kernel_gram(list(graph_set))
     diag = np.diag(gram)
     dist = np.sqrt(np.clip(diag[:, None] + diag[None, :] - 2.0 * gram, 0.0, None))
 
@@ -315,8 +315,7 @@ def _sweep(reference, embed, kind, seed, ratios, labels, medoids, settings):
 def run_benchmark(reference: GraphSet, embed, kind: str, seeds=(0,),
                   step: float = DEFAULT_RATIO_STEP,
                   num_clusters: int = DEFAULT_NUM_CLUSTERS,
-                  settings: MetricSettings = MetricSettings(),
-                  wl_depth: int = 3):
+                  settings: MetricSettings = MetricSettings()):
     """One curve per seed for the given perturbation kind.
 
     embed is a callable (set_a, set_b) -> (H_a, H_b) producing embedding
@@ -330,7 +329,7 @@ def run_benchmark(reference: GraphSet, embed, kind: str, seeds=(0,),
     if kind not in PERTURBATION_KINDS:
         raise ValueError(f"unknown perturbation kind {kind!r}")
     if kind in ("mode_collapse", "mode_drop"):
-        labels, medoids = cluster_wl(reference, num_clusters, h=wl_depth)
+        labels, medoids = cluster_wl(reference, num_clusters)
         ratios = mode_grid(num_clusters, include_full=kind == "mode_collapse")
     else:
         labels = medoids = None

@@ -5,7 +5,8 @@ can pin BLAS thread counts through the environment before numpy comes in;
 every subcommand imports what it needs when it runs.
 
 Exit codes: 0 success, 1 failed checks or invariant violations (with the
-failing module's diagnostic on stderr), 2 usage errors.
+failing module's diagnostic on stderr), 2 usage errors, which include an
+option value out of range.
 """
 
 from __future__ import annotations
@@ -177,7 +178,7 @@ def cmd_embed(ns) -> int:
     params = load_params(_require(_opt(ns, "params", None), "--params"))
     graph_set = load_graphs(_require(_opt(ns, "infile", None), "--in"))
     out = _require(_opt(ns, "out", None), "--out")
-    emb = embed_set(params, list(graph_set), mode="eval")
+    emb = embed_set(params, list(graph_set))
     _write_matrix(out, emb)
     log.info("embed graphs=%d dim=%d out=%s", emb.shape[0], emb.shape[1], out)
     return 0
@@ -455,6 +456,9 @@ def main(argv=None) -> int:
         except OSError as exc:
             print(f"ggeval {ns.command}: {exc}", file=sys.stderr)
             return 1
+        except ValueError as exc:
+            # every ValueError a subcommand lets out is about an option value
+            raise UsageError(f"{ns.command}: {exc}") from exc
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -207,7 +207,7 @@ def verify_gnn_ceiling(pair=None, num_inits: int = 20,
     gaps = []
     for trial in range(num_inits):
         params = init_random(config, seed=seed * 1000 + trial)
-        emb = embed_set(params, [g1, g2], mode="eval")
+        emb = embed_set(params, [g1, g2])
         gaps.append(float(np.max(np.abs(emb[0] - emb[1]))))
     separated, _ = wl_first_separation(g1, g2, max_iter=max(g1.num_nodes,
                                                             g2.num_nodes))

@@ -6,18 +6,16 @@ normalization and ReLU after every hidden layer. The graph readout sums
 node states per layer and concatenates the per-layer sums, so the
 embedding dimension is num_layers * hidden.
 
-Normalization modes:
-  train  batch statistics over all nodes in the forward pass; running
-         statistics updated.
-  eval   statistics computed from the nodes of the collection being
-         embedded, in one deterministic pass. Comparing two sets is done
-         by embedding their union so both live on a common scale.
+Normalization: every pass, training or embedding, normalizes with the
+mean and variance over all nodes of the batch it runs on. Comparing two
+sets is done by embedding their union so both live on a common scale.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,7 +25,6 @@ from .features import FEATURE_CONFIGS, feature_dim, structural_features
 from .graphs import Graph, atomic_write_text
 
 BN_EPS = 1e-5
-BN_MOMENTUM = 0.1
 
 # feature selectors accepted by the encoder: the structural ones, plus
 # "provided" for datasets whose files carry their own node features
@@ -44,6 +41,10 @@ class EncoderConfig:
     input_dim: int | None = None  # required iff feature_config == "provided"
 
     def __post_init__(self):
+        for name in ("num_layers", "hidden", "mlp_depth", "input_dim"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, Integral):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
         if self.num_layers < 1:
             raise ValueError("num_layers must be >= 1")
         if self.hidden < 1:
@@ -56,6 +57,8 @@ class EncoderConfig:
             raise ValueError(f"unknown feature_config {self.feature_config!r}")
         if self.feature_config == "provided" and self.input_dim is None:
             raise ValueError("feature_config 'provided' requires input_dim")
+        if self.input_dim is not None and self.input_dim < 1:
+            raise ValueError("input_dim must be >= 1")
 
     @property
     def in_dim(self) -> int:
@@ -84,16 +87,14 @@ class EncoderConfig:
 
 @dataclass
 class EncoderParams:
-    """Trainable weights plus batch-norm running statistics.
+    """Trainable weights of an encoder.
 
     weights maps "l{k}.m{m}.W" / ".b" for every linear and
-    "l{k}.m{m}.gamma" / ".beta" for every hidden-layer normalization;
-    running maps "l{k}.m{m}.mean" / ".var".
+    "l{k}.m{m}.gamma" / ".beta" for every hidden-layer normalization.
     """
 
     config: EncoderConfig
     weights: dict = field(default_factory=dict)
-    running: dict = field(default_factory=dict)
 
     def weight_matrices(self):
         """(name, matrix) pairs for the linear weights, layer order."""
@@ -103,7 +104,6 @@ class EncoderParams:
         return EncoderParams(
             config=self.config,
             weights={k: v.copy() for k, v in self.weights.items()},
-            running={k: v.copy() for k, v in self.running.items()},
         )
 
 
@@ -117,24 +117,35 @@ def orthogonal_matrix(rng, rows: int, cols: int) -> np.ndarray:
     return np.ascontiguousarray(q)
 
 
-def init_random(config: EncoderConfig, seed: int = 0) -> EncoderParams:
-    """Orthogonally initialized encoder; deterministic per seed."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    weights = {}
-    running = {}
+def weight_count(config: EncoderConfig) -> int:
+    """Number of arrays weight_shapes(config) yields, without building them."""
+    return config.num_layers * (4 * config.mlp_depth - 2)
+
+
+def weight_shapes(config: EncoderConfig):
+    """(name, shape) of every trainable array, in init_random's draw order."""
     d_in = config.in_dim
     for k in range(config.num_layers):
         dims = [d_in] + [config.hidden] * config.mlp_depth
         for m in range(config.mlp_depth):
-            weights[f"l{k}.m{m}.W"] = orthogonal_matrix(rng, dims[m], dims[m + 1])
-            weights[f"l{k}.m{m}.b"] = np.zeros(dims[m + 1])
+            yield f"l{k}.m{m}.W", (dims[m], dims[m + 1])
+            yield f"l{k}.m{m}.b", (dims[m + 1],)
             if m < config.mlp_depth - 1:
-                weights[f"l{k}.m{m}.gamma"] = np.ones(dims[m + 1])
-                weights[f"l{k}.m{m}.beta"] = np.zeros(dims[m + 1])
-                running[f"l{k}.m{m}.mean"] = np.zeros(dims[m + 1])
-                running[f"l{k}.m{m}.var"] = np.ones(dims[m + 1])
+                yield f"l{k}.m{m}.gamma", (dims[m + 1],)
+                yield f"l{k}.m{m}.beta", (dims[m + 1],)
         d_in = config.hidden
-    return EncoderParams(config=config, weights=weights, running=running)
+
+
+def init_random(config: EncoderConfig, seed: int = 0) -> EncoderParams:
+    """Orthogonally initialized encoder; deterministic per seed."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    weights = {}
+    for name, shape in weight_shapes(config):
+        if name.endswith(".W"):
+            weights[name] = orthogonal_matrix(rng, *shape)
+        else:
+            weights[name] = np.ones(shape) if name.endswith(".gamma") else np.zeros(shape)
+    return EncoderParams(config=config, weights=weights)
 
 
 def spectral_norm(matrix: np.ndarray) -> float:
@@ -242,16 +253,13 @@ def pack_graphs(graphs, config: EncoderConfig) -> BatchedGraphs:
     return BatchedGraphs(features=x, agg=agg, pool=pool, sizes=sizes)
 
 
-def forward_batch(params: EncoderParams, batch: BatchedGraphs, mode: str = "eval",
+def forward_batch(params: EncoderParams, batch: BatchedGraphs,
                   collect_cache: bool = False):
-    """Run the encoder over a packed batch.
+    """Run the encoder over a packed batch; params are only read.
 
     Returns (embeddings, cache); cache holds the intermediates needed for
-    the reverse pass when collect_cache is set. Train mode additionally
-    updates the running normalization statistics in place.
+    the reverse pass when collect_cache is set.
     """
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     cfg = params.config
     w = params.weights
     h = batch.features
@@ -274,12 +282,6 @@ def forward_batch(params: EncoderParams, batch: BatchedGraphs, mode: str = "eval
                 mean = z.mean(axis=0)
                 z -= mean
                 var = np.square(z).sum(axis=0) / n
-                if mode == "train":
-                    unbiased = var * (n / (n - 1)) if n > 1 else var
-                    params.running[f"l{k}.m{m}.mean"] *= 1 - BN_MOMENTUM
-                    params.running[f"l{k}.m{m}.mean"] += BN_MOMENTUM * mean
-                    params.running[f"l{k}.m{m}.var"] *= 1 - BN_MOMENTUM
-                    params.running[f"l{k}.m{m}.var"] += BN_MOMENTUM * unbiased
                 inv_std = 1.0 / np.sqrt(var + BN_EPS)
                 z *= inv_std
                 if collect_cache:
@@ -307,36 +309,36 @@ def forward_batch(params: EncoderParams, batch: BatchedGraphs, mode: str = "eval
     return emb, cache
 
 
-def embed_set(params: EncoderParams, graphs, mode: str = "eval") -> np.ndarray:
+def embed_set(params: EncoderParams, graphs) -> np.ndarray:
     """Embed a collection of graphs; row i corresponds to graphs[i].
 
-    In eval mode the normalization statistics come from this collection's
-    nodes, so embedding the union of two sets places them on one scale.
+    The normalization statistics come from this collection's nodes, so
+    embedding the union of two sets places them on one scale.
     """
     graphs = list(graphs)
     if not graphs:
         raise ValueError("cannot embed an empty collection")
     batch = pack_graphs(graphs, params.config)
-    emb, _ = forward_batch(params, batch, mode=mode)
+    emb, _ = forward_batch(params, batch)
     if not np.all(np.isfinite(emb)):
         bad = np.flatnonzero(~np.isfinite(emb).all(axis=1))
         raise FeatureMismatchError(f"non-finite embedding for graph indices {bad.tolist()}")
     return emb
 
 
-def embed_union(params: EncoderParams, set_a, set_b, mode: str = "eval"):
+def embed_union(params: EncoderParams, set_a, set_b):
     """Embed two sets in one pass with shared statistics; returns (H_a, H_b)."""
     graphs_a, graphs_b = list(set_a), list(set_b)
-    emb = embed_set(params, graphs_a + graphs_b, mode=mode)
+    emb = embed_set(params, graphs_a + graphs_b)
     return emb[: len(graphs_a)], emb[len(graphs_a):]
 
 
-def forward(params: EncoderParams, graph: Graph, mode: str = "eval") -> np.ndarray:
+def forward(params: EncoderParams, graph: Graph) -> np.ndarray:
     """Embedding vector of a single graph."""
-    return embed_set(params, [graph], mode=mode)[0]
+    return embed_set(params, [graph])[0]
 
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def save_params(params: EncoderParams, path) -> None:
@@ -345,7 +347,6 @@ def save_params(params: EncoderParams, path) -> None:
         "version": CHECKPOINT_VERSION,
         "config": params.config.to_dict(),
         "weights": {k: v.tolist() for k, v in params.weights.items()},
-        "running": {k: v.tolist() for k, v in params.running.items()},
     }
     atomic_write_text(path, json.dumps(payload))
 
@@ -353,9 +354,11 @@ def save_params(params: EncoderParams, path) -> None:
 def load_params(path) -> EncoderParams:
     """Read a checkpoint written by save_params.
 
-    The payload must match the layout init_random(config) builds: the
-    version, every weight and running key, every shape, and finite
-    values. Anything else raises ParseError.
+    The payload must carry this version and the weight_shapes(config)
+    layout: every name, every shape, and finite values. Anything else
+    raises ParseError. The layout is checked without drawing weights, and
+    the array count before any name is built, so a config that claims a
+    huge encoder costs nothing to reject.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -371,33 +374,29 @@ def load_params(path) -> EncoderParams:
         config = EncoderConfig.from_dict(payload["config"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"invalid checkpoint config ({exc!r})") from exc
-    layout = init_random(config)
-    return EncoderParams(
-        config=config,
-        weights=_checked_arrays(payload, "weights", layout.weights),
-        running=_checked_arrays(payload, "running", layout.running),
-    )
-
-
-def _checked_arrays(payload, section, layout):
-    """The section's arrays, in layout order, if keys and shapes match it."""
-    stored = payload.get(section)
+    stored = payload.get("weights")
     if not isinstance(stored, dict):
-        raise ParseError(f"checkpoint {section!r} is missing or not an object")
+        raise ParseError("checkpoint 'weights' is missing or not an object")
+    count = weight_count(config)
+    if len(stored) != count:
+        what = "missing" if len(stored) < count else "unexpected"
+        raise ParseError(f"checkpoint 'weights' holds {len(stored)} arrays, its config "
+                         f"needs {count}: {abs(count - len(stored))} {what}")
+    layout = dict(weight_shapes(config))
     missing = sorted(set(layout) - set(stored))
     extra = sorted(set(stored) - set(layout))
     if missing or extra:
-        raise ParseError(f"checkpoint {section!r} keys: missing {missing}, unexpected {extra}")
-    out = {}
-    for key, expected in layout.items():
+        raise ParseError(f"checkpoint 'weights' keys: missing {missing}, unexpected {extra}")
+    weights = {}
+    for key, shape in layout.items():
         try:
             arr = np.asarray(stored[key], dtype=np.float64)
         except (TypeError, ValueError) as exc:
-            raise ParseError(f"checkpoint {section}[{key!r}] is not a numeric array") from exc
-        if arr.shape != expected.shape:
-            raise ParseError(f"checkpoint {section}[{key!r}] has shape {arr.shape}, "
-                             f"expected {expected.shape}")
+            raise ParseError(f"checkpoint weights[{key!r}] is not a numeric array") from exc
+        if arr.shape != shape:
+            raise ParseError(f"checkpoint weights[{key!r}] has shape {arr.shape}, "
+                             f"expected {shape}")
         if not np.all(np.isfinite(arr)):
-            raise ParseError(f"checkpoint {section}[{key!r}] has non-finite values")
-        out[key] = arr
-    return out
+            raise ParseError(f"checkpoint weights[{key!r}] has non-finite values")
+        weights[key] = arr
+    return EncoderParams(config=config, weights=weights)

@@ -203,13 +203,6 @@ def nt_xent(z1: np.ndarray, z2: np.ndarray, tau: float = 0.2):
     return loss, dz[:n], dz[n:]
 
 
-def make_nt_xent(tau: float = 0.2):
-    """Loss callable (z1, z2) -> (loss, dz1, dz2) at fixed temperature."""
-    def loss_fn(z1, z2):
-        return nt_xent(z1, z2, tau=tau)
-    return loss_fn
-
-
 # ---------------------------------------------------------------------------
 # projection head
 
@@ -398,14 +391,14 @@ def attach_features(graphs, encoder_config: EncoderConfig):
     return out
 
 
-def train_step(params: EncoderParams, head: dict, views1, views2, loss_fn,
+def train_step(params: EncoderParams, head: dict, views1, views2, tau: float,
                optimizer: AdamState, lipschitz: bool) -> float:
     """One optimizer update from two prepared view lists; returns the loss."""
     batch = pack_graphs(list(views1) + list(views2), params.config)
-    emb, cache = forward_batch(params, batch, mode="train", collect_cache=True)
+    emb, cache = forward_batch(params, batch, collect_cache=True)
     proj, head_cache = head_forward(head, emb)
     n = len(views1)
-    loss, d1, d2 = loss_fn(proj[:n], proj[n:])
+    loss, d1, d2 = nt_xent(proj[:n], proj[n:], tau)
     d_proj = np.vstack([d1, d2])
     d_emb, head_grads = head_backward(head, head_cache, d_proj)
     enc_grads = encoder_backward(params, cache, d_emb)
@@ -422,8 +415,7 @@ def train_step(params: EncoderParams, head: dict, views1, views2, loss_fn,
 
 
 def train_graphcl(graphs, encoder_config: EncoderConfig,
-                  train_config: TrainConfig = TrainConfig(),
-                  loss_fn=None) -> TrainResult:
+                  train_config: TrainConfig = TrainConfig()) -> TrainResult:
     """Contrastive pretraining; deterministic for a fixed seed.
 
     Randomness is split into named substreams keyed by (epoch, graph
@@ -433,8 +425,6 @@ def train_graphcl(graphs, encoder_config: EncoderConfig,
     graphs = attach_features(list(graphs), encoder_config)
     if len(graphs) < 2:
         raise DegenerateBatchError("training needs at least 2 graphs")
-    if loss_fn is None:
-        loss_fn = make_nt_xent(train_config.tau)
     seed = train_config.seed
     params = init_random(encoder_config, seed=seed)
     head_rng = substream(seed, 3)
@@ -458,7 +448,7 @@ def train_graphcl(graphs, encoder_config: EncoderConfig,
                     rng = substream(seed, 2, epoch, int(i), view)
                     sink.append(augment(g, train_config.augmentations, rng))
             losses.append(
-                train_step(params, head, views1, views2, loss_fn, optimizer,
+                train_step(params, head, views1, views2, train_config.tau, optimizer,
                            train_config.lipschitz_enabled)
             )
             if train_config.debug_checks and train_config.lipschitz_enabled:
@@ -476,18 +466,18 @@ def train_graphcl(graphs, encoder_config: EncoderConfig,
 # gradient validation
 
 
-def training_loss(params: EncoderParams, head: dict, views1, views2, loss_fn):
+def training_loss(params: EncoderParams, head: dict, views1, views2, tau: float):
     """Loss of one prepared batch without any parameter mutation."""
     batch = pack_graphs(list(views1) + list(views2), params.config)
-    emb, _ = forward_batch(params, batch, mode="eval")
+    emb, _ = forward_batch(params, batch)
     proj, _ = head_forward(head, emb)
     n = len(views1)
-    loss, _, _ = loss_fn(proj[:n], proj[n:])
+    loss, _, _ = nt_xent(proj[:n], proj[n:], tau)
     return loss
 
 
 def finite_difference_check(params: EncoderParams, head: dict, views1, views2,
-                            loss_fn, step: float = 1e-5) -> float:
+                            tau: float, step: float = 1e-5) -> float:
     """Worst error between analytic and central-difference gradients.
 
     Perturbs every coordinate of every trainable array and scores
@@ -497,10 +487,10 @@ def finite_difference_check(params: EncoderParams, head: dict, views1, views2,
     about 1e-9 at this step size) without registering as error.
     """
     batch = pack_graphs(list(views1) + list(views2), params.config)
-    emb, cache = forward_batch(params, batch, mode="eval", collect_cache=True)
+    emb, cache = forward_batch(params, batch, collect_cache=True)
     proj, head_cache = head_forward(head, emb)
     n = len(views1)
-    _, d1, d2 = loss_fn(proj[:n], proj[n:])
+    _, d1, d2 = nt_xent(proj[:n], proj[n:], tau)
     d_emb, head_grads = head_backward(head, head_cache, np.vstack([d1, d2]))
     grads = {**encoder_backward(params, cache, d_emb), **head_grads}
 
@@ -512,9 +502,9 @@ def finite_difference_check(params: EncoderParams, head: dict, views1, views2,
         for j in range(flat.size):
             orig = flat[j]
             flat[j] = orig + step
-            up = training_loss(params, head, views1, views2, loss_fn)
+            up = training_loss(params, head, views1, views2, tau)
             flat[j] = orig - step
-            down = training_loss(params, head, views1, views2, loss_fn)
+            down = training_loss(params, head, views1, views2, tau)
             flat[j] = orig
             numeric = (up - down) / (2.0 * step)
             err = abs(numeric - gflat[j]) / (1e-3 + max(abs(numeric), abs(gflat[j])))

@@ -16,7 +16,7 @@ import scipy.sparse as sp
 import scipy.stats
 from scipy.spatial.distance import cdist
 
-from ggeval.encoder import BN_EPS, BN_MOMENTUM, BatchedGraphs, graph_features
+from ggeval.encoder import BN_EPS, BatchedGraphs, graph_features
 from ggeval.errors import EndpointOutOfRangeError, InvariantViolationError, SelfLoopError
 from ggeval.graphs import Graph, adjacency
 from ggeval.metrics import f1_score, frechet_distance
@@ -359,7 +359,7 @@ def pack_graphs_slow(graphs, config) -> BatchedGraphs:
     return BatchedGraphs(features=x, agg=agg, pool=pool, sizes=sizes)
 
 
-def forward_batch_slow(params, batch, mode="eval", collect_cache=False):
+def forward_batch_slow(params, batch, collect_cache=False):
     """Forward pass with z.mean / z.var and a new array for every step."""
     cfg = params.config
     w = params.weights
@@ -379,13 +379,6 @@ def forward_batch_slow(params, batch, mode="eval", collect_cache=False):
             if m < cfg.mlp_depth - 1:
                 mean = z.mean(axis=0)
                 var = z.var(axis=0)
-                if mode == "train":
-                    n = z.shape[0]
-                    unbiased = var * (n / (n - 1)) if n > 1 else var
-                    params.running[f"l{k}.m{m}.mean"] *= 1 - BN_MOMENTUM
-                    params.running[f"l{k}.m{m}.mean"] += BN_MOMENTUM * mean
-                    params.running[f"l{k}.m{m}.var"] *= 1 - BN_MOMENTUM
-                    params.running[f"l{k}.m{m}.var"] += BN_MOMENTUM * unbiased
                 inv_std = 1.0 / np.sqrt(var + BN_EPS)
                 normed = (z - mean) * inv_std
                 z = normed * w[f"l{k}.m{m}.gamma"] + w[f"l{k}.m{m}.beta"]

@@ -45,7 +45,6 @@ from ggeval.training import (
     finite_difference_check,
     head_forward,
     init_head,
-    make_nt_xent,
     train_graphcl,
 )
 
@@ -167,7 +166,7 @@ def test_gate_4_gradient_gate():
         head = init_head(cfg.num_layers * cfg.hidden, substream(attempt, 23))
 
         batch = pack_graphs(list(views1) + list(views2), cfg)
-        emb, cache = forward_batch(params, batch, mode="eval",
+        emb, cache = forward_batch(params, batch,
                                    collect_cache=True)
         proj, (_, head_pre, _) = head_forward(head, emb)
         kink_margin = min(
@@ -180,7 +179,7 @@ def test_gate_4_gradient_gate():
             continue
 
         worst = finite_difference_check(params, head, views1, views2,
-                                        make_nt_xent(0.2))
+                                        0.2)
         worst_overall = max(worst_overall, worst)
         checked += 1
         assert worst < 1e-4, f"attempt {attempt}: relative error {worst:.3g}"

@@ -2,10 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ggeval
 from ggeval.cli import main
 from ggeval.graphs import load_graphs
 from ggeval.metrics import METRIC_NAMES, REPORT_FIELDS
@@ -314,6 +317,39 @@ def test_config_bad_value_type(tmp_path, capsys):
     assert "count" in capsys.readouterr().err
 
 
+# name -> (arguments after the workspace paths, config file text or None)
+OUT_OF_RANGE_OPTIONS = {
+    "train epochs 0": (["train", "--epochs", "0"], None),
+    "train config features": (["train"], "[train]\nfeatures = bogus\n"),
+    "benchmark step 0.3": (["benchmark", "--step", "0.3"], None),
+    "benchmark k 0": (["benchmark", "--k", "0"], None),
+    "reproduce layers 0": (["reproduce", "--layers", "0"], None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE_OPTIONS))
+def test_out_of_range_option_is_usage_error(workspace, tmp_path, capsys, case):
+    _, data, ckpt = workspace
+    args, config_text = OUT_OF_RANGE_OPTIONS[case]
+    command = args[0]
+    paths = {
+        "train": ["--data", str(data), "--out", str(tmp_path / "enc.json")],
+        "benchmark": ["--data", str(data), "--params", str(ckpt),
+                      "--out", str(tmp_path / "c.csv")],
+        "reproduce": ["--out", str(tmp_path / "repro")],
+    }[command]
+    config = []
+    if config_text is not None:
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(config_text)
+        config = ["--config", str(cfg)]
+    assert run(*config, *args, *paths) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ")
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_threads_flag_sets_environment(tmp_path):
     saved = {var: os.environ.get(var)
              for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
@@ -329,6 +365,23 @@ def test_threads_flag_sets_environment(tmp_path):
                 os.environ.pop(var, None)
             else:
                 os.environ[var] = value
+
+
+def test_import_leaves_numpy_unloaded_and_exports_resolve():
+    # --threads must reach the environment before numpy loads, so importing
+    # the package and its CLI may not pull numpy in
+    script = (
+        "import sys, ggeval, ggeval.cli\n"
+        "assert 'numpy' not in sys.modules, 'numpy loaded on import'\n"
+        "missing = [name for name in ggeval.__all__ if getattr(ggeval, name, None) is None]\n"
+        "assert not missing, missing\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        os.path.dirname(os.path.dirname(ggeval.__file__)), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_missing_subcommand_is_parser_error():

@@ -119,7 +119,7 @@ def test_deep_encoder_separates_pair():
     g1, g2 = cycle_pair_graphs(5, 8, 6, 7)
     cfg = EncoderConfig(num_layers=3, hidden=16, feature_config="degree")
     for seed in range(5):
-        emb = embed_set(init_random(cfg, seed=seed), [g1, g2], mode="eval")
+        emb = embed_set(init_random(cfg, seed=seed), [g1, g2])
         assert float(np.max(np.abs(emb[0] - emb[1]))) > 1e-6
 
 
@@ -129,7 +129,7 @@ def test_shallow_encoder_cannot_separate_pair():
     g1, g2 = cycle_pair_graphs(5, 8, 6, 7)
     cfg = EncoderConfig(num_layers=2, hidden=16, feature_config="degree")
     for seed in range(5):
-        emb = embed_set(init_random(cfg, seed=seed), [g1, g2], mode="eval")
+        emb = embed_set(init_random(cfg, seed=seed), [g1, g2])
         assert float(np.max(np.abs(emb[0] - emb[1]))) < 1e-9
 
 

@@ -1,6 +1,8 @@
 import numpy as np
 import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ggeval.encoder import (
     EncoderConfig,
@@ -15,6 +17,8 @@ from ggeval.encoder import (
     project_lipschitz,
     save_params,
     spectral_norm,
+    weight_count,
+    weight_shapes,
 )
 from ggeval.errors import FeatureMismatchError, ParseError
 from ggeval.generators import gen_community, gen_cycle_pair, gen_grid, substream
@@ -47,6 +51,11 @@ def test_config_validation():
         EncoderConfig(feature_config="nope")
     with pytest.raises(ValueError):
         EncoderConfig(feature_config="provided")  # needs input_dim
+    with pytest.raises(ValueError):
+        EncoderConfig(feature_config="provided", input_dim=0)
+    for field in ("num_layers", "hidden", "mlp_depth", "input_dim"):
+        with pytest.raises(TypeError, match=field):
+            EncoderConfig(**{field: 2.0})
     EncoderConfig(feature_config="provided", input_dim=7)
 
 
@@ -87,12 +96,10 @@ def test_init_deterministic_and_orthogonal():
         assert abs(spectral_norm(w) - 1.0) < 1e-6
 
 
-def test_init_bn_and_running_defaults():
+def test_init_bn_defaults():
     p = init_random(CFG, seed=0)
     assert np.all(p.weights["l0.m0.gamma"] == 1.0)
     assert np.all(p.weights["l0.m0.beta"] == 0.0)
-    assert np.all(p.running["l0.m0.mean"] == 0.0)
-    assert np.all(p.running["l0.m0.var"] == 1.0)
 
 
 def test_spectral_norm_closed_forms():
@@ -181,9 +188,8 @@ def test_isomorphic_graphs_equal_embeddings():
     np.testing.assert_array_equal(forward(params, a), forward(params, b))
 
 
-@pytest.mark.parametrize("mode", ["train", "eval"])
 @pytest.mark.parametrize("feature_config", ["none", "degree"])
-def test_wl_equivalent_pair_identical_embeddings(mode, feature_config):
+def test_wl_equivalent_pair_identical_embeddings(feature_config):
     # C6 vs C3+C3: equal degree sequences and WL histograms, so any
     # sum-aggregation encoder must give them identical embeddings
     cfg = EncoderConfig(num_layers=3, hidden=8, feature_config=feature_config)
@@ -191,7 +197,7 @@ def test_wl_equivalent_pair_identical_embeddings(mode, feature_config):
     two_c3 = Graph(6, edges=[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     for seed in range(5):
         params = init_random(cfg, seed=seed)
-        h = embed_set(params, [c6, two_c3], mode=mode)
+        h = embed_set(params, [c6, two_c3])
         np.testing.assert_allclose(h[0], h[1], rtol=0, atol=1e-9)
 
 
@@ -223,30 +229,13 @@ def test_embed_union_matches_joint_pass():
 
 
 def test_eval_statistics_depend_on_companion_set():
-    # eval-mode normalization is joint: embedding a graph next to different
+    # normalization is joint: embedding a graph next to different
     # companions shifts its row, which is the intended common-scale behavior
     params = init_random(CFG, seed=0)
     g = gen_grid(3, 4)
     alone = embed_set(params, [g, gen_grid(2, 2)])
     crowd = embed_set(params, [g, gen_community(30, rng=substream(3))])
     assert not np.allclose(alone[0], crowd[0])
-
-
-def test_train_mode_updates_running_stats():
-    params = init_random(CFG, seed=0)
-    before = {k: v.copy() for k, v in params.running.items()}
-    embed_set(params, [gen_grid(3, 3), gen_grid(3, 4)], mode="eval")
-    for k in before:
-        np.testing.assert_array_equal(params.running[k], before[k])
-    embed_set(params, [gen_grid(3, 3), gen_grid(3, 4)], mode="train")
-    changed = any(not np.array_equal(params.running[k], before[k]) for k in before)
-    assert changed
-
-
-def test_forward_mode_validation():
-    params = init_random(CFG, seed=0)
-    with pytest.raises(ValueError):
-        forward(params, Graph(2), mode="test")
 
 
 def test_feature_mismatch_errors():
@@ -302,7 +291,6 @@ def test_checkpoint_round_trip_exact(tmp_path):
     cfg = EncoderConfig(num_layers=2, hidden=5, feature_config="degree+clustering",
                         lipschitz_bound=0.9)
     params = init_random(cfg, seed=11)
-    embed_set(params, [gen_grid(3, 3), gen_grid(2, 4)], mode="train")  # perturb running stats
     path = tmp_path / "enc.json"
     save_params(params, path)
     loaded = load_params(path)
@@ -310,8 +298,6 @@ def test_checkpoint_round_trip_exact(tmp_path):
     assert sorted(loaded.weights) == sorted(params.weights)
     for k in params.weights:
         np.testing.assert_array_equal(loaded.weights[k], params.weights[k])
-    for k in params.running:
-        np.testing.assert_array_equal(loaded.running[k], params.running[k])
     g = gen_grid(4, 4)
     np.testing.assert_array_equal(
         embed_set(loaded, [g]), embed_set(params, [g])
@@ -332,15 +318,129 @@ def test_checkpoint_version_guard(tmp_path):
         load_params(path)
 
 
+def test_version_1_checkpoint_rejected(tmp_path):
+    import json
+
+    path = tmp_path / "enc.json"
+    save_params(init_random(EncoderConfig(), seed=0), path)
+    blob = json.loads(path.read_text())
+    assert blob["version"] == 2 and set(blob) == {"version", "config", "weights"}
+    blob["version"] = 1
+    path.write_text(json.dumps(blob))
+    with pytest.raises(ParseError, match="unsupported checkpoint version 1"):
+        load_params(path)
+
+
+def test_weight_shapes_match_init_random():
+    for cfg in (CFG, EncoderConfig(mlp_depth=3, feature_config="provided", input_dim=5)):
+        params = init_random(cfg, seed=3)
+        shapes = list(weight_shapes(cfg))
+        assert len(shapes) == weight_count(cfg)
+        assert [(name, w.shape) for name, w in params.weights.items()] == shapes
+
+
+OVERSIZED_CONFIGS = {
+    # each payload carries the default encoder's names with one-element
+    # arrays: the hidden claim fails on shapes, the layer claim on the count
+    "hidden 1500": dict(hidden=1500),
+    "20000 layers": dict(num_layers=20000),
+}
+
+
+@pytest.mark.parametrize("claim", sorted(OVERSIZED_CONFIGS))
+def test_oversized_config_rejected_without_building_it(tmp_path, claim):
+    import json
+    import time
+
+    path = tmp_path / "enc.json"
+    names = [name for name, _ in weight_shapes(EncoderConfig())]
+    path.write_text(json.dumps({"version": 2, "config": OVERSIZED_CONFIGS[claim],
+                                "weights": {name: [0.0] for name in names}}))
+    start = time.perf_counter()
+    with pytest.raises(ParseError):
+        load_params(path)
+    assert time.perf_counter() - start < 1.0
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**6, 10**6) | st.text(max_size=4)
+    | st.floats(allow_nan=True, allow_infinity=True),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                               max_size=3),
+    max_leaves=8,
+)
+CONFIG_VALUES = (st.integers(-10**6, 10**6) | st.floats(-1e6, 1e6) | st.sampled_from(
+    ("none", "degree", "degree+clustering", "provided")) | JSON_VALUES)
+
+
+@st.composite
+def checkpoint_payloads(draw):
+    """A saved small encoder's payload with a few keys, shapes or values changed."""
+    feature_config = draw(st.sampled_from(("none", "degree", "provided")))
+    cfg = EncoderConfig(num_layers=draw(st.integers(1, 2)), hidden=draw(st.integers(1, 3)),
+                        mlp_depth=draw(st.integers(1, 2)), feature_config=feature_config,
+                        input_dim=2 if feature_config == "provided" else None)
+    params = init_random(cfg, seed=0)
+    blob = {"version": 2, "config": cfg.to_dict(),
+            "weights": {k: v.tolist() for k, v in params.weights.items()}}
+    names = sorted(blob["weights"])
+    fields = sorted(blob["config"])
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(("drop", "add", "value", "shape", "non-finite",
+                                     "config", "config field")))
+        if edit == "drop":
+            blob["weights"].pop(draw(st.sampled_from(names)), None)
+        elif edit == "add":
+            blob["weights"][draw(st.text(max_size=8))] = draw(JSON_VALUES)
+        elif edit == "value":
+            blob["weights"][draw(st.sampled_from(names))] = draw(JSON_VALUES)
+        elif edit == "shape":
+            size = draw(st.integers(0, 4))
+            blob["weights"][draw(st.sampled_from(names))] = draw(st.sampled_from(
+                ([0.5] * size, [[0.5] * size], [[0.5] * size] * 2, 0.5)))
+        elif edit == "non-finite":
+            name = draw(st.sampled_from(names))
+            value = params.weights[name].copy()
+            value.flat[draw(st.integers(0, value.size - 1))] = draw(
+                st.sampled_from((np.nan, np.inf, -np.inf)))
+            blob["weights"][name] = value.tolist()
+        elif edit == "config":
+            name = draw(st.sampled_from(fields))
+            old = blob["config"].get(name)
+            # the same value under another JSON type, or any value at all
+            retyped = [str(old), [old]] + ([float(old)] if isinstance(old, int) else [])
+            blob["config"][name] = draw(st.sampled_from(retyped) | CONFIG_VALUES)
+        elif draw(st.booleans()):
+            blob["config"].pop(draw(st.sampled_from(fields)), None)
+        else:
+            blob["config"][draw(st.text(max_size=8))] = draw(CONFIG_VALUES)
+    if draw(st.integers(0, 9)) == 0:
+        blob[draw(st.sampled_from(("version", "config", "weights")))] = draw(JSON_VALUES)
+    return blob
+
+
+@settings(max_examples=300, deadline=None)
+@given(blob=checkpoint_payloads())
+def test_checkpoint_fuzz_loads_or_raises_parse_error(tmp_path_factory, blob):
+    import json
+
+    path = tmp_path_factory.mktemp("ckpt") / "enc.json"
+    path.write_text(json.dumps(blob))
+    try:
+        params = load_params(path)
+    except ParseError:
+        return
+    assert [(name, w.shape) for name, w in params.weights.items()] == list(
+        weight_shapes(params.config))
+    assert all(np.all(np.isfinite(w)) for w in params.weights.values())
+
+
 # name -> (edit of the saved JSON payload, expected message fragment)
 CHECKPOINT_CORRUPTIONS = {
     "dropped bias": (lambda b: b["weights"].pop("l1.m1.b"), "missing"),
-    "dropped running var": (lambda b: b["running"].pop("l0.m0.var"), "missing"),
     "unexpected weight": (lambda b: b["weights"].update({"l9.m0.W": [[1.0]]}), "unexpected"),
     "wrong-shaped matrix": (lambda b: b["weights"].update({"l0.m0.W": [[0.5] * 32] * 2}),
                             "shape"),
-    "wrong-shaped running mean": (lambda b: b["running"].update({"l2.m0.mean": [0.0] * 3}),
-                                  "shape"),
     "non-numeric weight": (lambda b: b["weights"].update({"l0.m0.b": ["x"] * 32}), "numeric"),
     "non-finite weight": (lambda b: b["weights"].update({"l1.m0.gamma": [float("nan")] * 32}),
                           "non-finite"),
@@ -364,7 +464,7 @@ def test_corrupt_checkpoint_raises_parse_error(tmp_path, corruption):
         load_params(path)
 
 
-@pytest.mark.parametrize("text", ["{not json", "[1, 2]", '{"version": 1}'],
+@pytest.mark.parametrize("text", ["{not json", "[1, 2]", '{"version": 2}'],
                          ids=["invalid JSON", "not an object", "no config"])
 def test_malformed_checkpoint_file_raises_parse_error(tmp_path, text):
     path = tmp_path / "enc.json"

@@ -103,30 +103,38 @@ def test_forward_matches_oracle(case, collect_cache):
     params, graphs, config = case
     batch = pack_graphs(graphs, config)
     d_emb = np.random.default_rng(0).normal(size=(len(graphs), config.embedding_dim))
-    for mode in ("eval", "train"):
-        fast_params, slow_params = params.copy(), params.copy()
-        with warnings.catch_warnings():
-            # a batch without nodes has empty normalization statistics
-            warnings.simplefilter("ignore", RuntimeWarning)
-            emb, cache = forward_batch(fast_params, batch, mode, collect_cache)
-            emb_slow, cache_slow = oracles.forward_batch_slow(slow_params, batch, mode,
-                                                              collect_cache)
-        assert_same_bytes(emb, emb_slow)
-        for name in params.running:
-            assert_same_bytes(fast_params.running[name], slow_params.running[name])
-        if not collect_cache:
-            assert cache is None
-            continue
-        for lc, lc_slow in zip(cache["layers"], cache_slow["layers"], strict=True):
-            for step, step_slow in zip(lc["steps"], lc_slow["steps"], strict=True):
-                assert step.keys() == step_slow.keys()
-                for key in step:
-                    assert_same_bytes(step[key], step_slow[key])
-        grads = encoder_backward(fast_params, cache, d_emb)
-        grads_slow = encoder_backward(slow_params, cache_slow, d_emb)
-        assert grads.keys() == grads_slow.keys()
-        for name in grads:
-            assert_same_bytes(grads[name], grads_slow[name])
+    with warnings.catch_warnings():
+        # a batch without nodes has empty normalization statistics
+        warnings.simplefilter("ignore", RuntimeWarning)
+        emb, cache = forward_batch(params, batch, collect_cache)
+        emb_slow, cache_slow = oracles.forward_batch_slow(params, batch, collect_cache)
+    assert_same_bytes(emb, emb_slow)
+    if not collect_cache:
+        assert cache is None
+        return
+    for lc, lc_slow in zip(cache["layers"], cache_slow["layers"], strict=True):
+        for step, step_slow in zip(lc["steps"], lc_slow["steps"], strict=True):
+            assert step.keys() == step_slow.keys()
+            for key in step:
+                assert_same_bytes(step[key], step_slow[key])
+    grads = encoder_backward(params, cache, d_emb)
+    grads_slow = encoder_backward(params, cache_slow, d_emb)
+    assert grads.keys() == grads_slow.keys()
+    for name in grads:
+        assert_same_bytes(grads[name], grads_slow[name])
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=encoder_cases(), collect_cache=st.booleans())
+def test_forward_leaves_weights_untouched(case, collect_cache):
+    params, graphs, config = case
+    before = {name: value.copy() for name, value in params.weights.items()}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        forward_batch(params, pack_graphs(graphs, config), collect_cache)
+    assert params.weights.keys() == before.keys()
+    for name, value in before.items():
+        assert_same_bytes(params.weights[name], value)
 
 
 # ------------------------------------------------------------ metrics

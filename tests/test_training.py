@@ -22,7 +22,6 @@ from ggeval.training import (
     finite_difference_check,
     induced_subgraph,
     init_head,
-    make_nt_xent,
     node_drop,
     nt_xent,
     subgraph_walk,
@@ -227,12 +226,6 @@ def test_nt_xent_validation():
         nt_xent(np.ones((2, 4)), np.ones((2, 4)), tau=0.0)
 
 
-def test_make_nt_xent_binds_temperature():
-    rng = np.random.default_rng(4)
-    z1, z2 = rng.normal(size=(3, 5)), rng.normal(size=(3, 5))
-    assert make_nt_xent(0.7)(z1, z2)[0] == nt_xent(z1, z2, tau=0.7)[0]
-
-
 # -------------------------------------------------------------- optimizer
 
 
@@ -372,7 +365,7 @@ def test_finite_difference_gradient_gate():
     graphs = attach_features(
         [oracles.random_graph(np.random.default_rng(i), 8, 0.4) for i in range(3)], cfg
     )
-    err = finite_difference_check(params, head, graphs, graphs, make_nt_xent(0.2))
+    err = finite_difference_check(params, head, graphs, graphs, 0.2)
     assert err < 1e-4
 
 
@@ -387,7 +380,7 @@ def test_zero_gated_paths_have_zero_gradient():
     from ggeval.training import head_backward, head_forward
 
     graphs = attach_features([TRIANGLE, Graph(4, edges=[(0, 1), (2, 3)])], cfg)
-    h = embed_set(params, graphs, mode="eval")
+    h = embed_set(params, graphs)
     head["head.m0.W"] *= 0.0
     head["head.m0.b"][:] = -1.0  # every pre-activation is -1: ReLU closed
     out, cache = head_forward(head, h)
