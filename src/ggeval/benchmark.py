@@ -61,7 +61,7 @@ def perturb_mix_random(graph_set: GraphSet, r: float, rng) -> GraphSet:
 def _rewire_graph(graph: Graph, r: float, rng) -> Graph:
     n = graph.num_nodes
     nbrs = [set(neighbors) for neighbors in adjacency(graph)]
-    edges = graph.edge_array().tolist()
+    edges = graph.edges.tolist()
     for idx in range(len(edges)):
         if rng.random() >= r:
             continue

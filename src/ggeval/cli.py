@@ -30,7 +30,11 @@ def _load_config(path):
     if path is None:
         return None
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        # some parser messages span lines; the usage error is one line
+        raise UsageError(f"config file {path}: {' '.join(str(exc).splitlines())}") from exc
     if not read:
         raise UsageError(f"config file not found: {path}")
     return parser

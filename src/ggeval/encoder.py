@@ -14,7 +14,7 @@ sets is done by embedding their union so both live on a common scale.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from numbers import Integral
 
 import numpy as np
@@ -69,20 +69,6 @@ class EncoderConfig:
     @property
     def embedding_dim(self) -> int:
         return self.num_layers * self.hidden
-
-    def to_dict(self) -> dict:
-        return {
-            "num_layers": self.num_layers,
-            "hidden": self.hidden,
-            "lipschitz_bound": self.lipschitz_bound,
-            "feature_config": self.feature_config,
-            "mlp_depth": self.mlp_depth,
-            "input_dim": self.input_dim,
-        }
-
-    @classmethod
-    def from_dict(cls, d) -> "EncoderConfig":
-        return cls(**d)
 
 
 @dataclass
@@ -236,7 +222,7 @@ def pack_graphs(graphs, config: EncoderConfig) -> BatchedGraphs:
     total = int(offsets[-1])
     x = np.vstack(feats) if total else np.zeros((0, config.in_dim))
 
-    edges = np.concatenate([np.zeros((2, 0), np.int64)] + [g.edge_array().T for g in graphs],
+    edges = np.concatenate([np.zeros((2, 0), np.int64)] + [g.edges.T for g in graphs],
                            axis=1)
     # shift each graph's edges by the index of its first packed node
     edges += np.repeat(offsets[:-1], [g.num_edges for g in graphs])
@@ -345,7 +331,7 @@ def save_params(params: EncoderParams, path) -> None:
     """Versioned JSON checkpoint with the config embedded."""
     payload = {
         "version": CHECKPOINT_VERSION,
-        "config": params.config.to_dict(),
+        "config": asdict(params.config),
         "weights": {k: v.tolist() for k, v in params.weights.items()},
     }
     atomic_write_text(path, json.dumps(payload))
@@ -371,7 +357,7 @@ def load_params(path) -> EncoderParams:
     if version != CHECKPOINT_VERSION:
         raise ParseError(f"unsupported checkpoint version {version!r}")
     try:
-        config = EncoderConfig.from_dict(payload["config"])
+        config = EncoderConfig(**payload["config"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"invalid checkpoint config ({exc!r})") from exc
     stored = payload.get("weights")

@@ -113,12 +113,12 @@ class OrbitCensus:
 
 def degrees(graph: Graph) -> np.ndarray:
     """Per-node degrees; sums to 2|E|."""
-    return np.bincount(graph.edge_array().ravel(), minlength=graph.num_nodes)
+    return np.bincount(graph.edges.ravel(), minlength=graph.num_nodes)
 
 
 def _adjacency_matrix(graph: Graph) -> np.ndarray:
     a = np.zeros((graph.num_nodes, graph.num_nodes), dtype=np.float64)
-    e = graph.edge_array()
+    e = graph.edges
     a[e[:, 0], e[:, 1]] = 1.0
     a[e[:, 1], e[:, 0]] = 1.0
     return a
@@ -302,11 +302,7 @@ def wl_subtree_kernel(graph_a: Graph, graph_b: Graph, h: int = WL_KERNEL_DEPTH_D
     """Sum over iterations 0..h of color-histogram dot products."""
     if h < 0:
         raise ValueError(f"h must be >= 0, got {h}")
-    hists = wl_histogram_features([graph_a, graph_b], h)
-    total = 0
-    for ha, hb in hists:
-        total += sum(count * hb.get(color, 0) for color, count in ha.items())
-    return float(total)
+    return float(wl_kernel_gram([graph_a, graph_b], h)[0, 1])
 
 
 def wl_kernel_gram(graphs, h: int = WL_KERNEL_DEPTH_DEFAULT) -> np.ndarray:

@@ -59,7 +59,7 @@ def gen_community(num_nodes: int, p: float = 0.3, inter_frac: float = 0.05, rng=
         raise InfeasibleInterEdgesError(
             f"{num_inter} inter-community edges requested, only {half * half} pairs exist"
         )
-    blocks = [gen_er(half, p, rng).edge_array() + offset for offset in (0, half)]
+    blocks = [gen_er(half, p, rng).edges + offset for offset in (0, half)]
     cross = rng.choice(half * half, size=num_inter, replace=False)
     blocks.append(np.column_stack((cross // half, half + cross % half)))
     return Graph(num_nodes, edges=np.concatenate(blocks))

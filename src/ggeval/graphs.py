@@ -48,15 +48,12 @@ class Graph:
     Construction canonicalizes the edge list: pairs are stored as
     (min, max), duplicates removed, sorted lexicographically. Self-loops
     and out-of-range endpoints raise instead of being dropped silently.
-    The canonical edges live in one read-only (num_edges, 2) int64 array
-    (``edge_array()``); ``edges`` is the same list as a tuple of int
-    pairs, built on first access.
+    After construction ``edges`` is the canonical read-only
+    (num_edges, 2) int64 array; an empty graph has shape (0, 2).
     """
 
     num_nodes: int
-    # no class-level default: after construction ``edges`` is served by
-    # __getattr__ from the edge array
-    edges: tuple = field(default_factory=tuple)
+    edges: np.ndarray = field(default_factory=tuple)  # any (u, v) pairs until __post_init__
     node_features: np.ndarray | None = None
     edge_features: np.ndarray | None = None
 
@@ -96,8 +93,7 @@ class Graph:
         # fancy indexing copies, so a caller's array is never aliased
         edges = np.column_stack((lo[kept], hi[kept]))
         edges.flags.writeable = False
-        object.__delattr__(self, "edges")
-        object.__setattr__(self, "_edges", edges)
+        object.__setattr__(self, "edges", edges)
 
         if self.node_features is not None:
             object.__setattr__(
@@ -109,23 +105,14 @@ class Graph:
             ef.flags.writeable = False
             object.__setattr__(self, "edge_features", ef)
 
-    def __getattr__(self, name):
-        # reached only when normal lookup fails: ``edges`` before its
-        # first access, or a genuinely missing attribute
-        if name != "edges" or "_edges" not in self.__dict__:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        edges = tuple(map(tuple, self._edges.tolist()))
-        object.__setattr__(self, "edges", edges)
-        return edges
-
     @property
     def num_edges(self) -> int:
-        return len(self._edges)
+        return len(self.edges)
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
-        if self.num_nodes != other.num_nodes or not np.array_equal(self._edges, other._edges):
+        if self.num_nodes != other.num_nodes or not np.array_equal(self.edges, other.edges):
             return False
         for a, b in ((self.node_features, other.node_features),
                      (self.edge_features, other.edge_features)):
@@ -136,11 +123,7 @@ class Graph:
         return True
 
     def __hash__(self):
-        return hash((self.num_nodes, self._edges.tobytes()))
-
-    def edge_array(self) -> np.ndarray:
-        """Canonical edges, read-only int64 of shape (num_edges, 2); empty -> (0, 2)."""
-        return self._edges
+        return hash((self.num_nodes, self.edges.tobytes()))
 
     def neighbors(self):
         """(indptr, indices) CSR adjacency, computed once per graph.
@@ -150,7 +133,7 @@ class Graph:
         """
         csr = self.__dict__.get("_csr")
         if csr is None:
-            e = self._edges
+            e = self.edges
             src = np.concatenate((e[:, 0], e[:, 1]))
             dst = np.concatenate((e[:, 1], e[:, 0]))
             order = np.lexsort((dst, src))
@@ -209,7 +192,7 @@ class GraphSet:
 def _graph_to_record(graph: Graph) -> dict:
     return {
         "n": graph.num_nodes,
-        "edges": graph.edge_array().tolist(),
+        "edges": graph.edges.tolist(),
         "x": None if graph.node_features is None else graph.node_features.tolist(),
         "e": None if graph.edge_features is None else graph.edge_features.tolist(),
     }
@@ -231,12 +214,16 @@ def _graph_from_record(record: dict, index: int) -> Graph:
         if not (isinstance(e, list) and len(e) == 2
                 and all(isinstance(x, int) and not isinstance(x, bool) for x in e)):
             raise ParseError(f"malformed edge entry {e!r}", record=index)
-    return Graph(
-        num_nodes=n,
-        edges=edges,
-        node_features=record.get("x"),
-        edge_features=record.get("e"),
-    )
+    try:
+        return Graph(
+            num_nodes=n,
+            edges=edges,
+            node_features=record.get("x"),
+            edge_features=record.get("e"),
+        )
+    except (TypeError, ValueError) as exc:
+        # the edges are checked above: this is the float conversion of x or e
+        raise ParseError(f"'x' and 'e' must be numeric matrices ({exc})", record=index) from exc
 
 
 def save_graphs(graph_set: GraphSet, path) -> None:
@@ -251,15 +238,18 @@ def save_graphs(graph_set: GraphSet, path) -> None:
 def load_graphs(path, name: str | None = None) -> GraphSet:
     """Load a JSON-lines graph container written by save_graphs."""
     graphs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for i, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON ({exc.msg})", record=i) from exc
-            graphs.append(_graph_from_record(record, i))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for i, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ParseError(f"invalid JSON ({exc.msg})", record=i) from exc
+                graphs.append(_graph_from_record(record, i))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text ({exc.reason})") from exc
     if not graphs:
         raise ParseError(f"no graph records found in {path}")
     if name is None:

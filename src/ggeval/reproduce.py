@@ -27,7 +27,7 @@ from .benchmark import (
     run_benchmark,
 )
 from .encoder import EncoderConfig, embed_union, init_random, save_params
-from .generators import gen_community, substream
+from .generators import _sample_even, gen_community, substream
 from .graphs import GraphSet, atomic_write_text
 from .metrics import METRIC_NAMES, MetricSettings
 from .svgplot import ChartSeries, save_chart
@@ -74,6 +74,8 @@ class ReproduceConfig:
         lo, hi = self.node_range
         if not (2 <= lo <= hi):
             raise ValueError("node_range must satisfy 2 <= lo <= hi")
+        if lo % 2 and lo == hi:
+            raise ValueError("node_range must hold an even node count")
 
     def encoder_config(self) -> EncoderConfig:
         return EncoderConfig(num_layers=self.num_layers, hidden=self.hidden,
@@ -93,9 +95,7 @@ def desk_community_set(count: int = 100, node_range=(60, 100),
     graphs = []
     for i in range(count):
         rng = substream(seed, 5, i)
-        n = 2 * int(rng.integers(lo // 2, hi // 2 + 1))
-        n = min(max(n, lo), hi)
-        graphs.append(gen_community(n, rng=rng))
+        graphs.append(gen_community(_sample_even(rng, lo, hi), rng=rng))
     return GraphSet(f"community-{count}-seed{seed}", tuple(graphs))
 
 

@@ -53,7 +53,7 @@ def induced_subgraph(graph: Graph, nodes) -> Graph:
     relabel = np.full(graph.num_nodes, -1, dtype=np.int64)
     relabel[nodes] = np.arange(len(nodes))
     # the relabeling is monotone, so the surviving edges stay canonical
-    edges = relabel[graph.edge_array()]
+    edges = relabel[graph.edges]
     keep = (edges >= 0).all(axis=1)
     nf = graph.node_features[nodes] if graph.node_features is not None else None
     ef = graph.edge_features[keep] if graph.edge_features is not None else None
@@ -70,7 +70,7 @@ def edge_drop(graph: Graph, p: float, rng) -> Graph:
     """Remove each edge independently with probability p; nodes unchanged."""
     keep = rng.random(graph.num_edges) >= p
     ef = graph.edge_features[keep] if graph.edge_features is not None else None
-    return Graph(graph.num_nodes, graph.edge_array()[keep],
+    return Graph(graph.num_nodes, graph.edges[keep],
                  node_features=graph.node_features, edge_features=ef)
 
 
@@ -98,7 +98,7 @@ def attribute_mask(graph: Graph, p: float, rng) -> Graph:
         raise FeatureMismatchError("attribute_mask needs node features")
     masked = graph.node_features.copy()
     masked[rng.random(graph.num_nodes) < p] = 0.0
-    return Graph(graph.num_nodes, graph.edge_array(), node_features=masked,
+    return Graph(graph.num_nodes, graph.edges, node_features=masked,
                  edge_features=graph.edge_features)
 
 
@@ -385,25 +385,30 @@ def attach_features(graphs, encoder_config: EncoderConfig):
         except FeatureMismatchError as exc:
             raise FeatureMismatchError(f"graph {i}: {exc}") from exc
         if feats is not g.node_features:
-            g = Graph(g.num_nodes, g.edge_array(), node_features=feats,
+            g = Graph(g.num_nodes, g.edges, node_features=feats,
                       edge_features=g.edge_features)
         out.append(g)
     return out
 
 
-def train_step(params: EncoderParams, head: dict, views1, views2, tau: float,
-               optimizer: AdamState, lipschitz: bool) -> float:
-    """One optimizer update from two prepared view lists; returns the loss."""
+def loss_and_grads(params: EncoderParams, head: dict, views1, views2, tau: float):
+    """NT-Xent loss of one prepared batch and its gradient for every trainable.
+
+    Returns (loss, grads) with grads keyed like params.weights and head.
+    """
     batch = pack_graphs(list(views1) + list(views2), params.config)
     emb, cache = forward_batch(params, batch, collect_cache=True)
     proj, head_cache = head_forward(head, emb)
     n = len(views1)
     loss, d1, d2 = nt_xent(proj[:n], proj[n:], tau)
-    d_proj = np.vstack([d1, d2])
-    d_emb, head_grads = head_backward(head, head_cache, d_proj)
-    enc_grads = encoder_backward(params, cache, d_emb)
+    d_emb, head_grads = head_backward(head, head_cache, np.vstack([d1, d2]))
+    return loss, {**encoder_backward(params, cache, d_emb), **head_grads}
 
-    grads = {**enc_grads, **head_grads}
+
+def train_step(params: EncoderParams, head: dict, views1, views2, tau: float,
+               optimizer: AdamState, lipschitz: bool) -> float:
+    """One optimizer update from two prepared view lists; returns the loss."""
+    loss, grads = loss_and_grads(params, head, views1, views2, tau)
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise NonFiniteGradientError(f"non-finite gradient in {name}")
@@ -486,14 +491,7 @@ def finite_difference_check(params: EncoderParams, head: dict, views1, views2,
     the float64 loss-evaluation noise (a few hundred ulps per evaluation,
     about 1e-9 at this step size) without registering as error.
     """
-    batch = pack_graphs(list(views1) + list(views2), params.config)
-    emb, cache = forward_batch(params, batch, collect_cache=True)
-    proj, head_cache = head_forward(head, emb)
-    n = len(views1)
-    _, d1, d2 = nt_xent(proj[:n], proj[n:], tau)
-    d_emb, head_grads = head_backward(head, head_cache, np.vstack([d1, d2]))
-    grads = {**encoder_backward(params, cache, d_emb), **head_grads}
-
+    _, grads = loss_and_grads(params, head, views1, views2, tau)
     trainables = {**params.weights, **head}
     worst = 0.0
     for name, arr in sorted(trainables.items()):

@@ -9,6 +9,7 @@ acceptance tests.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 import numpy as np
 import scipy.linalg
@@ -54,7 +55,7 @@ def canonical_edges_slow(num_nodes: int, edges, has_edge_features: bool = False)
 def adjacency_slow(graph: Graph):
     """Per-node ascending neighbor lists from the edge tuples."""
     neigh = [[] for _ in range(graph.num_nodes)]
-    for u, v in graph.edges:
+    for u, v in graph.edges.tolist():
         neigh[u].append(v)
         neigh[v].append(u)
     for lst in neigh:
@@ -68,7 +69,7 @@ def induced_subgraph_slow(graph: Graph, nodes) -> Graph:
     relabel = {old: new for new, old in enumerate(nodes)}
     keep_mask = []
     edges = []
-    for u, v in graph.edges:
+    for u, v in graph.edges.tolist():
         inside = u in relabel and v in relabel
         keep_mask.append(inside)
         if inside:
@@ -83,7 +84,7 @@ def induced_subgraph_slow(graph: Graph, nodes) -> Graph:
 def edge_drop_slow(graph: Graph, p: float, rng) -> Graph:
     """Edge dropping over the edge tuples, with the library's RNG draws."""
     keep = rng.random(graph.num_edges) >= p
-    edges = [e for e, k in zip(graph.edges, keep) if k]
+    edges = [e for e, k in zip(graph.edges.tolist(), keep) if k]
     ef = graph.edge_features[keep] if graph.edge_features is not None else None
     return Graph(graph.num_nodes, edges, node_features=graph.node_features,
                  edge_features=ef)
@@ -105,7 +106,7 @@ def subgraph_walk_slow(graph: Graph, length: int, rng) -> Graph:
 
 def neighbor_sets(graph: Graph):
     nbrs = [set() for _ in range(graph.num_nodes)]
-    for u, v in graph.edges:
+    for u, v in graph.edges.tolist():
         nbrs[u].add(v)
         nbrs[v].add(u)
     return nbrs
@@ -300,6 +301,29 @@ def spearman_scipy(x, y) -> float:
     return float(rho)
 
 
+def wl_subtree_kernel_slow(graph_a: Graph, graph_b: Graph, h: int) -> int:
+    """WL subtree kernel from nested-tuple colors and Counter dot products.
+
+    A node's color starts as its degree; each round replaces it with (own
+    color, sorted neighbor colors). Nested tuples need no shared palette,
+    so the two graphs are refined independently.
+    """
+    def colors_per_round(graph):
+        neigh = adjacency_slow(graph)
+        colors = [len(nv) for nv in neigh]
+        rounds = [Counter(colors)]
+        for _ in range(h):
+            colors = [(colors[v], tuple(sorted(colors[u] for u in neigh[v])))
+                      for v in range(graph.num_nodes)]
+            rounds.append(Counter(colors))
+        return rounds
+
+    total = 0
+    for ha, hb in zip(colors_per_round(graph_a), colors_per_round(graph_b)):
+        total += sum(count * hb.get(color, 0) for color, count in ha.items())
+    return total
+
+
 def random_graph(rng: np.random.Generator, n: int, p: float) -> Graph:
     """Erdos-Renyi graph drawn with plain loops, for oracle-side inputs."""
     edges = []
@@ -314,7 +338,7 @@ def rewire_graph_slow(graph: Graph, r: float, rng) -> Graph:
     """Edge rewiring that lists every candidate target, same RNG draws."""
     n = graph.num_nodes
     nbrs = [set(neighbors) for neighbors in adjacency(graph)]
-    edges = graph.edge_array().tolist()
+    edges = graph.edges.tolist()
     for idx in range(len(edges)):
         if rng.random() >= r:
             continue
@@ -346,7 +370,7 @@ def pack_graphs_slow(graphs, config) -> BatchedGraphs:
     x = np.vstack(feats) if total else np.zeros((0, config.in_dim))
     rows, cols = [np.arange(total)], [np.arange(total)]
     for g, off in zip(graphs, offsets):
-        e = g.edge_array() + off
+        e = g.edges + off
         rows.extend([e[:, 0], e[:, 1]])
         cols.extend([e[:, 1], e[:, 0]])
     rows = np.concatenate(rows)

@@ -82,6 +82,16 @@ def test_features_missing_file_is_io_error(tmp_path, capsys):
     assert "features" in capsys.readouterr().err
 
 
+def test_features_malformed_record_is_parse_error(tmp_path, capsys):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"n": 2, "edges": [[0, 1]], "x": {"a": 1}}\n')
+    assert run("features", "--in", str(bad), "--out", str(tmp_path / "o.csv")) == 1
+    err = capsys.readouterr().err
+    assert "ParseError: record 1" in err
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
 # --- train / embed -----------------------------------------------------------
 
 
@@ -315,6 +325,18 @@ def test_config_bad_value_type(tmp_path, capsys):
     cfg.write_text("[generate]\nrecipe = lobster\ncount = soon\nout = x\n")
     assert run("--config", str(cfg), "generate") == 2
     assert "count" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw", [b"count = 3\n", b"[generate]\ncount = 3\ncount = 4\n",
+                                 b"\xff\xfe[generate]\n"],
+                         ids=["no section header", "duplicate key", "not utf-8"])
+def test_malformed_config_file_is_usage_error(tmp_path, capsys, raw):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_bytes(raw)
+    assert run("--config", str(cfg), "generate") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ")
+    assert len(err.strip().splitlines()) == 1
 
 
 # name -> (arguments after the workspace paths, config file text or None)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import oracles
 import pytest
@@ -35,7 +37,7 @@ def relabel(graph: Graph, perm) -> Graph:
         feats[inv] = graph.node_features
     return Graph(
         graph.num_nodes,
-        edges=[(inv[u], inv[v]) for u, v in graph.edges],
+        edges=[(inv[u], inv[v]) for u, v in graph.edges.tolist()],
         node_features=feats,
     )
 
@@ -66,10 +68,19 @@ def test_config_dims():
     assert EncoderConfig(feature_config="degree+clustering").in_dim == 4
 
 
-def test_config_dict_round_trip():
+def test_config_dict_round_trip(tmp_path):
+    import json
+
     cfg = EncoderConfig(num_layers=2, hidden=5, lipschitz_bound=0.7,
                         feature_config="provided", input_dim=3)
-    assert EncoderConfig.from_dict(cfg.to_dict()) == cfg
+    path = tmp_path / "enc.json"
+    save_params(init_random(cfg, seed=0), path)
+    stored = json.loads(path.read_text())["config"]
+    # every field, in declaration order
+    assert list(stored.items()) == [("num_layers", 2), ("hidden", 5), ("lipschitz_bound", 0.7),
+                                    ("feature_config", "provided"), ("mlp_depth", 2),
+                                    ("input_dim", 3)]
+    assert load_params(path).config == cfg
 
 
 @pytest.mark.parametrize("rows,cols", [(16, 16), (12, 4), (4, 12), (1, 5), (5, 1)])
@@ -275,12 +286,12 @@ def test_bounded_sensitivity_under_edge_addition():
         params = project_lipschitz(init_random(cfg, seed=trial))
         n = int(rng.integers(6, 16))
         g = oracles.random_graph(rng, n, 0.3)
-        missing = [(u, v) for u in range(n) for v in range(u + 1, n)
-                   if (u, v) not in set(g.edges)]
+        present = set(map(tuple, g.edges.tolist()))
+        missing = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in present]
         if not missing:
             continue
         u, v = missing[int(rng.integers(len(missing)))]
-        g_plus = Graph(n, edges=list(g.edges) + [(u, v)])
+        g_plus = Graph(n, edges=g.edges.tolist() + [[u, v]])
         h = embed_set(params, [g, g_plus])
         base = np.linalg.norm(h[0]) + 1e-9
         ratios.append(np.linalg.norm(h[0] - h[1]) / base)
@@ -381,7 +392,7 @@ def checkpoint_payloads(draw):
                         mlp_depth=draw(st.integers(1, 2)), feature_config=feature_config,
                         input_dim=2 if feature_config == "provided" else None)
     params = init_random(cfg, seed=0)
-    blob = {"version": 2, "config": cfg.to_dict(),
+    blob = {"version": 2, "config": dataclasses.asdict(cfg),
             "weights": {k: v.tolist() for k, v in params.weights.items()}}
     names = sorted(blob["weights"])
     fields = sorted(blob["config"])

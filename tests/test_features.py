@@ -1,6 +1,8 @@
 import numpy as np
 import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ggeval.errors import CensusTooLargeError
 from ggeval.features import (
@@ -181,6 +183,36 @@ def test_wl_kernel_gram_cauchy_schwarz():
     for i in range(3):
         for j in range(3):
             assert gram[i, j] ** 2 <= gram[i, i] * gram[j, j] + 1e-9
+
+
+def test_wl_kernel_hand_checked_values():
+    # degree colors only match at round 0 for triangle vs P3 (3 x 1); a
+    # triangle is 3 same-colored nodes in every round (4 x 9); P3 keeps
+    # 2 ends and 1 middle (4 x (4 + 1))
+    for a, b, k in ((TRIANGLE, PATH3, 3), (TRIANGLE, TRIANGLE, 36), (PATH3, PATH3, 20)):
+        assert wl_subtree_kernel(a, b, 3) == k
+        assert oracles.wl_subtree_kernel_slow(a, b, 3) == k
+
+
+@st.composite
+def small_graph_lists(draw):
+    graphs = []
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(0, 8))
+        pairs = draw(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=16))
+        graphs.append(Graph(n, [(u, v) for u, v in pairs if u != v and max(u, v) < n]))
+    return graphs
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs=small_graph_lists(), h=st.integers(0, 3))
+def test_wl_kernel_gram_matches_counter_oracle(graphs, h):
+    gram = wl_kernel_gram(graphs, h)
+    for i, a in enumerate(graphs):
+        for j, b in enumerate(graphs):
+            expected = oracles.wl_subtree_kernel_slow(a, b, h)
+            assert gram[i, j] == expected
+            assert wl_subtree_kernel(a, b, h) == expected
 
 
 def test_structural_feature_columns():

@@ -55,7 +55,7 @@ def test_community_structure():
     n = 40
     g = gen_community(n, rng=substream(2))
     half = n // 2
-    inter = [(u, v) for u, v in g.edges if u < half <= v]
+    inter = [(u, v) for u, v in g.edges.tolist() if u < half <= v]
     assert len(inter) == round(0.05 * n)
     assert len(set(inter)) == len(inter)
 
@@ -100,7 +100,7 @@ def test_lobster_is_lobster():
     for seed in range(5):
         g = gen_lobster(rng=substream(seed))
         assert LOBSTER_NODE_RANGE[0] <= g.num_nodes <= LOBSTER_NODE_RANGE[1]
-        edges = _prune_leaves(g.num_nodes, set(g.edges))
+        edges = _prune_leaves(g.num_nodes, {(u, v) for u, v in g.edges.tolist()})
         edges = _prune_leaves(g.num_nodes, edges)
         deg = {}
         for u, v in edges:
@@ -130,7 +130,7 @@ def test_cycle_pair_structure():
     deg = degrees(g)
     assert sorted(deg.tolist()) == [2] * 11 + [3, 3]
     assert deg[0] == 3 and deg[5] == 3
-    assert (0, 5) in g.edges
+    assert [0, 5] in g.edges.tolist()
 
 
 def test_cycle_pair_validation():

@@ -44,8 +44,7 @@ def test_canonicalization_matches_oracle(n, pairs, with_features):
         return
     for given_edges in (pairs, np.asarray(pairs, dtype=np.int64).reshape(-1, 2)):
         g = Graph(n, given_edges, edge_features=ef)
-        assert g.edges == edges
-        assert g.edge_array().tolist() == [list(e) for e in edges]
+        assert g.edges.tolist() == [list(e) for e in edges]
         assert g.num_edges == len(edges)
         if with_features:
             assert g.edge_features[:, 0].tolist() == [float(i) for i in kept]
@@ -92,15 +91,21 @@ def test_graph_does_not_alias_caller_arrays():
     edges[0] = (0, 2)
     nf_view[0, 0] = 5.0
     ef[1, 0] = 7.0
-    assert g.edges == ((0, 1), (1, 2))
-    assert g.edge_array().tolist() == [[0, 1], [1, 2]]
+    assert g.edges.tolist() == [[0, 1], [1, 2]]
     assert g.node_features[0, 0] == 0.0
     assert g.edge_features[:, 0].tolist() == [1.0, 2.0]
-    assert not g.edge_array().flags.writeable
+    assert not g.edges.flags.writeable
 
 
-def test_edges_tuple_is_built_once():
-    g = Graph(4, np.array([[2, 1], [0, 3]]))
-    assert "edges" not in vars(g)
-    assert g.edges == ((0, 3), (1, 2))
-    assert g.edges is g.edges
+def test_edges_is_the_canonical_array():
+    pairs = [(2, 1), (0, 3), (1, 2)]
+    g = Graph(4, pairs)
+    assert isinstance(g.edges, np.ndarray)
+    assert g.edges.dtype == np.int64 and g.edges.shape == (2, 2)
+    assert g.edges.tolist() == [[0, 3], [1, 2]]
+    assert not g.edges.flags.writeable
+    with pytest.raises(ValueError):
+        g.edges[0, 0] = 1
+    np.testing.assert_array_equal(Graph(4, np.array(pairs)).edges, g.edges)
+    for empty in (Graph(4), Graph(4, []), Graph(4, np.zeros((0, 2), np.int64))):
+        assert empty.edges.dtype == np.int64 and empty.edges.shape == (0, 2)

@@ -23,14 +23,14 @@ from ggeval.graphs import (
 
 def test_edges_canonicalized():
     g = Graph(5, edges=[(3, 1), (0, 2), (1, 3), (2, 0), (4, 0)])
-    assert g.edges == ((0, 2), (0, 4), (1, 3))
+    assert g.edges.tolist() == [[0, 2], [0, 4], [1, 3]]
     assert g.num_edges == 3
 
 
 def test_edge_array_shape():
     g = Graph(3, edges=[(0, 1)])
-    assert g.edge_array().shape == (1, 2)
-    assert Graph(3).edge_array().shape == (0, 2)
+    assert g.edges.shape == (1, 2)
+    assert Graph(3).edges.shape == (0, 2)
 
 
 def test_self_loop_rejected():
@@ -66,7 +66,7 @@ def test_edge_features_follow_canonical_order():
         edges=[(3, 2), (1, 0)],
         edge_features=[[10.0], [20.0]],
     )
-    assert g.edges == ((0, 1), (2, 3))
+    assert g.edges.tolist() == [[0, 1], [2, 3]]
     assert g.edge_features[:, 0].tolist() == [20.0, 10.0]
 
 
@@ -93,7 +93,7 @@ def test_graph_equality_and_hash():
 
 def test_canonicalize_idempotent():
     g = Graph(4, edges=[(2, 1), (0, 3)])
-    assert Graph(g.num_nodes, g.edge_array()) == g
+    assert Graph(g.num_nodes, g.edges) == g
 
 
 def test_adjacency_symmetric_and_sorted():
@@ -168,6 +168,29 @@ def test_parse_errors(tmp_path, line):
         load_graphs(path)
 
 
+MALFORMED_FEATURES = {
+    "ragged x": b'{"n": 2, "edges": [[0, 1]], "x": [[1.0], [2.0, 3.0]]}',
+    "non-numeric x": b'{"n": 2, "edges": [[0, 1]], "x": "ab"}',
+    "object x": b'{"n": 2, "edges": [[0, 1]], "x": {"a": 1}}',
+    "ragged e": b'{"n": 3, "edges": [[0, 1], [1, 2]], "e": [[1.0], [2.0, 3.0]]}',
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FEATURES))
+def test_malformed_features_are_parse_errors(tmp_path, case):
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(MALFORMED_FEATURES[case] + b"\n")
+    with pytest.raises(ParseError, match="^record 1: "):
+        load_graphs(path)
+
+
+def test_non_utf8_file_is_parse_error(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(b'\xff\xfe{"n": 2, "edges": []}\n')
+    with pytest.raises(ParseError, match="not UTF-8"):
+        load_graphs(path)
+
+
 def test_parse_error_reports_record_index(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"n": 2, "edges": []}\nnot json\n')
@@ -198,10 +221,11 @@ def test_atomic_write_replaces(tmp_path):
 def test_canonical_form_properties(n, pairs):
     edges = [(u % n, v % n) for u, v in pairs if u % n != v % n]
     g = Graph(n, edges=edges)
-    assert list(g.edges) == sorted(set(g.edges))
-    assert all(u < v for u, v in g.edges)
-    assert {(u, v) for u, v in g.edges} == {(min(u % n, v % n), max(u % n, v % n))
-                                            for u, v in pairs if u % n != v % n}
+    edges = [tuple(e) for e in g.edges.tolist()]
+    assert edges == sorted(set(edges))
+    assert all(u < v for u, v in edges)
+    assert set(edges) == {(min(u % n, v % n), max(u % n, v % n))
+                          for u, v in pairs if u % n != v % n}
 
 
 @settings(max_examples=25, deadline=None)

@@ -39,6 +39,14 @@ def test_desk_set_counts_and_ranges():
         assert g.num_nodes % 2 == 0
 
 
+def test_desk_set_odd_lower_bound():
+    sizes = [g.num_nodes for g in desk_community_set(20, (15, 21), seed=0)]
+    assert all(n % 2 == 0 and 16 <= n <= 20 for n in sizes)
+    ReproduceConfig(node_range=(15, 21))
+    with pytest.raises(ValueError, match="even"):
+        ReproduceConfig(node_range=(15, 15))
+
+
 def test_desk_set_deterministic_and_seed_sensitive():
     a = desk_community_set(10, (20, 30), seed=4)
     b = desk_community_set(10, (20, 30), seed=4)

@@ -72,7 +72,7 @@ def encoder_cases(draw):
         params.weights[name] = value + rng.normal(scale=0.5, size=value.shape)
     graphs = draw(st.lists(small_graphs(), min_size=1, max_size=6))
     if feature_config == "provided":
-        graphs = [Graph(g.num_nodes, g.edge_array(),
+        graphs = [Graph(g.num_nodes, g.edges,
                         node_features=rng.normal(size=(g.num_nodes, 3)))
                   for g in graphs]
     return params, graphs, config
