@@ -22,14 +22,10 @@ _EXPORTS = {
     "save_graphs": "graphs",
     "adjacency": "graphs",
     "degrees": "features",
-    "clustering_coefficient": "features",
-    "clustering_vector": "features",
-    "four_node_clustering": "features",
-    "four_node_clustering_vector": "features",
+    "clustering": "features",
     "orbit_census_4": "features",
     "OrbitCensus": "features",
     "wl_refine": "features",
-    "wl_distinguish": "features",
     "wl_first_separation": "features",
     "wl_subtree_kernel": "features",
     "wl_kernel_gram": "features",

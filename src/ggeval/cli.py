@@ -112,7 +112,7 @@ def cmd_generate(ns) -> int:
 
 def cmd_features(ns) -> int:
     from .benchmark import rows_to_csv
-    from .features import clustering_vector, degrees, four_node_clustering_vector
+    from .features import clustering, degrees
     from .graphs import atomic_write_text, load_graphs
 
     path = _require(_opt(ns, "infile", None), "--in")
@@ -121,8 +121,7 @@ def cmd_features(ns) -> int:
     rows = [("graph", "node_id", "degree", "c3", "c4")]
     for gi, g in enumerate(graph_set):
         deg = degrees(g)
-        c3 = clustering_vector(g)
-        c4 = four_node_clustering_vector(g)
+        c3, c4 = clustering(g)
         for v in range(g.num_nodes):
             rows.append((gi, v, int(deg[v]), repr(float(c3[v])), repr(float(c4[v]))))
     atomic_write_text(out, rows_to_csv(rows))

@@ -18,13 +18,7 @@ import numpy as np
 
 from .encoder import EncoderConfig, embed_set, init_random
 from .errors import HypothesisViolationError
-from .features import (
-    clustering_vector,
-    degrees,
-    four_node_clustering_vector,
-    orbit_census_4,
-    wl_first_separation,
-)
+from .features import clustering, degrees, orbit_census_4, wl_first_separation
 from .generators import gen_cycle_pair
 from .graphs import Graph
 
@@ -80,13 +74,13 @@ def verify_local_equivalence(a: int, b: int, c: int, d: int) -> LocalEquivalence
     if not degrees_equal:
         mismatch = f"degree multisets differ: {dict(deg1)} vs {dict(deg2)}"
 
-    c3 = np.concatenate([clustering_vector(g1), clustering_vector(g2)])
+    (c3_1, c4_1), (c3_2, c4_2) = clustering(g1), clustering(g2)
+    c3 = np.concatenate([c3_1, c3_2])
     clustering_all_zero = bool(np.all(c3 == 0.0))
     if mismatch is None and not clustering_all_zero:
         mismatch = "nonzero triangle clustering coefficient found"
 
-    c4 = np.concatenate([four_node_clustering_vector(g1),
-                         four_node_clustering_vector(g2)])
+    c4 = np.concatenate([c4_1, c4_2])
     four_clustering_all_zero = bool(np.all(c4 == 0.0))
     if mismatch is None and not four_clustering_all_zero:
         mismatch = "nonzero four-node clustering coefficient found"
@@ -211,7 +205,6 @@ def verify_gnn_ceiling(pair=None, num_inits: int = 20,
         gaps.append(float(np.max(np.abs(emb[0] - emb[1]))))
     separated, _ = wl_first_separation(g1, g2, max_iter=max(g1.num_nodes,
                                                             g2.num_nodes))
-    differs = sorted(clustering_vector(g1).tolist()) != sorted(
-        clustering_vector(g2).tolist())
+    differs = sorted(clustering(g1)[0].tolist()) != sorted(clustering(g2)[0].tolist())
     return GnnCeilingReport(num_inits=num_inits, gaps=tuple(gaps), tol=tol,
                             clustering_differs=differs, wl_separated=separated)

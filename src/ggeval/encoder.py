@@ -252,10 +252,7 @@ def forward_batch(params: EncoderParams, batch: BatchedGraphs,
     readouts = []
     cache = {"batch": batch, "layers": []} if collect_cache else None
     for k in range(cfg.num_layers):
-        lc = {"h_in": h} if collect_cache else None
         z = batch.agg @ h
-        if collect_cache:
-            lc["agg_out"] = z
         steps = []
         for m in range(cfg.mlp_depth):
             lin_in = z
@@ -284,15 +281,10 @@ def forward_batch(params: EncoderParams, batch: BatchedGraphs,
             if collect_cache:
                 steps.append(step)
         if collect_cache:
-            lc["steps"] = steps
-            lc["h_out"] = z
-            cache["layers"].append(lc)
+            cache["layers"].append({"steps": steps})
         h = z
         readouts.append(batch.pool @ h)
-    emb = np.hstack(readouts)
-    if collect_cache:
-        cache["embedding"] = emb
-    return emb, cache
+    return np.hstack(readouts), cache
 
 
 def embed_set(params: EncoderParams, graphs) -> np.ndarray:

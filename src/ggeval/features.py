@@ -38,56 +38,37 @@ ORBIT4_CLASSES = (
 # Bit positions for the 6 vertex pairs of a 4-node subset, in this order.
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
+# The sorted degree sequence alone names each of the 11 classes (it also
+# fixes the edge count, as half its sum).
+_CLASS_BY_DEGREES = {
+    (3, 3, 3, 3): "a",
+    (2, 2, 3, 3): "b",
+    (2, 2, 2, 2): "c",
+    (1, 2, 2, 3): "d",
+    (0, 2, 2, 2): "e",
+    (1, 1, 1, 3): "f",
+    (0, 0, 1, 1): "g",
+    (1, 1, 1, 1): "h",
+    (0, 1, 1, 2): "i",
+    (1, 1, 2, 2): "j",
+    (0, 0, 0, 0): "k",
+}
 
-def _build_orbit4_lut():
-    """Map every 6-bit induced-edge mask to its isomorphism class index.
 
-    Canonical form = minimum mask over all 24 vertex permutations; the 11
-    canonical masks are then identified by inspecting one representative.
-    """
-    perms = list(itertools.permutations(range(4)))
-    pair_index = {p: i for i, p in enumerate(_PAIRS)}
-
-    def permute_mask(mask, perm):
-        out = 0
-        for i, (u, v) in enumerate(_PAIRS):
-            if mask >> i & 1:
-                pu, pv = perm[u], perm[v]
-                out |= 1 << pair_index[(min(pu, pv), max(pu, pv))]
-        return out
-
-    def classify(mask):
-        edges = [_PAIRS[i] for i in range(6) if mask >> i & 1]
-        deg = [0, 0, 0, 0]
-        for u, v in edges:
+def _mask_degrees(mask):
+    deg = [0, 0, 0, 0]
+    for bit, (u, v) in enumerate(_PAIRS):
+        if mask >> bit & 1:
             deg[u] += 1
             deg[v] += 1
-        key = (len(edges), tuple(sorted(deg)))
-        return {
-            (6, (3, 3, 3, 3)): "a",
-            (5, (2, 2, 3, 3)): "b",
-            (4, (2, 2, 2, 2)): "c",
-            (4, (1, 2, 2, 3)): "d",
-            (3, (0, 2, 2, 2)): "e",
-            (3, (1, 1, 1, 3)): "f",
-            (1, (0, 0, 1, 1)): "g",
-            (2, (1, 1, 1, 1)): "h",
-            (2, (0, 1, 1, 2)): "i",
-            (3, (1, 1, 2, 2)): "j",
-            (0, (0, 0, 0, 0)): "k",
-        }[key]
-
-    lut = np.empty(64, dtype=np.int64)
-    cache = {}
-    for mask in range(64):
-        canon = min(permute_mask(mask, p) for p in perms)
-        if canon not in cache:
-            cache[canon] = ORBIT4_CLASSES.index(classify(canon))
-        lut[mask] = cache[canon]
-    return lut
+    return tuple(sorted(deg))
 
 
-_ORBIT4_LUT = _build_orbit4_lut()
+# 6-bit induced-edge mask -> isomorphism class index.
+_ORBIT4_LUT = np.array(
+    [ORBIT4_CLASSES.index(_CLASS_BY_DEGREES[_mask_degrees(m)]) for m in range(64)],
+    dtype=np.int64,
+)
 
 # Direct enumeration of all 4-subsets; graphs above this size are refused.
 ORBIT_CENSUS_MAX_NODES = 60
@@ -105,11 +86,6 @@ class OrbitCensus:
     def as_vector(self) -> np.ndarray:
         return np.array([self.counts[c] for c in ORBIT4_CLASSES], dtype=np.int64)
 
-    def __eq__(self, other):
-        if not isinstance(other, OrbitCensus):
-            return NotImplemented
-        return self.counts == other.counts
-
 
 def degrees(graph: Graph) -> np.ndarray:
     """Per-node degrees; sums to 2|E|."""
@@ -124,8 +100,16 @@ def _adjacency_matrix(graph: Graph) -> np.ndarray:
     return a
 
 
-def _clustering(graph: Graph):
-    """(triangle, square) clustering vectors as closed forms on A and A @ A.
+def clustering(graph: Graph):
+    """(triangle, square) clustering vectors, as closed forms on A and A @ A.
+
+    Triangle clustering of v is the density of edges among pairs of v's
+    neighbors; 0 when deg(v) < 2. Square clustering of v sums, over
+    unordered neighbor pairs (u, w) of v, the numerator
+    q_v(u, w) = |common neighbors of u and w, excluding v| and the
+    denominator deg(u) + deg(w) - q_v(u, w) - 2*[u adjacent to w]; nodes
+    whose denominator is 0 (fewer than two neighbors, or isolated pairs)
+    get value 0.
 
     Every sum here is a sum of small nonnegative integers, which float64
     holds exactly in any summation order, so each coefficient is a single
@@ -149,31 +133,6 @@ def _clustering(graph: Graph):
     np.divide(links, pairs, out=c3, where=deg >= 2)
     np.divide(num, den, out=c4, where=den > 0)
     return c3, c4
-
-
-def clustering_coefficient(graph: Graph, v: int) -> float:
-    """Triangle density among pairs of neighbors of v; 0 when deg(v) < 2."""
-    return float(clustering_vector(graph)[v])
-
-
-def clustering_vector(graph: Graph) -> np.ndarray:
-    return _clustering(graph)[0]
-
-
-def four_node_clustering(graph: Graph, v: int) -> float:
-    """Square-clustering ratio of node v.
-
-    Over unordered neighbor pairs (u, w) of v, the numerator sums
-    q_v(u, w) = |common neighbors of u and w, excluding v| and the
-    denominator sums deg(u) + deg(w) - q_v(u, w) - 2*[u adjacent to w].
-    Nodes whose denominator is 0 (fewer than two neighbors, or isolated
-    pairs) get value 0.
-    """
-    return float(four_node_clustering_vector(graph)[v])
-
-
-def four_node_clustering_vector(graph: Graph) -> np.ndarray:
-    return _clustering(graph)[1]
 
 
 def orbit_census_4(graph: Graph) -> OrbitCensus:
@@ -259,12 +218,6 @@ def wl_refine(graph: Graph, max_iter: int) -> WLColoring:
     return last
 
 
-def wl_distinguish(graph_a: Graph, graph_b: Graph, max_iter: int) -> bool:
-    """True iff the two graphs' color histograms differ within max_iter rounds."""
-    sep, _ = wl_first_separation(graph_a, graph_b, max_iter)
-    return sep
-
-
 def wl_first_separation(graph_a: Graph, graph_b: Graph, max_iter: int):
     """(separated, first iteration at which histograms differ or None)."""
     if max_iter < 1:
@@ -278,50 +231,35 @@ def wl_first_separation(graph_a: Graph, graph_b: Graph, max_iter: int):
 WL_KERNEL_DEPTH_DEFAULT = 3
 
 
-def wl_histogram_features(graphs, h: int = WL_KERNEL_DEPTH_DEFAULT):
-    """Per-iteration color histograms over a shared palette.
-
-    Returns a list of length h+1; element t maps graph index -> Counter of
-    colors at iteration t. No early stop: at a fixed point the partition is
-    stable, so extra rounds only rename colors and every pairwise histogram
-    dot product is unchanged.
-    """
-    out = []
-    seen_iter = -1
-    for it, colors in _joint_refinement(graphs, h):
-        out.append([Counter(cs) for cs in colors])
-        seen_iter = it
-    # refinement stopped early; repeat the stable histograms
-    while seen_iter < h:
-        out.append(out[-1])
-        seen_iter += 1
-    return out
-
-
 def wl_subtree_kernel(graph_a: Graph, graph_b: Graph, h: int = WL_KERNEL_DEPTH_DEFAULT) -> float:
     """Sum over iterations 0..h of color-histogram dot products."""
-    if h < 0:
-        raise ValueError(f"h must be >= 0, got {h}")
     return float(wl_kernel_gram([graph_a, graph_b], h)[0, 1])
 
 
 def wl_kernel_gram(graphs, h: int = WL_KERNEL_DEPTH_DEFAULT) -> np.ndarray:
     """Gram matrix of the WL subtree kernel over a list of graphs.
 
-    Computed from joint-refinement histogram vectors, so it is positive
-    semidefinite by construction.
+    Sums, over iterations 0..h, the Gram matrix of per-graph color
+    histograms over the joint refinement's shared palette, so it is
+    positive semidefinite by construction. Once refinement reaches a fixed
+    point, further rounds only rename colors and leave every histogram dot
+    product unchanged, so the last level is counted for the rounds left.
     """
-    hists = wl_histogram_features(graphs, h)
+    if h < 0:
+        raise ValueError(f"h must be >= 0, got {h}")
     s = len(graphs)
+    owner = np.repeat(np.arange(s), [g.num_nodes for g in graphs])
     gram = np.zeros((s, s), dtype=np.float64)
-    for level in hists:
-        colors = sorted({c for hist in level for c in hist})
-        index = {c: i for i, c in enumerate(colors)}
-        feats = np.zeros((s, len(colors)), dtype=np.float64)
-        for gi, hist in enumerate(level):
-            for color, count in hist.items():
-                feats[gi, index[color]] = count
-        gram += feats @ feats.T
+    for it, colors in _joint_refinement(graphs, h):
+        # palette ids are dense, 0..P-1 at every level
+        flat = np.fromiter(itertools.chain.from_iterable(colors), dtype=np.int64,
+                           count=len(owner))
+        p = int(flat.max()) + 1 if flat.size else 0
+        feats = np.bincount(owner * p + flat, minlength=s * p).reshape(s, p).astype(np.float64)
+        level = feats @ feats.T
+        gram += level
+    for _ in range(h - it):
+        gram += level
     return gram
 
 
@@ -344,7 +282,7 @@ def structural_features(graph: Graph, config: str = "none") -> np.ndarray:
     deg = degrees(graph).astype(np.float64)[:, None]
     if config == "degree":
         return np.hstack([ones, deg])
-    c3, c4 = _clustering(graph)
+    c3, c4 = clustering(graph)
     return np.hstack([ones, deg, c3[:, None], c4[:, None]])
 
 

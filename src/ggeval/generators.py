@@ -137,6 +137,8 @@ def _sample_even(rng, lo, hi):
     """Uniform over even integers in [lo, hi]."""
     lo_half = (lo + 1) // 2
     hi_half = hi // 2
+    if lo_half > hi_half:
+        raise ValueError(f"node range [{lo}, {hi}] holds no even node count")
     return 2 * int(rng.integers(lo_half, hi_half + 1))
 
 

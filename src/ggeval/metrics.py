@@ -169,7 +169,7 @@ def _median_sigma(sq) -> float:
 
 def median_heuristic_sigma(real: np.ndarray, gen: np.ndarray) -> float:
     """Median pairwise distance over the pooled sample; 1.0 if degenerate."""
-    return _median_sigma(_sq_dists(real, gen))
+    return _median_sigma(_sq_dists(*_check_sets(real, gen, too_few=DegenerateSetError)))
 
 
 def _kernel_blocks(real, gen, kernel: str, full, sigma):

@@ -19,6 +19,7 @@ from scipy.spatial.distance import cdist
 
 from ggeval.encoder import BN_EPS, BatchedGraphs, graph_features
 from ggeval.errors import EndpointOutOfRangeError, InvariantViolationError, SelfLoopError
+from ggeval.features import ORBIT4_CLASSES
 from ggeval.graphs import Graph, adjacency
 from ggeval.metrics import f1_score, frechet_distance
 
@@ -197,6 +198,56 @@ def orbit_census_slow(graph: Graph) -> dict:
                 counts[name] += 1
                 break
     return counts
+
+
+def orbit4_lut_by_permutation() -> np.ndarray:
+    """6-bit induced-edge mask -> index into ORBIT4_CLASSES.
+
+    Canonical form = minimum mask over all 24 vertex permutations; the 11
+    canonical masks are then identified by inspecting one representative.
+    Bit i of a mask is the i-th pair of (0,1), (0,2), (0,3), (1,2), (1,3), (2,3).
+    """
+    pairs = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+    perms = list(itertools.permutations(range(4)))
+    pair_index = {p: i for i, p in enumerate(pairs)}
+
+    def permute_mask(mask, perm):
+        out = 0
+        for i, (u, v) in enumerate(pairs):
+            if mask >> i & 1:
+                pu, pv = perm[u], perm[v]
+                out |= 1 << pair_index[(min(pu, pv), max(pu, pv))]
+        return out
+
+    def classify(mask):
+        edges = [pairs[i] for i in range(6) if mask >> i & 1]
+        deg = [0, 0, 0, 0]
+        for u, v in edges:
+            deg[u] += 1
+            deg[v] += 1
+        key = (len(edges), tuple(sorted(deg)))
+        return {
+            (6, (3, 3, 3, 3)): "a",
+            (5, (2, 2, 3, 3)): "b",
+            (4, (2, 2, 2, 2)): "c",
+            (4, (1, 2, 2, 3)): "d",
+            (3, (0, 2, 2, 2)): "e",
+            (3, (1, 1, 1, 3)): "f",
+            (1, (0, 0, 1, 1)): "g",
+            (2, (1, 1, 1, 1)): "h",
+            (2, (0, 1, 1, 2)): "i",
+            (3, (1, 1, 2, 2)): "j",
+            (0, (0, 0, 0, 0)): "k",
+        }[key]
+
+    lut = np.empty(64, dtype=np.int64)
+    cache = {}
+    for mask in range(64):
+        canon = min(permute_mask(mask, p) for p in perms)
+        if canon not in cache:
+            cache[canon] = ORBIT4_CLASSES.index(classify(canon))
+        lut[mask] = cache[canon]
+    return lut
 
 
 def spectral_norm_svd(matrix: np.ndarray) -> float:

@@ -27,11 +27,7 @@ from ggeval.encoder import (
     save_params,
     spectral_norm,
 )
-from ggeval.features import (
-    clustering_vector,
-    four_node_clustering_vector,
-    orbit_census_4,
-)
+from ggeval.features import clustering, orbit_census_4
 from ggeval.generators import substream
 from ggeval.graphs import GraphSet
 from ggeval.metrics import frechet_distance, prdc
@@ -82,7 +78,7 @@ def test_gate_1_cycle_pair_suite():
 def test_gate_2_wl_ceiling():
     report = verify_gnn_ceiling(num_inits=20, seed=0, tol=1e-7)
     c6, tt = wl_ceiling_pair()
-    clustering_gap = (clustering_vector(tt).min() - clustering_vector(c6).max())
+    clustering_gap = (clustering(tt)[0].min() - clustering(c6)[0].max())
     ok = (report.max_gap < 1e-7 and len(report.gaps) == 20
           and clustering_gap == 1.0)
     assert gate(2, ok, f"max embedding gap {report.max_gap:.3g} over 20 inits, "
@@ -100,10 +96,10 @@ def test_gate_3_oracle_equivalence():
     for trial in range(50):
         g = oracles.random_graph(rng, int(rng.integers(5, 11)),
                                  float(rng.uniform(0.2, 0.7)))
-        assert np.allclose(clustering_vector(g),
+        assert np.allclose(clustering(g)[0],
                            oracles.triangle_clustering_slow(g),
                            rtol=1e-6, atol=1e-12)
-        assert np.allclose(four_node_clustering_vector(g),
+        assert np.allclose(clustering(g)[1],
                            oracles.square_clustering_slow(g),
                            rtol=1e-6, atol=1e-12)
         assert orbit_census_4(g).counts == oracles.orbit_census_slow(g)

@@ -76,6 +76,22 @@ def test_features_csv(workspace, tmp_path):
     assert len(lines) == 1 + total_nodes
 
 
+def test_features_computes_clustering_once_per_graph(workspace, tmp_path, monkeypatch):
+    import ggeval.features
+
+    _, data, _ = workspace
+    calls = []
+    original = ggeval.features.clustering
+
+    def counting(graph):
+        calls.append(graph)
+        return original(graph)
+
+    monkeypatch.setattr(ggeval.features, "clustering", counting)
+    assert run("features", "--in", str(data), "--out", str(tmp_path / "f.csv")) == 0
+    assert len(calls) == len(load_graphs(data))
+
+
 def test_features_missing_file_is_io_error(tmp_path, capsys):
     assert run("features", "--in", str(tmp_path / "nope.jsonl"),
                "--out", str(tmp_path / "o.csv")) == 1
@@ -389,6 +405,16 @@ def test_threads_flag_sets_environment(tmp_path):
                 os.environ[var] = value
 
 
+def run_python(script):
+    """Run script in a fresh interpreter that imports this checkout's ggeval."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        os.path.dirname(os.path.dirname(ggeval.__file__)), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 def test_import_leaves_numpy_unloaded_and_exports_resolve():
     # --threads must reach the environment before numpy loads, so importing
     # the package and its CLI may not pull numpy in
@@ -398,12 +424,21 @@ def test_import_leaves_numpy_unloaded_and_exports_resolve():
         "missing = [name for name in ggeval.__all__ if getattr(ggeval, name, None) is None]\n"
         "assert not missing, missing\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
-        os.path.dirname(os.path.dirname(ggeval.__file__)), env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
+    run_python(script)
+
+
+def test_submodules_leave_slow_scipy_packages_unloaded():
+    # importing scipy.stats alone takes about as long as a whole
+    # reproduction seed's setup, so no submodule may pull these in
+    script = (
+        "import importlib, pkgutil, sys, ggeval\n"
+        "for info in pkgutil.iter_modules(ggeval.__path__):\n"
+        "    importlib.import_module('ggeval.' + info.name)\n"
+        "loaded = [m for m in ('scipy.stats', 'scipy.cluster', 'scipy.optimize')\n"
+        "          if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
+    run_python(script)
 
 
 def test_missing_subcommand_is_parser_error():

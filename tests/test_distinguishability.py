@@ -21,7 +21,7 @@ from ggeval.distinguishability import (
 )
 from ggeval.encoder import EncoderConfig, embed_set, init_random
 from ggeval.errors import HypothesisViolationError
-from ggeval.features import clustering_vector, degrees, wl_distinguish
+from ggeval.features import clustering, degrees, wl_first_separation
 
 
 # --- hypothesis validation ---------------------------------------------------
@@ -140,9 +140,9 @@ def test_ceiling_pair_graphs():
     c6, tri2 = wl_ceiling_pair()
     assert c6.num_nodes == tri2.num_nodes == 6
     assert len(c6.edges) == len(tri2.edges) == 6
-    assert clustering_vector(c6).tolist() == [0.0] * 6
-    assert clustering_vector(tri2).tolist() == [1.0] * 6
-    assert not wl_distinguish(c6, tri2, max_iter=12)
+    assert clustering(c6)[0].tolist() == [0.0] * 6
+    assert clustering(tri2)[0].tolist() == [1.0] * 6
+    assert wl_first_separation(c6, tri2, max_iter=12) == (False, None)
 
 
 def test_cycle_graph_validation():

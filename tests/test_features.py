@@ -8,15 +8,12 @@ from ggeval.errors import CensusTooLargeError
 from ggeval.features import (
     FEATURE_CONFIGS,
     ORBIT4_CLASSES,
-    clustering_coefficient,
-    clustering_vector,
+    _ORBIT4_LUT,
+    clustering,
     degrees,
     feature_dim,
-    four_node_clustering,
-    four_node_clustering_vector,
     orbit_census_4,
     structural_features,
-    wl_distinguish,
     wl_first_separation,
     wl_kernel_gram,
     wl_refine,
@@ -39,28 +36,28 @@ def test_degrees():
 
 
 def test_triangle_clustering_closed_forms():
-    assert clustering_vector(TRIANGLE).tolist() == [1.0, 1.0, 1.0]
-    assert clustering_vector(SQUARE).tolist() == [0.0, 0.0, 0.0, 0.0]
-    assert clustering_vector(PATH3).tolist() == [0.0, 0.0, 0.0]
-    assert clustering_coefficient(K4, 0) == 1.0
+    assert clustering(TRIANGLE)[0].tolist() == [1.0, 1.0, 1.0]
+    assert clustering(SQUARE)[0].tolist() == [0.0, 0.0, 0.0, 0.0]
+    assert clustering(PATH3)[0].tolist() == [0.0, 0.0, 0.0]
+    assert clustering(K4)[0].tolist() == [1.0] * 4
     # paw: triangle 0-1-2 plus pendant 3 on node 2
     paw = Graph(4, edges=[(0, 1), (1, 2), (0, 2), (2, 3)])
-    assert clustering_vector(paw).tolist() == [1.0, 1.0, 1 / 3, 0.0]
+    assert clustering(paw)[0].tolist() == [1.0, 1.0, 1 / 3, 0.0]
 
 
 def test_square_clustering_closed_forms():
     # in C4 each node: one neighbor pair, q=1, den=2+2-1-0=3
-    assert np.allclose(four_node_clustering_vector(SQUARE), 1 / 3)
-    assert four_node_clustering_vector(TRIANGLE).tolist() == [0.0, 0.0, 0.0]
-    assert four_node_clustering(PATH3, 1) == 0.0
+    assert np.allclose(clustering(SQUARE)[1], 1 / 3)
+    assert clustering(TRIANGLE)[1].tolist() == [0.0, 0.0, 0.0]
+    assert clustering(PATH3)[1].tolist() == [0.0, 0.0, 0.0]
     # K4: every neighbor pair adjacent, q=1, den=3+3-1-2=3
-    assert np.allclose(four_node_clustering_vector(K4), 1 / 3)
+    assert np.allclose(clustering(K4)[1], 1 / 3)
 
 
 def test_isolated_and_degree_one_nodes_are_zero():
-    g = Graph(4, edges=[(0, 1)])
-    assert clustering_vector(g).tolist() == [0.0] * 4
-    assert four_node_clustering_vector(g).tolist() == [0.0] * 4
+    c3, c4 = clustering(Graph(4, edges=[(0, 1)]))
+    assert c3.tolist() == [0.0] * 4
+    assert c4.tolist() == [0.0] * 4
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -70,12 +67,9 @@ def test_clustering_matches_bruteforce(seed):
     # the closed forms sum larger integers
     lo, hi = (5, 20) if seed < 5 else (60, 101)
     g = oracles.random_graph(rng, int(rng.integers(lo, hi)), float(rng.uniform(0.1, 0.6)))
-    np.testing.assert_allclose(
-        clustering_vector(g), oracles.triangle_clustering_slow(g), rtol=1e-12, atol=0
-    )
-    np.testing.assert_allclose(
-        four_node_clustering_vector(g), oracles.square_clustering_slow(g), rtol=1e-12, atol=0
-    )
+    c3, c4 = clustering(g)
+    np.testing.assert_allclose(c3, oracles.triangle_clustering_slow(g), rtol=1e-12, atol=0)
+    np.testing.assert_allclose(c4, oracles.square_clustering_slow(g), rtol=1e-12, atol=0)
 
 
 def test_census_closed_forms():
@@ -102,6 +96,10 @@ def test_census_matches_isomorphism_oracle(seed):
     assert orbit_census_4(g).counts == oracles.orbit_census_slow(g)
 
 
+def test_orbit_lut_matches_permutation_oracle():
+    assert _ORBIT4_LUT.tolist() == oracles.orbit4_lut_by_permutation().tolist()
+
+
 def test_census_small_graphs():
     assert orbit_census_4(Graph(3, edges=[(0, 1)])).total() == 0
     assert orbit_census_4(Graph(0)).total() == 0
@@ -122,6 +120,7 @@ def test_census_equality_semantics():
     b = orbit_census_4(Graph(4, edges=[(1, 2), (2, 3), (0, 3), (0, 1)]))
     assert a == b
     assert a != orbit_census_4(K4)
+    assert a != a.counts
 
 
 def test_wl_refine_monotone_partition():
@@ -146,7 +145,6 @@ def test_wl_distinguish_basic():
     star = Graph(4, edges=[(0, 1), (0, 2), (0, 3)])
     sep, it = wl_first_separation(path, star, 3)
     assert sep and it == 0
-    assert wl_distinguish(path, star, 3)
 
 
 def test_wl_distinguish_needs_iterations():
@@ -167,6 +165,13 @@ def test_wl_kernel_symmetry_and_self():
     b = Graph(6, edges=[(i, (i + 1) % 6) for i in range(6)])
     assert wl_subtree_kernel(a, b) == wl_subtree_kernel(b, a)
     assert wl_subtree_kernel(a, a) > 0
+
+
+def test_wl_kernel_negative_depth_rejected():
+    with pytest.raises(ValueError, match="h must be >= 0"):
+        wl_kernel_gram([TRIANGLE, PATH3], -1)
+    with pytest.raises(ValueError, match="h must be >= 0"):
+        wl_subtree_kernel(TRIANGLE, PATH3, -1)
 
 
 def test_wl_kernel_gram_psd_and_consistent():

@@ -215,6 +215,18 @@ def test_mmd_validation():
         mmd(h[:1], h)
 
 
+def test_median_heuristic_validation():
+    h = sample(37)
+    nan_row = h.copy()
+    nan_row[3] = np.nan
+    with pytest.raises(DegenerateSetError):
+        median_heuristic_sigma(nan_row, h)
+    with pytest.raises(DimensionMismatchError):
+        median_heuristic_sigma(h, h[:, :2])
+    with pytest.raises(DegenerateSetError):
+        median_heuristic_sigma(h[:1], h)
+
+
 def test_median_heuristic_values():
     real = np.array([[0.0], [0.0]])
     gen = np.array([[1.0], [1.0]])

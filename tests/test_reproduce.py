@@ -47,6 +47,11 @@ def test_desk_set_odd_lower_bound():
         ReproduceConfig(node_range=(15, 15))
 
 
+def test_desk_set_without_even_count_names_range():
+    with pytest.raises(ValueError, match=r"\[15, 15\] holds no even node count"):
+        desk_community_set(3, (15, 15))
+
+
 def test_desk_set_deterministic_and_seed_sensitive():
     a = desk_community_set(10, (20, 30), seed=4)
     b = desk_community_set(10, (20, 30), seed=4)

@@ -26,6 +26,7 @@ from ggeval.training import (
     nt_xent,
     subgraph_walk,
     train_graphcl,
+    train_step,
     variant_light_aug,
     variant_no_lipschitz,
 )
@@ -291,13 +292,21 @@ def test_train_deterministic_per_seed():
     assert a.epoch_losses != c.epoch_losses
 
 
-def test_train_respects_spectral_bound():
-    result = train_graphcl(
-        lobster_set(8),
-        small_cfg(),
-        TrainConfig(epochs=2, batch_size=4, lr=0.02, seed=0, debug_checks=True),
-    )
-    assert max_weight_spectral_norm(result.params) <= 1.0 + 1e-6
+def test_train_step_keeps_spectral_bound():
+    # checked after every update, not only at the end of training
+    cfg = small_cfg()
+    params = init_random(cfg, seed=0)
+    head = init_head(cfg.embedding_dim, substream(0, 3))
+    opt = AdamState(lr=0.05)
+    graphs = attach_features(list(lobster_set(8)), cfg)
+    for step in range(6):
+        views1, views2 = (
+            [augment(g, AugmentationConfig(), substream(step, i, view))
+             for i, g in enumerate(graphs)]
+            for view in (0, 1)
+        )
+        train_step(params, head, views1, views2, 0.2, opt, lipschitz=True)
+        assert max_weight_spectral_norm(params) <= cfg.lipschitz_bound + 1e-6
 
 
 def test_train_without_projection_can_exceed_bound():
