@@ -246,6 +246,8 @@ DEFAULT_NUM_CLUSTERS = 10
 
 def ratio_grid(step: float = DEFAULT_RATIO_STEP):
     """Evenly spaced ratios 0..1 inclusive."""
+    if not 0 < step <= 1:
+        raise ValueError(f"step must be in (0, 1], got {step}")
     count = _round_half_up(1.0 / step)
     if not np.isclose(count * step, 1.0):
         raise ValueError(f"step {step} does not evenly divide [0, 1]")
@@ -328,6 +330,8 @@ def run_benchmark(reference: GraphSet, embed, kind: str, seeds=(0,),
     """
     if kind not in PERTURBATION_KINDS:
         raise ValueError(f"unknown perturbation kind {kind!r}")
+    if len(seeds) == 0:
+        raise ValueError("seeds is empty; a benchmark needs at least one seed")
     if kind in ("mode_collapse", "mode_drop"):
         labels, medoids = cluster_wl(reference, num_clusters)
         ratios = mode_grid(num_clusters, include_full=kind == "mode_collapse")

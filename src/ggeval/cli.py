@@ -27,9 +27,8 @@ class UsageError(Exception):
 
 
 def _load_config(path):
-    if path is None:
-        return None
-    parser = configparser.ConfigParser()
+    # values are option values such as paths, taken literally: no % interpolation
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         read = parser.read(path)
     except (configparser.Error, UnicodeDecodeError) as exc:
@@ -40,24 +39,44 @@ def _load_config(path):
     return parser
 
 
-def _opt(ns, name, default, conv=str):
-    """Resolve an option: command-line flag wins, then config, then default."""
-    value = getattr(ns, name)
-    if value is not None:
-        return value
-    cfg = ns.loaded_config
-    if cfg is not None:
-        section = ns.command
-        for key in (name, name.replace("_", "-")):
-            if cfg.has_option(section, key):
-                raw = cfg.get(section, key)
-                try:
-                    return conv(raw)
-                except ValueError as exc:
-                    raise UsageError(
-                        f"config [{section}] {key} = {raw!r}: {exc}"
-                    ) from exc
-    return default
+def _apply_config(parser, ns, argv):
+    """Parse argv again with ns.command's config-file section as defaults.
+
+    Sections are named after subcommands. A key names an option by its
+    flag, with dashes or underscores; its value is converted with the
+    option's type and checked against its choices, and only options that
+    take one value can come from the file. Flags still win.
+    """
+    cfg = _load_config(ns.config)
+    # argparse has no public handle on a subparser or on an option's action
+    (commands,) = parser._subparsers._group_actions
+    for section in cfg.sections():
+        if section not in commands.choices:
+            raise UsageError(f"config [{section}]: no such subcommand")
+    subparser = commands.choices[ns.command]
+    section = ns.command if cfg.has_section(ns.command) else cfg.default_section
+    values = {}
+    for key, raw in cfg.items(section):
+        where = f"config [{section}] {key}"
+        action = subparser._option_string_actions.get("--" + key.replace("_", "-"))
+        if action is None:
+            raise UsageError(f"{where}: {ns.command} has no such option")
+        if type(action) is not argparse._StoreAction:
+            raise UsageError(f"{where}: a command-line only option")
+        try:
+            value = raw if action.type is None else action.type(raw)
+        except ValueError as exc:
+            raise UsageError(f"{where} = {raw!r}: {exc}") from exc
+        if action.choices is not None and value not in action.choices:
+            raise UsageError(f"{where} = {raw!r}: choose from {', '.join(action.choices)}")
+        values[action.dest] = value
+    subparser.set_defaults(**values)
+    return parser.parse_args(argv)
+
+
+def _given(ns, *fields):
+    """The named options that were given, as keyword arguments."""
+    return {name: getattr(ns, name) for name in fields if getattr(ns, name) is not None}
 
 
 def _require(value, what):
@@ -94,16 +113,12 @@ def _read_matrix(path):
 
 
 def cmd_generate(ns) -> int:
-    from .generators import DATASET_COUNTS, gen_dataset
+    from .generators import gen_dataset
     from .graphs import save_graphs
 
-    recipe = _require(_opt(ns, "recipe", None), "--recipe")
-    if recipe not in DATASET_COUNTS:
-        raise UsageError(f"unknown recipe {recipe!r}; "
-                         f"choose from {sorted(DATASET_COUNTS)}")
-    count = _opt(ns, "count", None, int)
-    out = _require(_opt(ns, "out", None), "--out")
-    graph_set = gen_dataset(recipe, count=count, seed=ns.seed)
+    recipe = _require(ns.recipe, "--recipe")
+    out = _require(ns.out, "--out")
+    graph_set = gen_dataset(recipe, count=ns.count, seed=ns.seed)
     save_graphs(graph_set, out)
     log.info("generate recipe=%s count=%d seed=%d out=%s",
              recipe, len(graph_set), ns.seed, out)
@@ -115,8 +130,8 @@ def cmd_features(ns) -> int:
     from .features import clustering, degrees
     from .graphs import atomic_write_text, load_graphs
 
-    path = _require(_opt(ns, "infile", None), "--in")
-    out = _require(_opt(ns, "out", None), "--out")
+    path = _require(ns.infile, "--in")
+    out = _require(ns.out, "--out")
     graph_set = load_graphs(path)
     rows = [("graph", "node_id", "degree", "c3", "c4")]
     for gi, g in enumerate(graph_set):
@@ -129,44 +144,24 @@ def cmd_features(ns) -> int:
     return 0
 
 
-def _encoder_config(ns):
-    from .encoder import EncoderConfig
-
-    return EncoderConfig(
-        num_layers=_opt(ns, "layers", EncoderConfig.num_layers, int),
-        hidden=_opt(ns, "hidden", EncoderConfig.hidden, int),
-        feature_config=_opt(ns, "features", EncoderConfig.feature_config),
-    )
-
-
 def cmd_train(ns) -> int:
     from .benchmark import rows_to_csv
-    from .encoder import save_params
+    from .encoder import EncoderConfig, save_params
     from .graphs import atomic_write_text, load_graphs
     from .training import TRAIN_VARIANTS, TrainConfig, train_graphcl
 
-    data = _require(_opt(ns, "data", None), "--data")
-    out = _require(_opt(ns, "out", None), "--out")
-    variant = _opt(ns, "variant", "graphcl")
-    if variant not in TRAIN_VARIANTS:
-        raise UsageError(f"unknown variant {variant!r}; "
-                         f"choose from {sorted(TRAIN_VARIANTS)}")
+    data = _require(ns.data, "--data")
+    out = _require(ns.out, "--out")
     graph_set = load_graphs(data)
-    enc_cfg = _encoder_config(ns)
-    train_cfg = TRAIN_VARIANTS[variant](TrainConfig(
-        epochs=_opt(ns, "epochs", TrainConfig.epochs, int),
-        batch_size=_opt(ns, "batch_size", TrainConfig.batch_size, int),
-        lr=_opt(ns, "lr", TrainConfig.lr, float),
-        tau=_opt(ns, "tau", TrainConfig.tau, float),
-        seed=ns.seed,
-    ))
+    enc_cfg = EncoderConfig(**_given(ns, "num_layers", "hidden", "feature_config"))
+    train_cfg = TRAIN_VARIANTS[ns.variant](TrainConfig(
+        seed=ns.seed, **_given(ns, "epochs", "batch_size", "lr", "tau")))
     log.info("train data=%s graphs=%d variant=%s seed=%d epochs=%d",
-             data, len(graph_set), variant, ns.seed, train_cfg.epochs)
+             data, len(graph_set), ns.variant, ns.seed, train_cfg.epochs)
     result = train_graphcl(graph_set, enc_cfg, train_cfg)
     save_params(result.params, out)
-    history = _opt(ns, "history", None)
-    if history is not None:
-        atomic_write_text(history, rows_to_csv([("epoch", "loss")] + [
+    if ns.history is not None:
+        atomic_write_text(ns.history, rows_to_csv([("epoch", "loss")] + [
             (i, repr(loss)) for i, loss in enumerate(result.epoch_losses)
         ]))
     log.info("train done loss=%.6f -> %.6f ckpt=%s",
@@ -178,9 +173,9 @@ def cmd_embed(ns) -> int:
     from .encoder import embed_set, load_params
     from .graphs import load_graphs
 
-    params = load_params(_require(_opt(ns, "params", None), "--params"))
-    graph_set = load_graphs(_require(_opt(ns, "infile", None), "--in"))
-    out = _require(_opt(ns, "out", None), "--out")
+    params = load_params(_require(ns.params, "--params"))
+    graph_set = load_graphs(_require(ns.infile, "--in"))
+    out = _require(ns.out, "--out")
     emb = embed_set(params, list(graph_set))
     _write_matrix(out, emb)
     log.info("embed graphs=%d dim=%d out=%s", emb.shape[0], emb.shape[1], out)
@@ -189,18 +184,16 @@ def cmd_embed(ns) -> int:
 
 def cmd_evaluate(ns) -> int:
     from .graphs import atomic_write_text
-    from .metrics import DEFAULT_KNN_K, MetricSettings, evaluate
+    from .metrics import MetricSettings, evaluate
 
-    ref = _read_matrix(_require(_opt(ns, "ref", None), "--ref"))
-    gen = _read_matrix(_require(_opt(ns, "gen", None), "--gen"))
-    settings = MetricSettings(knn_k=_opt(ns, "k", DEFAULT_KNN_K, int))
-    report = evaluate(ref, gen, settings)
-    out = _opt(ns, "out", None)
+    ref = _read_matrix(_require(ns.ref, "--ref"))
+    gen = _read_matrix(_require(ns.gen, "--gen"))
+    report = evaluate(ref, gen, MetricSettings(**_given(ns, "knn_k")))
     payload = json.dumps(report.as_dict(), indent=2, sort_keys=True)
-    if out is None:
+    if ns.out is None:
         print(payload)
     else:
-        atomic_write_text(out, payload)
+        atomic_write_text(ns.out, payload)
     log.info("evaluate ref=%d gen=%d fd=%.6g", ref.shape[0], gen.shape[0],
              report.fd)
     return 0
@@ -214,29 +207,26 @@ def cmd_benchmark(ns) -> int:
                             curves_to_csv, rho_summary, run_benchmark)
     from .encoder import embed_union, load_params
     from .graphs import atomic_write_text, load_graphs
-    from .metrics import DEFAULT_KNN_K, METRIC_NAMES, MetricSettings
+    from .metrics import METRIC_NAMES, MetricSettings
 
-    data = _require(_opt(ns, "data", None), "--data")
-    kind = _opt(ns, "kind", "mix_random").replace("-", "_")
+    data = _require(ns.data, "--data")
+    kind = ns.kind.replace("-", "_")
     if kind not in PERTURBATION_KINDS:
         raise UsageError(f"unknown kind {kind!r}; "
                          f"choose from {sorted(PERTURBATION_KINDS)}")
-    out = _require(_opt(ns, "out", None), "--out")
-    num_seeds = _opt(ns, "seeds", 1, int)
-    step = _opt(ns, "step", DEFAULT_RATIO_STEP, float)
-    num_clusters = _opt(ns, "num_clusters", DEFAULT_NUM_CLUSTERS, int)
-    params = load_params(_require(_opt(ns, "params", None), "--params"))
+    out = _require(ns.out, "--out")
+    step = DEFAULT_RATIO_STEP if ns.step is None else ns.step
+    num_clusters = DEFAULT_NUM_CLUSTERS if ns.num_clusters is None else ns.num_clusters
+    params = load_params(_require(ns.params, "--params"))
     reference = load_graphs(data)
-    seeds = tuple(range(ns.seed, ns.seed + num_seeds))
+    seeds = tuple(range(ns.seed, ns.seed + ns.seeds))
     log.info("benchmark data=%s kind=%s step=%g seeds=%s", data, kind, step, seeds)
     curves = run_benchmark(
         reference, partial(embed_union, params), kind, seeds=seeds, step=step,
-        num_clusters=num_clusters,
-        settings=MetricSettings(knn_k=_opt(ns, "k", DEFAULT_KNN_K, int)),
+        num_clusters=num_clusters, settings=MetricSettings(**_given(ns, "knn_k")),
     )
     atomic_write_text(out, curves_to_csv(curves))
-    summary_path = _opt(ns, "summary", None) or str(Path(out).with_suffix("")) + \
-        ".summary.json"
+    summary_path = ns.summary or str(Path(out).with_suffix("")) + ".summary.json"
     summary = {
         "version": __version__,
         "kind": kind,
@@ -246,12 +236,11 @@ def cmd_benchmark(ns) -> int:
         "rho": rho_summary(curves),
     }
     atomic_write_text(summary_path, json.dumps(summary, indent=2, sort_keys=True))
-    plot = _opt(ns, "plot", None)
-    if plot is not None:
+    if ns.plot is not None:
         from .reproduce import metric_chart_series
         from .svgplot import save_chart
 
-        stem = Path(plot)
+        stem = Path(ns.plot)
         for name in METRIC_NAMES:
             target = stem.with_name(f"{stem.stem}-{name}{stem.suffix or '.svg'}")
             save_chart(target, metric_chart_series(curves, name),
@@ -311,28 +300,16 @@ def cmd_reproduce(ns) -> int:
     from .metrics import METRIC_NAMES
     from .reproduce import ReproduceConfig, run_reproduction
 
-    experiment = _opt(ns, "experiment", "community-mix-random")
-    if experiment != "community-mix-random":
-        raise UsageError(f"unknown experiment {experiment!r}; "
-                         f"available: community-mix-random")
-    num_seeds = _opt(ns, "seeds", len(ReproduceConfig.seeds), int)
+    num_seeds = len(ReproduceConfig.seeds) if ns.seeds is None else ns.seeds
     config = ReproduceConfig(
-        dataset_count=_opt(ns, "count", ReproduceConfig.dataset_count, int),
-        dataset_seed=ns.seed,
-        epochs=_opt(ns, "epochs", ReproduceConfig.epochs, int),
-        step=_opt(ns, "step", ReproduceConfig.step, float),
-        seeds=tuple(range(ns.seed, ns.seed + num_seeds)),
-        variant=_opt(ns, "variant", ReproduceConfig.variant),
-        num_layers=_opt(ns, "layers", ReproduceConfig.num_layers, int),
-        hidden=_opt(ns, "hidden", ReproduceConfig.hidden, int),
-        feature_config=_opt(ns, "features", ReproduceConfig.feature_config),
-    )
-    out_dir = _opt(ns, "out", "reproduce-out")
-    report = run_reproduction(config, out_dir=out_dir, log=log.info)
+        dataset_seed=ns.seed, seeds=tuple(range(ns.seed, ns.seed + num_seeds)),
+        **_given(ns, "dataset_count", "epochs", "step", "variant", "num_layers",
+                 "hidden", "feature_config"))
+    report = run_reproduction(config, out_dir=ns.out, log=log.info)
     mean_trained = report.mean_rhos("trained")
     mean_random = report.mean_rhos("random")
-    print(f"experiment {experiment}: {len(report.runs)} seeds, "
-          f"{report.elapsed_seconds:.1f}s, outputs in {out_dir}")
+    print(f"experiment community-mix-random: {len(report.runs)} seeds, "
+          f"{report.elapsed_seconds:.1f}s, outputs in {ns.out}")
     for name in METRIC_NAMES:
         print(f"  rho[{name}]: trained mean {mean_trained[name]:+.4f}, "
               f"random-init mean {mean_random[name]:+.4f}")
@@ -341,16 +318,10 @@ def cmd_reproduce(ns) -> int:
     return 0
 
 
-HANDLERS = {
-    "generate": cmd_generate,
-    "features": cmd_features,
-    "train": cmd_train,
-    "embed": cmd_embed,
-    "evaluate": cmd_evaluate,
-    "benchmark": cmd_benchmark,
-    "verify": cmd_verify,
-    "reproduce": cmd_reproduce,
-}
+# The library's names, copied so that loading the CLI leaves numpy unloaded.
+_RECIPES = ("lobster", "grid", "community")
+_FEATURE_CONFIGS = ("none", "degree", "degree+clustering")
+_VARIANTS = ("graphcl", "graphcl-nolip", "graphcl-lightaug")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -368,15 +339,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="write a synthetic dataset")
-    p.add_argument("--recipe", choices=["lobster", "grid", "community"])
+    p.set_defaults(handler=cmd_generate)
+    p.add_argument("--recipe", choices=_RECIPES)
     p.add_argument("--count", type=int)
     p.add_argument("--out")
 
     p = sub.add_parser("features", help="local statistics per node, CSV")
+    p.set_defaults(handler=cmd_features)
     p.add_argument("--in", dest="infile")
     p.add_argument("--out")
 
     p = sub.add_parser("train", help="contrastive encoder training")
+    p.set_defaults(handler=cmd_train)
     p.add_argument("--data")
     p.add_argument("--out")
     p.add_argument("--history", help="loss history CSV")
@@ -384,53 +358,55 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", dest="batch_size", type=int)
     p.add_argument("--lr", type=float)
     p.add_argument("--tau", type=float)
-    p.add_argument("--layers", type=int)
+    p.add_argument("--layers", dest="num_layers", type=int)
     p.add_argument("--hidden", type=int)
-    p.add_argument("--features", choices=["none", "degree", "degree+clustering"])
-    p.add_argument("--variant",
-                   choices=["graphcl", "graphcl-nolip", "graphcl-lightaug"])
+    p.add_argument("--features", dest="feature_config", choices=_FEATURE_CONFIGS)
+    p.add_argument("--variant", choices=_VARIANTS, default="graphcl")
 
     p = sub.add_parser("embed", help="embed a graph set with a checkpoint")
+    p.set_defaults(handler=cmd_embed)
     p.add_argument("--params")
     p.add_argument("--in", dest="infile")
     p.add_argument("--out")
 
     p = sub.add_parser("evaluate", help="metrics between two embedding CSVs")
+    p.set_defaults(handler=cmd_evaluate)
     p.add_argument("--ref")
     p.add_argument("--gen")
-    p.add_argument("--k", type=int)
+    p.add_argument("--k", dest="knn_k", type=int)
     p.add_argument("--out")
 
     p = sub.add_parser("benchmark", help="perturbation rank-correlation sweep")
+    p.set_defaults(handler=cmd_benchmark)
     p.add_argument("--data")
     p.add_argument("--params")
-    p.add_argument("--kind")
+    p.add_argument("--kind", default="mix_random")
     p.add_argument("--step", type=float)
-    p.add_argument("--seeds", type=int, help="number of seeds (base --seed)")
+    p.add_argument("--seeds", type=int, default=1, help="number of seeds (base --seed)")
     p.add_argument("--num-clusters", dest="num_clusters", type=int)
-    p.add_argument("--k", type=int)
+    p.add_argument("--k", dest="knn_k", type=int)
     p.add_argument("--out")
     p.add_argument("--summary")
     p.add_argument("--plot", help="SVG path stem; one chart per metric")
 
     p = sub.add_parser("verify", help="cycle-pair and WL-ceiling checks")
+    p.set_defaults(handler=cmd_verify)
     p.add_argument("--prop1", action="append",
                    help="a,b,c,d (repeatable); default: the built-in tuples")
     p.add_argument("--ceiling", action="store_true",
                    help="also run the WL-ceiling check with --prop1")
 
     p = sub.add_parser("reproduce", help="end-to-end scaled experiment")
-    p.add_argument("--experiment")
-    p.add_argument("--out")
-    p.add_argument("--seeds", type=int)
-    p.add_argument("--count", type=int)
+    p.set_defaults(handler=cmd_reproduce)
+    p.add_argument("--out", default="reproduce-out")
+    p.add_argument("--seeds", type=int, help="number of seeds (base --seed)")
+    p.add_argument("--count", dest="dataset_count", type=int)
     p.add_argument("--epochs", type=int)
     p.add_argument("--step", type=float)
-    p.add_argument("--layers", type=int)
+    p.add_argument("--layers", dest="num_layers", type=int)
     p.add_argument("--hidden", type=int)
-    p.add_argument("--features", choices=["none", "degree", "degree+clustering"])
-    p.add_argument("--variant",
-                   choices=["graphcl", "graphcl-nolip", "graphcl-lightaug"])
+    p.add_argument("--features", dest="feature_config", choices=_FEATURE_CONFIGS)
+    p.add_argument("--variant", choices=_VARIANTS)
     return parser
 
 
@@ -447,11 +423,12 @@ def main(argv=None) -> int:
         format="%(asctime)s %(name)s %(levelname)s %(message)s",
     )
     try:
-        ns.loaded_config = _load_config(ns.config)
+        if ns.config is not None:
+            ns = _apply_config(parser, ns, argv)
         from .errors import GGEvalError
 
         try:
-            return HANDLERS[ns.command](ns)
+            return ns.handler(ns)
         except GGEvalError as exc:
             print(f"ggeval {ns.command}: {type(exc).__name__}: {exc}",
                   file=sys.stderr)

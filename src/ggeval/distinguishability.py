@@ -89,11 +89,9 @@ def verify_local_equivalence(a: int, b: int, c: int, d: int) -> LocalEquivalence
     census2 = orbit_census_4(g2)
     census_equal = census1 == census2
     if mismatch is None and not census_equal:
-        diff = {
-            key: (census1.counts[key], census2.counts[key])
-            for key in census1.counts
-            if census1.counts[key] != census2.counts[key]
-        }
+        counts1, counts2 = census1.counts, census2.counts
+        diff = {key: (counts1[key], counts2[key])
+                for key in counts1 if counts1[key] != counts2[key]}
         mismatch = f"orbit census differs: {diff}"
 
     return LocalEquivalenceReport(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -78,13 +79,18 @@ ORBIT_CENSUS_MAX_NODES = 60
 class OrbitCensus:
     """Counts of the 11 induced 4-node subgraph classes."""
 
-    counts: dict
+    class_counts: tuple  # in ORBIT4_CLASSES order
+
+    @property
+    def counts(self) -> MappingProxyType:
+        """Read-only mapping of class letter -> count."""
+        return MappingProxyType(dict(zip(ORBIT4_CLASSES, self.class_counts)))
 
     def total(self) -> int:
-        return sum(self.counts.values())
+        return sum(self.class_counts)
 
     def as_vector(self) -> np.ndarray:
-        return np.array([self.counts[c] for c in ORBIT4_CLASSES], dtype=np.int64)
+        return np.array(self.class_counts, dtype=np.int64)
 
 
 def degrees(graph: Graph) -> np.ndarray:
@@ -146,18 +152,15 @@ def orbit_census_4(graph: Graph) -> OrbitCensus:
         raise CensusTooLargeError(
             f"orbit census capped at {ORBIT_CENSUS_MAX_NODES} nodes, got {n}"
         )
-    counts = dict.fromkeys(ORBIT4_CLASSES, 0)
     if n < 4:
-        return OrbitCensus(counts)
+        return OrbitCensus((0,) * len(ORBIT4_CLASSES))
     quads = np.array(list(itertools.combinations(range(n), 4)), dtype=np.int64)
     adj = _adjacency_matrix(graph).astype(bool)
     mask = np.zeros(len(quads), dtype=np.int64)
     for bit, (i, j) in enumerate(_PAIRS):
         mask |= adj[quads[:, i], quads[:, j]].astype(np.int64) << bit
     hist = np.bincount(_ORBIT4_LUT[mask], minlength=len(ORBIT4_CLASSES))
-    for idx, name in enumerate(ORBIT4_CLASSES):
-        counts[name] = int(hist[idx])
-    return OrbitCensus(counts)
+    return OrbitCensus(tuple(hist.tolist()))
 
 
 @dataclass(frozen=True)

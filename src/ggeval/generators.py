@@ -152,6 +152,8 @@ def gen_dataset(recipe: str, count: int | None = None, seed: int = 0) -> GraphSe
         raise ValueError(f"unknown recipe {recipe!r}, expected one of {sorted(DATASET_COUNTS)}")
     if count is None:
         count = DATASET_COUNTS[recipe]
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     graphs = []
     for i in range(count):
         rng = substream(seed, i)

@@ -71,6 +71,8 @@ class ReproduceConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.kind not in PERTURBATION_KINDS:
             raise ValueError(f"unknown perturbation kind {self.kind!r}")
+        if len(self.seeds) == 0:
+            raise ValueError("seeds is empty; a reproduction needs at least one seed")
         lo, hi = self.node_range
         if not (2 <= lo <= hi):
             raise ValueError("node_range must satisfy 2 <= lo <= hi")

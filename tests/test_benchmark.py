@@ -66,6 +66,9 @@ def test_ratio_grid():
     assert ratio_grid(0.25) == (0.0, 0.25, 0.5, 0.75, 1.0)
     with pytest.raises(ValueError):
         ratio_grid(0.03)
+    for step in (0.0, -0.5, 2.0, float("nan")):
+        with pytest.raises(ValueError, match=r"step must be in \(0, 1\]"):
+            ratio_grid(step)
 
 
 def test_mode_grid():
@@ -357,6 +360,11 @@ def test_run_benchmark_all_kinds():
 def test_run_benchmark_unknown_kind():
     with pytest.raises(ValueError):
         run_benchmark(small_set(), random_embed(), "shuffle")
+
+
+def test_run_benchmark_needs_a_seed():
+    with pytest.raises(ValueError, match="seeds is empty"):
+        run_benchmark(small_set(), random_embed(), "mix_random", seeds=())
 
 
 def test_benchmark_deterministic_and_seed_sensitive():

@@ -2,14 +2,16 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ggeval
-from ggeval.cli import main
+from ggeval.cli import build_parser, main
 from ggeval.graphs import load_graphs
 from ggeval.metrics import METRIC_NAMES, REPORT_FIELDS
 
@@ -302,7 +304,7 @@ def test_reproduce_defaults_are_the_config_defaults(monkeypatch):
 
 def test_config_file_supplies_options(tmp_path):
     cfg = tmp_path / "ggeval.ini"
-    out = tmp_path / "from-config.jsonl"
+    out = tmp_path / "from-config-100%.jsonl"  # read literally, not interpolated
     cfg.write_text(
         f"[generate]\nrecipe = lobster\ncount = 4\nout = {out}\n"
     )
@@ -336,11 +338,22 @@ def test_config_missing_file(capsys):
     assert "config file not found" in capsys.readouterr().err
 
 
-def test_config_bad_value_type(tmp_path, capsys):
+@pytest.mark.parametrize("command, text, key", [
+    ("generate", "[generate]\nrecipe = lobster\ncount = soon\nout = x\n", "count"),
+    ("generate", "[generate]\nrecipe = lobster\ncuont = 7\nout = x\n", "cuont"),
+    ("generate", "[generate]\nrecipe = nope\nout = x\n", "recipe"),
+    ("verify", "[verify]\nprop1 = 3,5,4,4\n", "prop1"),
+    ("generate", "[genrate]\nrecipe = lobster\n", "genrate"),
+], ids=["bad count", "unknown key", "recipe outside choices", "command-line only key",
+        "unknown section"])
+def test_config_bad_value_type(tmp_path, capsys, command, text, key):
     cfg = tmp_path / "bad.ini"
-    cfg.write_text("[generate]\nrecipe = lobster\ncount = soon\nout = x\n")
-    assert run("--config", str(cfg), "generate") == 2
-    assert "count" in capsys.readouterr().err
+    cfg.write_text(text)
+    assert run("--config", str(cfg), command) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ")
+    assert len(err.strip().splitlines()) == 1
+    assert key in err
 
 
 @pytest.mark.parametrize("raw", [b"count = 3\n", b"[generate]\ncount = 3\ncount = 4\n",
@@ -360,8 +373,12 @@ OUT_OF_RANGE_OPTIONS = {
     "train epochs 0": (["train", "--epochs", "0"], None),
     "train config features": (["train"], "[train]\nfeatures = bogus\n"),
     "benchmark step 0.3": (["benchmark", "--step", "0.3"], None),
+    "benchmark step 0": (["benchmark", "--step", "0"], None),
     "benchmark k 0": (["benchmark", "--k", "0"], None),
     "reproduce layers 0": (["reproduce", "--layers", "0"], None),
+    "benchmark seeds 0": (["benchmark", "--seeds", "0"], None),
+    "reproduce seeds 0": (["reproduce", "--seeds", "0"], None),
+    "generate count 0": (["generate", "--count", "0"], None),
 }
 
 
@@ -371,6 +388,7 @@ def test_out_of_range_option_is_usage_error(workspace, tmp_path, capsys, case):
     args, config_text = OUT_OF_RANGE_OPTIONS[case]
     command = args[0]
     paths = {
+        "generate": ["--recipe", "lobster", "--out", str(tmp_path / "g.jsonl")],
         "train": ["--data", str(data), "--out", str(tmp_path / "enc.json")],
         "benchmark": ["--data", str(data), "--params", str(ckpt),
                       "--out", str(tmp_path / "c.csv")],
@@ -439,6 +457,29 @@ def test_submodules_leave_slow_scipy_packages_unloaded():
         "assert not loaded, loaded\n"
     )
     run_python(script)
+
+
+def test_cli_choices_are_the_library_names():
+    # the CLI keeps its own copies so that loading it leaves numpy unloaded
+    from ggeval import cli
+    from ggeval.features import FEATURE_CONFIGS
+    from ggeval.generators import DATASET_COUNTS
+    from ggeval.training import TRAIN_VARIANTS
+
+    assert cli._RECIPES == tuple(DATASET_COUNTS)
+    assert cli._FEATURE_CONFIGS == FEATURE_CONFIGS
+    assert cli._VARIANTS == tuple(TRAIN_VARIANTS)
+
+
+def test_readme_quick_start_parses():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## Command-line quick start", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    lines = [line for line in block.splitlines() if line.startswith("ggeval ")]
+    assert lines
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])
 
 
 def test_missing_subcommand_is_parser_error():

@@ -121,6 +121,11 @@ def test_census_equality_semantics():
     assert a == b
     assert a != orbit_census_4(K4)
     assert a != a.counts
+    assert hash(a) == hash(b)
+    with pytest.raises(TypeError):
+        a.counts["c"] = 5
+    a.counts.copy()["c"] = 5
+    assert a.counts["c"] == 1 and a == b
 
 
 def test_wl_refine_monotone_partition():

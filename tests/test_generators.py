@@ -174,3 +174,9 @@ def test_dataset_prefix_stable():
 def test_dataset_unknown_recipe():
     with pytest.raises(ValueError):
         gen_dataset("mystery")
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_dataset_count_below_one_rejected(count):
+    with pytest.raises(ValueError, match=f"count must be >= 1, got {count}"):
+        gen_dataset("lobster", count=count)

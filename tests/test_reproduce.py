@@ -76,6 +76,8 @@ def test_config_validation():
         ReproduceConfig(kind="nope")
     with pytest.raises(ValueError):
         ReproduceConfig(node_range=(10, 4))
+    with pytest.raises(ValueError, match="seeds is empty"):
+        ReproduceConfig(seeds=())
 
 
 def test_config_plumbs_variants():
