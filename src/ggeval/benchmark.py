@@ -240,6 +240,7 @@ def _mean_ranks(values: np.ndarray) -> np.ndarray:
 # orchestration
 
 PERTURBATION_KINDS = ("mix_random", "rewire", "mode_collapse", "mode_drop")
+MODE_KINDS = ("mode_collapse", "mode_drop")  # the kinds that cluster the reference
 DEFAULT_RATIO_STEP = 0.01
 DEFAULT_NUM_CLUSTERS = 10
 
@@ -332,7 +333,7 @@ def run_benchmark(reference: GraphSet, embed, kind: str, seeds=(0,),
         raise ValueError(f"unknown perturbation kind {kind!r}")
     if len(seeds) == 0:
         raise ValueError("seeds is empty; a benchmark needs at least one seed")
-    if kind in ("mode_collapse", "mode_drop"):
+    if kind in MODE_KINDS:
         labels, medoids = cluster_wl(reference, num_clusters)
         ratios = mode_grid(num_clusters, include_full=kind == "mode_collapse")
     else:

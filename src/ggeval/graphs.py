@@ -23,17 +23,17 @@ from .errors import (
 )
 
 
-def _as_feature_matrix(values, expected_rows, what):
-    """Coerce to a read-only float64 matrix with the required row count."""
+def _as_feature_matrix(values, num_nodes):
+    """Coerce node features to a read-only float64 matrix, one row per node."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 2:
-        raise InvariantViolationError(f"{what} must be a 2-D matrix, got ndim={arr.ndim}")
-    if arr.shape[0] != expected_rows:
+        raise InvariantViolationError(f"node_features must be a 2-D matrix, got ndim={arr.ndim}")
+    if arr.shape[0] != num_nodes:
         raise InvariantViolationError(
-            f"{what} has {arr.shape[0]} rows, expected {expected_rows}"
+            f"node_features has {arr.shape[0]} rows, expected {num_nodes}"
         )
     if not np.all(np.isfinite(arr)):
-        raise InvariantViolationError(f"{what} contains non-finite values")
+        raise InvariantViolationError("node_features contains non-finite values")
     if arr is values and arr.flags.writeable:
         arr = arr.copy()  # the caller can still write to its own array
     arr = np.ascontiguousarray(arr)
@@ -43,19 +43,20 @@ def _as_feature_matrix(values, expected_rows, what):
 
 @dataclass(frozen=True, eq=False)
 class Graph:
-    """Undirected simple graph with optional node/edge feature matrices.
+    """Undirected simple graph: its topology and an optional node feature matrix.
 
     Construction canonicalizes the edge list: pairs are stored as
     (min, max), duplicates removed, sorted lexicographically. Self-loops
     and out-of-range endpoints raise instead of being dropped silently.
     After construction ``edges`` is the canonical read-only
     (num_edges, 2) int64 array; an empty graph has shape (0, 2).
+    ``node_features`` is None or a read-only finite float64 matrix with
+    one row per node. Edges carry no features.
     """
 
     num_nodes: int
     edges: np.ndarray = field(default_factory=tuple)  # any (u, v) pairs until __post_init__
     node_features: np.ndarray | None = None
-    edge_features: np.ndarray | None = None
 
     def __post_init__(self):
         n = int(self.num_nodes)
@@ -82,28 +83,17 @@ class Graph:
             if a == b:
                 raise SelfLoopError(f"self-loop at node {a}")
             raise EndpointOutOfRangeError(f"edge ({a},{b}) outside [0,{n})")
-        # first occurrence of each pair, in (min, max) lexicographic order
-        keys, kept = np.unique(lo * n + hi, return_index=True)
-        if self.edge_features is not None and keys.size < len(raw):
-            ordered = np.sort(lo * n + hi)
-            dup = int(ordered[1:][ordered[1:] == ordered[:-1]][0])
-            raise InvariantViolationError(
-                f"duplicate edge {(dup // n, dup % n)} with edge features present"
-            )
+        # first occurrence of each pair, in (min, max) lexicographic order;
+        # return_index keeps np.unique on its sorting path, which beats the
+        # hash path that plain np.unique takes for these key counts
+        _, kept = np.unique(lo * n + hi, return_index=True)
         # fancy indexing copies, so a caller's array is never aliased
         edges = np.column_stack((lo[kept], hi[kept]))
         edges.flags.writeable = False
         object.__setattr__(self, "edges", edges)
 
         if self.node_features is not None:
-            object.__setattr__(
-                self, "node_features", _as_feature_matrix(self.node_features, n, "node_features")
-            )
-        if self.edge_features is not None:
-            ef = _as_feature_matrix(self.edge_features, len(raw), "edge_features")
-            ef = np.ascontiguousarray(ef[kept])
-            ef.flags.writeable = False
-            object.__setattr__(self, "edge_features", ef)
+            object.__setattr__(self, "node_features", _as_feature_matrix(self.node_features, n))
 
     @property
     def num_edges(self) -> int:
@@ -114,13 +104,10 @@ class Graph:
             return NotImplemented
         if self.num_nodes != other.num_nodes or not np.array_equal(self.edges, other.edges):
             return False
-        for a, b in ((self.node_features, other.node_features),
-                     (self.edge_features, other.edge_features)):
-            if (a is None) != (b is None):
-                return False
-            if a is not None and not np.array_equal(a, b):
-                return False
-        return True
+        a, b = self.node_features, other.node_features
+        if a is None or b is None:
+            return a is b
+        return np.array_equal(a, b)
 
     def __hash__(self):
         return hash((self.num_nodes, self.edges.tobytes()))
@@ -194,13 +181,18 @@ def _graph_to_record(graph: Graph) -> dict:
         "n": graph.num_nodes,
         "edges": graph.edges.tolist(),
         "x": None if graph.node_features is None else graph.node_features.tolist(),
-        "e": None if graph.edge_features is None else graph.edge_features.tolist(),
     }
 
 
 def _graph_from_record(record: dict, index: int) -> Graph:
     if not isinstance(record, dict):
         raise ParseError("record is not a JSON object", record=index)
+    for key in record:
+        # files written before edge features were removed hold "e": null
+        if key not in ("n", "edges", "x", "e"):
+            raise ParseError(f"unknown key {key!r}", record=index)
+    if record.get("e") is not None:
+        raise ParseError("'e' must be null: graphs carry no edge features", record=index)
     for key in ("n", "edges"):
         if key not in record:
             raise ParseError(f"missing required key {key!r}", record=index)
@@ -215,19 +207,14 @@ def _graph_from_record(record: dict, index: int) -> Graph:
                 and all(isinstance(x, int) and not isinstance(x, bool) for x in e)):
             raise ParseError(f"malformed edge entry {e!r}", record=index)
     try:
-        return Graph(
-            num_nodes=n,
-            edges=edges,
-            node_features=record.get("x"),
-            edge_features=record.get("e"),
-        )
+        return Graph(n, edges, node_features=record.get("x"))
     except (TypeError, ValueError) as exc:
-        # the edges are checked above: this is the float conversion of x or e
-        raise ParseError(f"'x' and 'e' must be numeric matrices ({exc})", record=index) from exc
+        # the edges are checked above: this is the float conversion of x
+        raise ParseError(f"'x' must be a numeric matrix ({exc})", record=index) from exc
 
 
 def save_graphs(graph_set: GraphSet, path) -> None:
-    """Write a GraphSet as JSON lines, one graph per line, atomically.
+    """Write a GraphSet as JSON lines, one {"n", "edges", "x"} record per graph, atomically.
 
     Floats are emitted with repr semantics, so load(save(S)) reproduces
     feature values bit-identically.

@@ -21,9 +21,11 @@ import numpy as np
 from . import __version__
 from .benchmark import (
     DEFAULT_NUM_CLUSTERS,
+    MODE_KINDS,
     PERTURBATION_KINDS,
     BenchmarkCurve,
     curves_to_csv,
+    ratio_grid,
     run_benchmark,
 )
 from .encoder import EncoderConfig, embed_union, init_random, save_params
@@ -73,6 +75,12 @@ class ReproduceConfig:
             raise ValueError(f"unknown perturbation kind {self.kind!r}")
         if len(self.seeds) == 0:
             raise ValueError("seeds is empty; a reproduction needs at least one seed")
+        ratio_grid(self.step)  # raises for a step that does not divide [0, 1]
+        if self.num_clusters < 1:
+            raise ValueError(f"num_clusters must be >= 1, got {self.num_clusters}")
+        if self.kind in MODE_KINDS and self.num_clusters > self.dataset_count:
+            raise ValueError(f"num_clusters must be in [1, {self.dataset_count}], "
+                             f"got {self.num_clusters}")
         lo, hi = self.node_range
         if not (2 <= lo <= hi):
             raise ValueError("node_range must satisfy 2 <= lo <= hi")

@@ -45,8 +45,7 @@ from .graphs import Graph
 def induced_subgraph(graph: Graph, nodes) -> Graph:
     """Subgraph on the given node subset, relabeled to 0..len(nodes)-1.
 
-    Node feature rows follow their nodes; edge feature rows follow the
-    surviving edges.
+    Node feature rows follow their nodes.
     """
     nodes = np.sort(np.fromiter(nodes, dtype=np.int64))
     relabel = np.full(graph.num_nodes, -1, dtype=np.int64)
@@ -55,8 +54,7 @@ def induced_subgraph(graph: Graph, nodes) -> Graph:
     edges = relabel[graph.edges]
     keep = (edges >= 0).all(axis=1)
     nf = graph.node_features[nodes] if graph.node_features is not None else None
-    ef = graph.edge_features[keep] if graph.edge_features is not None else None
-    return Graph(len(nodes), edges[keep], node_features=nf, edge_features=ef)
+    return Graph(len(nodes), edges[keep], node_features=nf)
 
 
 def node_drop(graph: Graph, p: float, rng) -> Graph:
@@ -68,9 +66,7 @@ def node_drop(graph: Graph, p: float, rng) -> Graph:
 def edge_drop(graph: Graph, p: float, rng) -> Graph:
     """Remove each edge independently with probability p; nodes unchanged."""
     keep = rng.random(graph.num_edges) >= p
-    ef = graph.edge_features[keep] if graph.edge_features is not None else None
-    return Graph(graph.num_nodes, graph.edges[keep],
-                 node_features=graph.node_features, edge_features=ef)
+    return Graph(graph.num_nodes, graph.edges[keep], node_features=graph.node_features)
 
 
 def subgraph_walk(graph: Graph, length: int, rng) -> Graph:
@@ -97,8 +93,7 @@ def attribute_mask(graph: Graph, p: float, rng) -> Graph:
         raise FeatureMismatchError("attribute_mask needs node features")
     masked = graph.node_features.copy()
     masked[rng.random(graph.num_nodes) < p] = 0.0
-    return Graph(graph.num_nodes, graph.edges, node_features=masked,
-                 edge_features=graph.edge_features)
+    return Graph(graph.num_nodes, graph.edges, node_features=masked)
 
 
 AUGMENTATION_KINDS = ("node_drop", "edge_drop", "subgraph", "attribute_mask")
@@ -175,8 +170,8 @@ def nt_xent(z1: np.ndarray, z2: np.ndarray, tau: float = 0.2):
     n = z1.shape[0]
     if n < 2:
         raise DegenerateBatchError("contrastive loss needs at least 2 pairs")
-    if tau <= 0:
-        raise ValueError("tau must be > 0")
+    if not (np.isfinite(tau) and tau > 0):
+        raise ValueError(f"tau must be finite and > 0, got {tau}")
 
     z = np.vstack([z1, z2])
     norms = np.maximum(np.linalg.norm(z, axis=1, keepdims=True), 1e-12)
@@ -331,10 +326,10 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2")
-        if self.lr <= 0:
-            raise ValueError("lr must be > 0")
-        if self.tau <= 0:
-            raise ValueError("tau must be > 0")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+        if not (np.isfinite(self.tau) and self.tau > 0):
+            raise ValueError(f"tau must be finite and > 0, got {self.tau}")
 
 
 def variant_no_lipschitz(config: TrainConfig) -> TrainConfig:
@@ -382,8 +377,7 @@ def attach_features(graphs, encoder_config: EncoderConfig):
         except FeatureMismatchError as exc:
             raise FeatureMismatchError(f"graph {i}: {exc}") from exc
         if feats is not g.node_features:
-            g = Graph(g.num_nodes, g.edges, node_features=feats,
-                      edge_features=g.edge_features)
+            g = Graph(g.num_nodes, g.edges, node_features=feats)
         out.append(g)
     return out
 

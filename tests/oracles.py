@@ -18,18 +18,17 @@ import scipy.stats
 from scipy.spatial.distance import cdist
 
 from ggeval.encoder import BN_EPS, BatchedGraphs, graph_features
-from ggeval.errors import EndpointOutOfRangeError, InvariantViolationError, SelfLoopError
+from ggeval.errors import EndpointOutOfRangeError, SelfLoopError
 from ggeval.features import ORBIT4_CLASSES
 from ggeval.graphs import Graph, adjacency
 from ggeval.metrics import f1_score, frechet_distance
 
 
-def canonical_edges_slow(num_nodes: int, edges, has_edge_features: bool = False):
-    """(canonical edge tuple, input row kept for each edge), one edge at a time.
+def canonical_edges_slow(num_nodes: int, edges):
+    """Canonical edge tuple, one edge at a time.
 
     Raises the library's error, with the library's message, at the first
-    self-loop or out-of-range endpoint in input order, then at the smallest
-    duplicated pair when edge features are present.
+    self-loop or out-of-range endpoint in input order.
     """
     raw = [(int(u), int(v)) for u, v in edges]
     for u, v in raw:
@@ -37,20 +36,11 @@ def canonical_edges_slow(num_nodes: int, edges, has_edge_features: bool = False)
             raise SelfLoopError(f"self-loop at node {u}")
         if not (0 <= u < num_nodes and 0 <= v < num_nodes):
             raise EndpointOutOfRangeError(f"edge ({u},{v}) outside [0,{num_nodes})")
-    normalized = [(min(u, v), max(u, v)) for u, v in raw]
-    order = sorted(range(len(normalized)), key=lambda i: normalized[i])
     canonical = []
-    kept = []
-    for i in order:
-        if canonical and canonical[-1] == normalized[i]:
-            if has_edge_features:
-                raise InvariantViolationError(
-                    f"duplicate edge {normalized[i]} with edge features present"
-                )
-            continue
-        canonical.append(normalized[i])
-        kept.append(i)
-    return tuple(canonical), kept
+    for pair in sorted((min(u, v), max(u, v)) for u, v in raw):
+        if not canonical or canonical[-1] != pair:
+            canonical.append(pair)
+    return tuple(canonical)
 
 
 def adjacency_slow(graph: Graph):
@@ -68,27 +58,17 @@ def induced_subgraph_slow(graph: Graph, nodes) -> Graph:
     """Induced subgraph through a relabel dict, edge by edge."""
     nodes = sorted(int(v) for v in nodes)
     relabel = {old: new for new, old in enumerate(nodes)}
-    keep_mask = []
-    edges = []
-    for u, v in graph.edges.tolist():
-        inside = u in relabel and v in relabel
-        keep_mask.append(inside)
-        if inside:
-            edges.append((relabel[u], relabel[v]))
+    edges = [(relabel[u], relabel[v]) for u, v in graph.edges.tolist()
+             if u in relabel and v in relabel]
     nf = graph.node_features[nodes] if graph.node_features is not None else None
-    ef = None
-    if graph.edge_features is not None:
-        ef = graph.edge_features[np.asarray(keep_mask, dtype=bool)]
-    return Graph(len(nodes), edges, node_features=nf, edge_features=ef)
+    return Graph(len(nodes), edges, node_features=nf)
 
 
 def edge_drop_slow(graph: Graph, p: float, rng) -> Graph:
     """Edge dropping over the edge tuples, with the library's RNG draws."""
     keep = rng.random(graph.num_edges) >= p
     edges = [e for e, k in zip(graph.edges.tolist(), keep) if k]
-    ef = graph.edge_features[keep] if graph.edge_features is not None else None
-    return Graph(graph.num_nodes, edges, node_features=graph.node_features,
-                 edge_features=ef)
+    return Graph(graph.num_nodes, edges, node_features=graph.node_features)
 
 
 def subgraph_walk_slow(graph: Graph, length: int, rng) -> Graph:

@@ -371,11 +371,13 @@ def test_malformed_config_file_is_usage_error(tmp_path, capsys, raw):
 # name -> (arguments after the workspace paths, config file text or None)
 OUT_OF_RANGE_OPTIONS = {
     "train epochs 0": (["train", "--epochs", "0"], None),
+    "train lr nan": (["train", "--lr", "nan"], None),
     "train config features": (["train"], "[train]\nfeatures = bogus\n"),
     "benchmark step 0.3": (["benchmark", "--step", "0.3"], None),
     "benchmark step 0": (["benchmark", "--step", "0"], None),
     "benchmark k 0": (["benchmark", "--k", "0"], None),
     "reproduce layers 0": (["reproduce", "--layers", "0"], None),
+    "reproduce step 0.3": (["reproduce", "--step", "0.3"], None),
     "benchmark seeds 0": (["benchmark", "--seeds", "0"], None),
     "reproduce seeds 0": (["reproduce", "--seeds", "0"], None),
     "generate count 0": (["generate", "--count", "0"], None),

@@ -20,34 +20,29 @@ raw_edges = st.lists(st.tuples(st.integers(-2, 13), st.integers(-2, 13)), max_si
 
 @st.composite
 def featured_graphs(draw):
-    """A valid graph with node features and (sometimes) edge features."""
+    """A valid graph with node features."""
     n = draw(st.integers(1, 14))
     pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                           max_size=40))
     edges = sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v})
     rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
-    ef = rng.normal(size=(len(edges), 2)) if draw(st.booleans()) else None
-    return Graph(n, edges, node_features=rng.normal(size=(n, 3)), edge_features=ef)
+    return Graph(n, edges, node_features=rng.normal(size=(n, 3)))
 
 
 @settings(max_examples=300, deadline=None)
-@given(n=st.integers(0, 12), pairs=raw_edges, with_features=st.booleans())
-def test_canonicalization_matches_oracle(n, pairs, with_features):
-    # row i of the edge features is [i], so the kept rows name their inputs
-    ef = np.arange(len(pairs), dtype=np.float64).reshape(-1, 1) if with_features else None
+@given(n=st.integers(0, 12), pairs=raw_edges)
+def test_canonicalization_matches_oracle(n, pairs):
     try:
-        edges, kept = oracles.canonical_edges_slow(n, pairs, with_features)
+        edges = oracles.canonical_edges_slow(n, pairs)
     except GGEvalError as exc:
         for given_edges in (pairs, np.asarray(pairs, dtype=np.int64).reshape(-1, 2)):
             with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
-                Graph(n, given_edges, edge_features=ef)
+                Graph(n, given_edges)
         return
     for given_edges in (pairs, np.asarray(pairs, dtype=np.int64).reshape(-1, 2)):
-        g = Graph(n, given_edges, edge_features=ef)
+        g = Graph(n, given_edges)
         assert g.edges.tolist() == [list(e) for e in edges]
         assert g.num_edges == len(edges)
-        if with_features:
-            assert g.edge_features[:, 0].tolist() == [float(i) for i in kept]
 
 
 @settings(max_examples=100, deadline=None)
@@ -86,14 +81,11 @@ def test_graph_does_not_alias_caller_arrays():
     edges = np.array([[0, 1], [1, 2]], dtype=np.int64)  # already canonical
     nf = np.zeros((3, 2))
     nf_view = nf[:]
-    ef = np.array([[1.0], [2.0]])
-    g = Graph(3, edges, node_features=nf, edge_features=ef)
+    g = Graph(3, edges, node_features=nf)
     edges[0] = (0, 2)
     nf_view[0, 0] = 5.0
-    ef[1, 0] = 7.0
     assert g.edges.tolist() == [[0, 1], [1, 2]]
     assert g.node_features[0, 0] == 0.0
-    assert g.edge_features[:, 0].tolist() == [1.0, 2.0]
     assert not g.edges.flags.writeable
 
 

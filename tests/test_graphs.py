@@ -60,22 +60,6 @@ def test_node_feature_validation():
         Graph(2, node_features=[1.0, 2.0])  # not 2-D
 
 
-def test_edge_features_follow_canonical_order():
-    g = Graph(
-        4,
-        edges=[(3, 2), (1, 0)],
-        edge_features=[[10.0], [20.0]],
-    )
-    assert g.edges.tolist() == [[0, 1], [2, 3]]
-    assert g.edge_features[:, 0].tolist() == [20.0, 10.0]
-
-
-def test_duplicate_edge_with_features_rejected():
-    Graph(3, edges=[(0, 1), (1, 0)])  # silently deduplicated without features
-    with pytest.raises(InvariantViolationError):
-        Graph(3, edges=[(0, 1), (1, 0)], edge_features=[[1.0], [2.0]])
-
-
 def test_features_are_readonly():
     g = Graph(2, node_features=[[1.0], [2.0]])
     with pytest.raises(ValueError):
@@ -125,12 +109,7 @@ def test_jsonl_round_trip_exact(tmp_path):
     rng = np.random.default_rng(0)
     graphs = [
         Graph(3, edges=[(0, 1)], node_features=rng.normal(size=(3, 2))),
-        Graph(
-            4,
-            edges=[(0, 1), (2, 3)],
-            node_features=rng.normal(size=(4, 1)),
-            edge_features=rng.normal(size=(2, 3)),
-        ),
+        Graph(4, edges=[(0, 1), (2, 3)], node_features=rng.normal(size=(4, 1))),
         Graph(1),
     ]
     gs = GraphSet("trip", tuple(graphs))
@@ -141,6 +120,17 @@ def test_jsonl_round_trip_exact(tmp_path):
     assert len(back) == 3
     for orig, loaded in zip(gs, back):
         assert loaded == orig  # includes bit-exact feature comparison
+    assert [list(json.loads(line)) for line in path.read_text().splitlines()] == [
+        ["n", "edges", "x"]] * 3
+
+    # files written before edge features were removed hold "e": null
+    old = tmp_path / "old.jsonl"
+    old.write_text('{"n": 3, "edges": [[1, 0]], "x": [[0.5], [1.5], [2.5]], "e": null}\n')
+    loaded = load_graphs(old)
+    assert loaded[0] == Graph(3, edges=[(0, 1)], node_features=[[0.5], [1.5], [2.5]])
+    save_graphs(loaded, old)
+    assert json.loads(old.read_text()) == {
+        "n": 3, "edges": [[0, 1]], "x": [[0.5], [1.5], [2.5]]}
 
 
 def test_load_name_override(tmp_path):
@@ -172,7 +162,10 @@ MALFORMED_FEATURES = {
     "ragged x": b'{"n": 2, "edges": [[0, 1]], "x": [[1.0], [2.0, 3.0]]}',
     "non-numeric x": b'{"n": 2, "edges": [[0, 1]], "x": "ab"}',
     "object x": b'{"n": 2, "edges": [[0, 1]], "x": {"a": 1}}',
-    "ragged e": b'{"n": 3, "edges": [[0, 1], [1, 2]], "e": [[1.0], [2.0, 3.0]]}',
+    # graphs carry no edge features; only a null "e" from older files loads
+    "non-null e": b'{"n": 3, "edges": [[0, 1], [1, 2]], "e": [[1.0], [2.0]]}',
+    # a misspelled key is not dropped in silence
+    "unknown key X": b'{"n": 2, "edges": [[0, 1]], "X": [[1.0], [2.0]]}',
 }
 
 
@@ -180,7 +173,8 @@ MALFORMED_FEATURES = {
 def test_malformed_features_are_parse_errors(tmp_path, case):
     path = tmp_path / "bad.jsonl"
     path.write_bytes(MALFORMED_FEATURES[case] + b"\n")
-    with pytest.raises(ParseError, match="^record 1: "):
+    key = case.split()[-1]  # each case's name ends with the key it breaks
+    with pytest.raises(ParseError, match=f"^record 1: .*'{key}'"):
         load_graphs(path)
 
 

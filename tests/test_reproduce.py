@@ -78,6 +78,14 @@ def test_config_validation():
         ReproduceConfig(node_range=(10, 4))
     with pytest.raises(ValueError, match="seeds is empty"):
         ReproduceConfig(seeds=())
+    with pytest.raises(ValueError, match="does not evenly divide"):
+        ReproduceConfig(step=0.3)
+    with pytest.raises(ValueError, match="num_clusters"):
+        ReproduceConfig(num_clusters=0)
+    with pytest.raises(ValueError, match="num_clusters"):
+        ReproduceConfig(kind="mode_drop", num_clusters=500)
+    # mix_random never clusters, so a small dataset keeps the default count
+    ReproduceConfig(dataset_count=6)
 
 
 def test_config_plumbs_variants():

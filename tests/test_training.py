@@ -223,8 +223,9 @@ def test_nt_xent_validation():
         nt_xent(z, z)
     with pytest.raises(DegenerateBatchError):
         nt_xent(np.ones((3, 4)), np.ones((2, 4)))
-    with pytest.raises(ValueError):
-        nt_xent(np.ones((2, 4)), np.ones((2, 4)), tau=0.0)
+    for tau in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tau must be finite and > 0"):
+            nt_xent(np.ones((2, 4)), np.ones((2, 4)), tau=tau)
 
 
 # -------------------------------------------------------------- optimizer
@@ -333,6 +334,11 @@ def test_train_config_validation():
         TrainConfig(tau=-0.5)
     with pytest.raises(ValueError):
         TrainConfig(lr=0.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="lr must be finite"):
+            TrainConfig(lr=bad)
+        with pytest.raises(ValueError, match="tau must be finite"):
+            TrainConfig(tau=bad)
 
 
 def test_variants():
