@@ -25,9 +25,7 @@ _EXPORTS = {
     "clustering": "features",
     "orbit_census_4": "features",
     "OrbitCensus": "features",
-    "wl_refine": "features",
     "wl_first_separation": "features",
-    "wl_subtree_kernel": "features",
     "wl_kernel_gram": "features",
     "structural_features": "features",
     "gen_er": "generators",
@@ -41,8 +39,6 @@ _EXPORTS = {
     "EncoderParams": "encoder",
     "init_random": "encoder",
     "spectral_norm": "encoder",
-    "project_lipschitz": "encoder",
-    "forward": "encoder",
     "embed_set": "encoder",
     "embed_union": "encoder",
     "save_params": "encoder",

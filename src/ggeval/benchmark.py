@@ -27,7 +27,6 @@ from .metrics import METRIC_NAMES, REPORT_FIELDS, MetricSettings, evaluate
 FLIP_METRICS = frozenset(
     {"precision", "recall", "density", "coverage", "f1_pr", "f1_dc"}
 )
-KEEP_METRICS = frozenset({"fd", "mmd_linear", "mmd_rbf"})
 
 
 def _round_half_up(x: float) -> int:

@@ -38,7 +38,7 @@ class EncoderConfig:
     lipschitz_bound: float = 1.0
     feature_config: str = "none"
     mlp_depth: int = 2
-    input_dim: int | None = None  # required iff feature_config == "provided"
+    input_dim: int | None = None  # set iff feature_config == "provided"
 
     def __post_init__(self):
         for name in ("num_layers", "hidden", "mlp_depth", "input_dim"):
@@ -55,8 +55,8 @@ class EncoderConfig:
             raise ValueError("mlp_depth must be >= 1")
         if self.feature_config not in ENCODER_FEATURE_CONFIGS:
             raise ValueError(f"unknown feature_config {self.feature_config!r}")
-        if self.feature_config == "provided" and self.input_dim is None:
-            raise ValueError("feature_config 'provided' requires input_dim")
+        if (self.feature_config == "provided") != (self.input_dim is not None):
+            raise ValueError("input_dim is set iff feature_config is 'provided'")
         if self.input_dim is not None and self.input_dim < 1:
             raise ValueError("input_dim must be >= 1")
 
@@ -85,12 +85,6 @@ class EncoderParams:
     def weight_matrices(self):
         """(name, matrix) pairs for the linear weights, layer order."""
         return [(name, w) for name, w in sorted(self.weights.items()) if name.endswith(".W")]
-
-    def copy(self) -> "EncoderParams":
-        return EncoderParams(
-            config=self.config,
-            weights={k: v.copy() for k, v in self.weights.items()},
-        )
 
 
 def orthogonal_matrix(rng, rows: int, cols: int) -> np.ndarray:
@@ -146,35 +140,19 @@ def spectral_norm(matrix: np.ndarray) -> float:
     return float(np.linalg.svd(w, compute_uv=False)[0])
 
 
-def project_lipschitz_inplace(params: EncoderParams, lam: float | None = None) -> None:
-    """Scale every linear weight whose spectral norm exceeds lam down to lam.
+def project_lipschitz_inplace(params: EncoderParams) -> None:
+    """Scale every linear weight whose spectral norm exceeds the config's
+    lipschitz_bound down to that bound.
 
     Replaces the offending matrices in params.weights. Matrices already
     inside the ball are untouched; biases and normalization parameters
     are never modified.
     """
-    if lam is None:
-        lam = params.config.lipschitz_bound
-    if not lam > 0:
-        raise ValueError("lipschitz bound must be > 0")
+    lam = params.config.lipschitz_bound
     for name, w in params.weight_matrices():
         sigma = spectral_norm(w)
         if sigma > lam:
             params.weights[name] = w * (lam / sigma)
-
-
-def project_lipschitz(params: EncoderParams, lam: float | None = None) -> EncoderParams:
-    """Copy of params with project_lipschitz_inplace applied.
-
-    Idempotent up to rounding: oversized matrices are scaled to norm lam.
-    """
-    out = params.copy()
-    project_lipschitz_inplace(out, lam)
-    return out
-
-
-def max_weight_spectral_norm(params: EncoderParams) -> float:
-    return max(spectral_norm(w) for _, w in params.weight_matrices())
 
 
 @dataclass
@@ -184,11 +162,6 @@ class BatchedGraphs:
     features: np.ndarray       # (total_nodes, d_in)
     agg: sp.csr_matrix         # A + I over the packed nodes
     pool: sp.csr_matrix        # (num_graphs, total_nodes) sum-pooling
-    sizes: np.ndarray
-
-    @property
-    def num_graphs(self) -> int:
-        return self.pool.shape[0]
 
 
 def graph_features(graph: Graph, config: EncoderConfig) -> np.ndarray:
@@ -236,7 +209,7 @@ def pack_graphs(graphs, config: EncoderConfig) -> BatchedGraphs:
     del edges  # not held through the CSR conversion, where memory peaks
     agg = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(total, total))
     pool = sp.csr_matrix((np.ones(total), diag, offsets), shape=(len(graphs), total))
-    return BatchedGraphs(features=x, agg=agg, pool=pool, sizes=sizes)
+    return BatchedGraphs(features=x, agg=agg, pool=pool)
 
 
 def forward_batch(params: EncoderParams, batch: BatchedGraphs,
@@ -309,11 +282,6 @@ def embed_union(params: EncoderParams, set_a, set_b):
     graphs_a, graphs_b = list(set_a), list(set_b)
     emb = embed_set(params, graphs_a + graphs_b)
     return emb[: len(graphs_a)], emb[len(graphs_a):]
-
-
-def forward(params: EncoderParams, graph: Graph) -> np.ndarray:
-    """Embedding vector of a single graph."""
-    return embed_set(params, [graph])[0]
 
 
 CHECKPOINT_VERSION = 2

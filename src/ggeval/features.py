@@ -1,5 +1,6 @@
 """Local graph statistics: degrees, triangle and square clustering, 4-node
-orbit census, Weisfeiler-Lehman color refinement, and the WL subtree kernel.
+orbit census, and Weisfeiler-Lehman color refinement with its subtree-kernel
+Gram matrix.
 
 These are the "traditional" descriptors used three ways: as encoder input
 features, as baselines in benchmarks, and as the local-metric side of the
@@ -86,12 +87,6 @@ class OrbitCensus:
         """Read-only mapping of class letter -> count."""
         return MappingProxyType(dict(zip(ORBIT4_CLASSES, self.class_counts)))
 
-    def total(self) -> int:
-        return sum(self.class_counts)
-
-    def as_vector(self) -> np.ndarray:
-        return np.array(self.class_counts, dtype=np.int64)
-
 
 def degrees(graph: Graph) -> np.ndarray:
     """Per-node degrees; sums to 2|E|."""
@@ -163,15 +158,6 @@ def orbit_census_4(graph: Graph) -> OrbitCensus:
     return OrbitCensus(tuple(hist.tolist()))
 
 
-@dataclass(frozen=True)
-class WLColoring:
-    """Result of iterated color refinement on one graph."""
-
-    iteration: int
-    colors: tuple
-    histogram: dict
-
-
 def _joint_refinement(graphs, max_iter):
     """Run WL refinement jointly over several graphs with a shared palette.
 
@@ -210,17 +196,6 @@ def _joint_refinement(graphs, max_iter):
         num_classes = len(palette)
 
 
-def wl_refine(graph: Graph, max_iter: int) -> WLColoring:
-    """Refine node colors up to max_iter rounds, stopping at a fixed point."""
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    last = None
-    for it, per_graph in _joint_refinement([graph], max_iter):
-        colors = per_graph[0]
-        last = WLColoring(iteration=it, colors=tuple(colors), histogram=dict(Counter(colors)))
-    return last
-
-
 def wl_first_separation(graph_a: Graph, graph_b: Graph, max_iter: int):
     """(separated, first iteration at which histograms differ or None)."""
     if max_iter < 1:
@@ -232,11 +207,6 @@ def wl_first_separation(graph_a: Graph, graph_b: Graph, max_iter: int):
 
 
 WL_KERNEL_DEPTH_DEFAULT = 3
-
-
-def wl_subtree_kernel(graph_a: Graph, graph_b: Graph, h: int = WL_KERNEL_DEPTH_DEFAULT) -> float:
-    """Sum over iterations 0..h of color-histogram dot products."""
-    return float(wl_kernel_gram([graph_a, graph_b], h)[0, 1])
 
 
 def wl_kernel_gram(graphs, h: int = WL_KERNEL_DEPTH_DEFAULT) -> np.ndarray:

@@ -209,8 +209,12 @@ def _graph_from_record(record: dict, index: int) -> Graph:
     try:
         return Graph(n, edges, node_features=record.get("x"))
     except (TypeError, ValueError) as exc:
-        # the edges are checked above: this is the float conversion of x
+        # the edge entries are checked above: this is the float conversion of x
         raise ParseError(f"'x' must be a numeric matrix ({exc})", record=index) from exc
+    except InvariantViolationError as exc:
+        # the Graph's own checks: a negative n, a self-loop or out-of-range
+        # edge, or an x with the wrong shape or non-finite values
+        raise ParseError(str(exc), record=index) from exc
 
 
 def save_graphs(graph_set: GraphSet, path) -> None:

@@ -86,6 +86,10 @@ class ReproduceConfig:
             raise ValueError("node_range must satisfy 2 <= lo <= hi")
         if lo % 2 and lo == hi:
             raise ValueError("node_range must hold an even node count")
+        # the configs handed on check their own fields: fail here, before
+        # any dataset is built, rather than at the first seed's training
+        self.encoder_config()
+        self.train_config(self.seeds[0])
 
     def encoder_config(self) -> EncoderConfig:
         return EncoderConfig(num_layers=self.num_layers, hidden=self.hidden,

@@ -87,16 +87,7 @@ def subgraph_walk(graph: Graph, length: int, rng) -> Graph:
     return induced_subgraph(graph, visited)
 
 
-def attribute_mask(graph: Graph, p: float, rng) -> Graph:
-    """Zero each node feature row independently with probability p."""
-    if graph.node_features is None:
-        raise FeatureMismatchError("attribute_mask needs node features")
-    masked = graph.node_features.copy()
-    masked[rng.random(graph.num_nodes) < p] = 0.0
-    return Graph(graph.num_nodes, graph.edges, node_features=masked)
-
-
-AUGMENTATION_KINDS = ("node_drop", "edge_drop", "subgraph", "attribute_mask")
+AUGMENTATION_KINDS = ("node_drop", "edge_drop", "subgraph")
 
 
 @dataclass(frozen=True)
@@ -104,9 +95,7 @@ class AugmentationConfig:
     node_drop_p: float = 0.1
     edge_drop_p: float = 0.1
     walk_length: int = 10
-    attribute_mask_p: float = 0.1
-    # attribute masking is implemented but not part of the default pool
-    enabled: tuple = ("node_drop", "edge_drop", "subgraph")
+    enabled: tuple = AUGMENTATION_KINDS
 
     def __post_init__(self):
         for kind in self.enabled:
@@ -114,7 +103,7 @@ class AugmentationConfig:
                 raise ValueError(f"unknown augmentation {kind!r}")
         if not self.enabled:
             raise ValueError("at least one augmentation must be enabled")
-        for name in ("node_drop_p", "edge_drop_p", "attribute_mask_p"):
+        for name in ("node_drop_p", "edge_drop_p"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
@@ -129,8 +118,6 @@ def apply_augmentation(graph: Graph, kind: str, config: AugmentationConfig, rng)
         return edge_drop(graph, config.edge_drop_p, rng)
     if kind == "subgraph":
         return subgraph_walk(graph, config.walk_length, rng)
-    if kind == "attribute_mask":
-        return attribute_mask(graph, config.attribute_mask_p, rng)
     raise ValueError(f"unknown augmentation {kind!r}")
 
 

@@ -234,6 +234,11 @@ def spectral_norm_svd(matrix: np.ndarray) -> float:
     return float(np.linalg.svd(matrix, compute_uv=False)[0])
 
 
+def max_spectral_norm(params) -> float:
+    """Largest spectral norm over an encoder's linear weights."""
+    return max(spectral_norm_svd(w) for _, w in params.weight_matrices())
+
+
 def frechet_distance_slow(real: np.ndarray, gen: np.ndarray) -> float:
     """Gaussian Frechet distance via scipy's matrix square root."""
     mu_r = real.mean(axis=0)
@@ -297,8 +302,6 @@ def _kernel_value(x, y, kernel, sigma):
     if kernel == "rbf":
         d2 = float(np.sum((x - y) ** 2))
         return float(np.exp(-d2 / (2.0 * sigma**2)))
-    if kernel == "poly":
-        return float((x @ y + 1.0) ** 3)
     raise ValueError(kernel)
 
 
@@ -411,7 +414,7 @@ def pack_graphs_slow(graphs, config) -> BatchedGraphs:
     pool = sp.csr_matrix(
         (np.ones(total), (gidx, np.arange(total))), shape=(len(graphs), total)
     )
-    return BatchedGraphs(features=x, agg=agg, pool=pool, sizes=sizes)
+    return BatchedGraphs(features=x, agg=agg, pool=pool)
 
 
 def forward_batch_slow(params, batch, collect_cache=False):
@@ -503,11 +506,7 @@ def mmd_pooled(real, gen, kernel="rbf", unbiased=True, sigma=None) -> float:
             k_rr, k_gg, k_rg = (np.exp(-block / (2.0 * sigma * sigma))
                                 for block in (sq[:m, :m], sq[m:, m:], sq[:m, m:]))
     else:
-        pairs = ((real, real), (gen, gen), (real, gen))
-        if kernel == "linear":
-            k_rr, k_gg, k_rg = (a @ b.T for a, b in pairs)
-        else:
-            k_rr, k_gg, k_rg = ((a @ b.T + 1.0) ** 3 for a, b in pairs)
+        k_rr, k_gg, k_rg = real @ real.T, gen @ gen.T, real @ gen.T
     n = len(gen)
     if unbiased:
         term_r = (k_rr.sum() - np.trace(k_rr)) / (m * (m - 1))

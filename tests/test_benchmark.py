@@ -10,7 +10,6 @@ from ggeval.benchmark import (
     DEFAULT_NUM_CLUSTERS,
     DEFAULT_RATIO_STEP,
     FLIP_METRICS,
-    KEEP_METRICS,
     PERTURBATION_KINDS,
     _rewire_graph,
     _round_half_up,
@@ -77,8 +76,9 @@ def test_mode_grid():
 
 
 def test_orientation_partition():
-    assert FLIP_METRICS | KEEP_METRICS == set(METRIC_NAMES)
-    assert not FLIP_METRICS & KEEP_METRICS
+    # the distances keep their sign; every other metric is flipped
+    assert set(METRIC_NAMES) - FLIP_METRICS == {"fd", "mmd_linear", "mmd_rbf"}
+    assert FLIP_METRICS <= set(METRIC_NAMES)
 
 
 # ----------------------------------------------------------- mix random

@@ -10,13 +10,11 @@ from ggeval.encoder import (
     EncoderConfig,
     embed_set,
     embed_union,
-    forward,
     init_random,
     load_params,
-    max_weight_spectral_norm,
     orthogonal_matrix,
     pack_graphs,
-    project_lipschitz,
+    project_lipschitz_inplace,
     save_params,
     spectral_norm,
     weight_count,
@@ -50,11 +48,15 @@ def test_config_validation():
     with pytest.raises(ValueError):
         EncoderConfig(lipschitz_bound=0.0)
     with pytest.raises(ValueError):
+        EncoderConfig(lipschitz_bound=float("nan"))
+    with pytest.raises(ValueError):
         EncoderConfig(feature_config="nope")
     with pytest.raises(ValueError):
         EncoderConfig(feature_config="provided")  # needs input_dim
     with pytest.raises(ValueError):
         EncoderConfig(feature_config="provided", input_dim=0)
+    with pytest.raises(ValueError, match="input_dim"):
+        EncoderConfig(input_dim=3)  # would be ignored: feature_config is "none"
     for field in ("num_layers", "hidden", "mlp_depth", "input_dim"):
         with pytest.raises(TypeError, match=field):
             EncoderConfig(**{field: 2.0})
@@ -139,16 +141,16 @@ def test_spectral_norm_validation():
 
 def test_projection_scales_only_oversized_weights():
     params = init_random(CFG, seed=1)
-    params.weights["l0.m0.W"] = params.weights["l0.m0.W"] * 4.0
+    params.weights["l0.m0.W"] = big = params.weights["l0.m0.W"] * 4.0
     params.weights["l1.m0.W"] = params.weights["l1.m0.W"] * 0.5
     before_small = params.weights["l1.m0.W"].copy()
     before_bias = params.weights["l0.m0.b"].copy()
-    projected = project_lipschitz(params)
-    assert spectral_norm(projected.weights["l0.m0.W"]) == pytest.approx(1.0, abs=1e-9)
-    np.testing.assert_array_equal(projected.weights["l1.m0.W"], before_small)
-    np.testing.assert_array_equal(projected.weights["l0.m0.b"], before_bias)
-    # input unchanged: projection is pure
-    assert spectral_norm(params.weights["l0.m0.W"]) == pytest.approx(4.0, abs=1e-6)
+    project_lipschitz_inplace(params)
+    assert spectral_norm(params.weights["l0.m0.W"]) == pytest.approx(1.0, abs=1e-9)
+    np.testing.assert_array_equal(params.weights["l1.m0.W"], before_small)
+    np.testing.assert_array_equal(params.weights["l0.m0.b"], before_bias)
+    # an oversized matrix is replaced, not written into
+    assert spectral_norm(big) == pytest.approx(4.0, abs=1e-6)
 
 
 def test_projection_idempotent():
@@ -156,26 +158,24 @@ def test_projection_idempotent():
     for name in params.weights:
         if name.endswith(".W"):
             params.weights[name] = params.weights[name] * 3.0
-    once = project_lipschitz(params)
-    twice = project_lipschitz(once)
-    for name in once.weights:
-        np.testing.assert_allclose(twice.weights[name], once.weights[name],
-                                   rtol=0, atol=1e-12)
-    assert max_weight_spectral_norm(once) <= 1.0 + 1e-6
+    project_lipschitz_inplace(params)
+    once = dict(params.weights)
+    project_lipschitz_inplace(params)
+    for name in once:
+        np.testing.assert_allclose(params.weights[name], once[name], rtol=0, atol=1e-12)
+    assert oracles.max_spectral_norm(params) <= 1.0 + 1e-6
 
 
 def test_projection_custom_bound():
-    params = init_random(CFG, seed=3)
-    projected = project_lipschitz(params, lam=0.25)
-    assert max_weight_spectral_norm(projected) <= 0.25 + 1e-9
-    with pytest.raises(ValueError):
-        project_lipschitz(params, lam=-1.0)
+    params = init_random(dataclasses.replace(CFG, lipschitz_bound=0.25), seed=3)
+    project_lipschitz_inplace(params)
+    assert oracles.max_spectral_norm(params) <= 0.25 + 1e-9
 
 
 def test_forward_single_node_graph():
     cfg = EncoderConfig(num_layers=2, hidden=4, feature_config="none")
     params = init_random(cfg, seed=0)
-    emb = forward(params, Graph(1))
+    emb = embed_set(params, [Graph(1)])[0]
     assert emb.shape == (cfg.embedding_dim,)
     assert np.all(np.isfinite(emb))
 
@@ -184,11 +184,11 @@ def test_permutation_invariance():
     cfg = EncoderConfig(num_layers=3, hidden=8, feature_config="degree")
     params = init_random(cfg, seed=0)
     g = gen_community(20, rng=substream(0))
-    base = forward(params, g)
+    base = embed_set(params, [g])[0]
     rng = substream(1)
     for _ in range(50):
         perm = rng.permutation(g.num_nodes)
-        emb = forward(params, relabel(g, perm))
+        emb = embed_set(params, [relabel(g, perm)])[0]
         np.testing.assert_allclose(emb, base, rtol=0, atol=1e-9)
 
 
@@ -196,7 +196,7 @@ def test_isomorphic_graphs_equal_embeddings():
     params = init_random(CFG, seed=4)
     a = Graph(4, edges=[(0, 1), (1, 2), (2, 3)])
     b = Graph(4, edges=[(3, 2), (2, 1), (1, 0)])
-    np.testing.assert_array_equal(forward(params, a), forward(params, b))
+    np.testing.assert_array_equal(embed_set(params, [a])[0], embed_set(params, [b])[0])
 
 
 @pytest.mark.parametrize("feature_config", ["none", "degree"])
@@ -271,9 +271,9 @@ def test_provided_features_used():
 def test_pack_graphs_batch_layout():
     cfg = EncoderConfig(feature_config="degree")
     batch = pack_graphs([Graph(2, edges=[(0, 1)]), Graph(3)], cfg)
-    assert batch.num_graphs == 2
     assert batch.features.shape == (5, 2)
-    assert batch.sizes.tolist() == [2, 3]
+    # one pooling row per graph, holding that graph's nodes
+    assert np.diff(batch.pool.indptr).tolist() == [2, 3]
 
 
 def test_bounded_sensitivity_under_edge_addition():
@@ -283,7 +283,8 @@ def test_bounded_sensitivity_under_edge_addition():
     rng = substream(0, 77)
     ratios = []
     for trial in range(100):
-        params = project_lipschitz(init_random(cfg, seed=trial))
+        params = init_random(cfg, seed=trial)
+        project_lipschitz_inplace(params)
         n = int(rng.integers(6, 16))
         g = oracles.random_graph(rng, n, 0.3)
         present = set(map(tuple, g.edges.tolist()))

@@ -16,8 +16,6 @@ from ggeval.features import (
     structural_features,
     wl_first_separation,
     wl_kernel_gram,
-    wl_refine,
-    wl_subtree_kernel,
 )
 from ggeval.generators import gen_cycle_pair, gen_grid
 from ggeval.graphs import Graph
@@ -77,16 +75,16 @@ def test_census_closed_forms():
     assert orbit_census_4(SQUARE).counts["c"] == 1
     census = orbit_census_4(Graph(4))
     assert census.counts["k"] == 1
-    assert census.total() == 1
+    assert sum(census.class_counts) == 1
     # 5-cycle: every 4-subset induces a 3-edge path
     five = Graph(5, edges=[(i, (i + 1) % 5) for i in range(5)])
     assert orbit_census_4(five).counts["j"] == 5
-    assert orbit_census_4(five).total() == 5
+    assert sum(orbit_census_4(five).class_counts) == 5
 
 
 def test_census_total_is_binomial():
     g = oracles.random_graph(np.random.default_rng(3), 9, 0.4)
-    assert orbit_census_4(g).total() == 9 * 8 * 7 * 6 // 24
+    assert sum(orbit_census_4(g).class_counts) == 9 * 8 * 7 * 6 // 24
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -101,8 +99,8 @@ def test_orbit_lut_matches_permutation_oracle():
 
 
 def test_census_small_graphs():
-    assert orbit_census_4(Graph(3, edges=[(0, 1)])).total() == 0
-    assert orbit_census_4(Graph(0)).total() == 0
+    assert sum(orbit_census_4(Graph(3, edges=[(0, 1)])).class_counts) == 0
+    assert sum(orbit_census_4(Graph(0)).class_counts) == 0
 
 
 def test_census_size_cap():
@@ -111,8 +109,7 @@ def test_census_size_cap():
 
 
 def test_census_vector_order():
-    vec = orbit_census_4(K4).as_vector()
-    assert vec.tolist() == [1 if c == "a" else 0 for c in ORBIT4_CLASSES]
+    assert list(orbit_census_4(K4).class_counts) == [int(c == "a") for c in ORBIT4_CLASSES]
 
 
 def test_census_equality_semantics():
@@ -126,22 +123,6 @@ def test_census_equality_semantics():
         a.counts["c"] = 5
     a.counts.copy()["c"] = 5
     assert a.counts["c"] == 1 and a == b
-
-
-def test_wl_refine_monotone_partition():
-    g = gen_grid(3, 4)
-    sizes = []
-    for it in range(1, 6):
-        coloring = wl_refine(g, it)
-        sizes.append(len(coloring.histogram))
-    assert sizes == sorted(sizes)  # refinement never coarsens
-
-
-def test_wl_refine_fixed_point_stops():
-    five = Graph(5, edges=[(i, (i + 1) % 5) for i in range(5)])
-    coloring = wl_refine(five, 10)
-    assert coloring.iteration < 10  # regular graph stabilizes immediately
-    assert len(coloring.histogram) == 1
 
 
 def test_wl_distinguish_basic():
@@ -168,15 +149,14 @@ def test_wl_separates_bridged_cycle_pairs():
 def test_wl_kernel_symmetry_and_self():
     a = gen_grid(2, 3)
     b = Graph(6, edges=[(i, (i + 1) % 6) for i in range(6)])
-    assert wl_subtree_kernel(a, b) == wl_subtree_kernel(b, a)
-    assert wl_subtree_kernel(a, a) > 0
+    # the joint palette does not depend on the order of the graphs
+    assert wl_kernel_gram([a, b])[0, 1] == wl_kernel_gram([b, a])[0, 1]
+    assert wl_kernel_gram([a])[0, 0] > 0
 
 
 def test_wl_kernel_negative_depth_rejected():
     with pytest.raises(ValueError, match="h must be >= 0"):
         wl_kernel_gram([TRIANGLE, PATH3], -1)
-    with pytest.raises(ValueError, match="h must be >= 0"):
-        wl_subtree_kernel(TRIANGLE, PATH3, -1)
 
 
 def test_wl_kernel_gram_psd_and_consistent():
@@ -198,10 +178,15 @@ def test_wl_kernel_gram_cauchy_schwarz():
 def test_wl_kernel_hand_checked_values():
     # degree colors only match at round 0 for triangle vs P3 (3 x 1); a
     # triangle is 3 same-colored nodes in every round (4 x 9); P3 keeps
-    # 2 ends and 1 middle (4 x (4 + 1))
-    for a, b, k in ((TRIANGLE, PATH3, 3), (TRIANGLE, TRIANGLE, 36), (PATH3, PATH3, 20)):
-        assert wl_subtree_kernel(a, b, 3) == k
-        assert oracles.wl_subtree_kernel_slow(a, b, 3) == k
+    # 2 ends and 1 middle (4 x (4 + 1)). C5 reaches its fixed point at
+    # round 1, so rounds past it keep counting 5 same-colored nodes
+    # (11 x 25)
+    five = Graph(5, edges=[(i, (i + 1) % 5) for i in range(5)])
+    cases = ((TRIANGLE, PATH3, 3, 3), (TRIANGLE, TRIANGLE, 3, 36), (PATH3, PATH3, 3, 20),
+             (five, five, 10, 275))
+    for a, b, h, k in cases:
+        assert wl_kernel_gram([a, b], h)[0, 1] == k
+        assert oracles.wl_subtree_kernel_slow(a, b, h) == k
 
 
 @st.composite
@@ -222,7 +207,6 @@ def test_wl_kernel_gram_matches_counter_oracle(graphs, h):
         for j, b in enumerate(graphs):
             expected = oracles.wl_subtree_kernel_slow(a, b, h)
             assert gram[i, j] == expected
-            assert wl_subtree_kernel(a, b, h) == expected
 
 
 def test_structural_feature_columns():

@@ -187,9 +187,12 @@ def test_non_utf8_file_is_parse_error(tmp_path):
 
 def test_parse_error_reports_record_index(tmp_path):
     path = tmp_path / "bad.jsonl"
-    path.write_text('{"n": 2, "edges": []}\nnot json\n')
-    with pytest.raises(ParseError, match="record 2"):
-        load_graphs(path)
+    # the last four break an invariant that the Graph constructor checks
+    for second in ('not json', '{"n": 3, "edges": [[0, 7]]}', '{"n": 3, "edges": [[1, 1]]}',
+                   '{"n": 3, "edges": [], "x": [[1.0]]}', '{"n": -1, "edges": []}'):
+        path.write_text('{"n": 2, "edges": []}\n' + second + '\n')
+        with pytest.raises(ParseError, match="^record 2: "):
+            load_graphs(path)
 
 
 def test_empty_file_rejected(tmp_path):

@@ -84,6 +84,10 @@ def test_config_validation():
         ReproduceConfig(num_clusters=0)
     with pytest.raises(ValueError, match="num_clusters"):
         ReproduceConfig(kind="mode_drop", num_clusters=500)
+    # fields handed on to EncoderConfig and TrainConfig fail at construction
+    for bad in ({"lr": float("nan")}, {"epochs": 0}, {"batch_size": 1}, {"hidden": 0}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            ReproduceConfig(**bad)
     # mix_random never clusters, so a small dataset keeps the default count
     ReproduceConfig(dataset_count=6)
 

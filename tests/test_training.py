@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ggeval.encoder import EncoderConfig, init_random, max_weight_spectral_norm
+from ggeval.encoder import EncoderConfig, init_random
 from ggeval.errors import DegenerateBatchError, FeatureMismatchError
 from ggeval.generators import gen_lobster, substream
 from ggeval.graphs import Graph, GraphSet
@@ -16,7 +16,6 @@ from ggeval.training import (
     TrainConfig,
     apply_augmentation,
     attach_features,
-    attribute_mask,
     augment,
     edge_drop,
     finite_difference_check,
@@ -108,15 +107,6 @@ def test_subgraph_walk_isolated_start():
     assert outs <= {1, 2}  # isolated start stops immediately
 
 
-def test_attribute_mask():
-    g = featured_graph(4)
-    masked = attribute_mask(g, 1.0, substream(0))
-    assert np.all(masked.node_features == 0.0)
-    np.testing.assert_array_equal(masked.edges, g.edges)
-    with pytest.raises(FeatureMismatchError):
-        attribute_mask(Graph(3), 0.5, substream(0))
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 10_000),
@@ -153,6 +143,8 @@ def test_augment_empty_view_falls_back_to_original():
 def test_augmentation_config_validation():
     with pytest.raises(ValueError):
         AugmentationConfig(enabled=("bogus",))
+    with pytest.raises(ValueError, match="attribute_mask"):
+        AugmentationConfig(enabled=("attribute_mask",))
     with pytest.raises(ValueError):
         AugmentationConfig(enabled=())
     with pytest.raises(ValueError):
@@ -307,7 +299,7 @@ def test_train_step_keeps_spectral_bound():
             for view in (0, 1)
         )
         train_step(params, head, views1, views2, 0.2, opt, lipschitz=True)
-        assert max_weight_spectral_norm(params) <= cfg.lipschitz_bound + 1e-6
+        assert oracles.max_spectral_norm(params) <= cfg.lipschitz_bound + 1e-6
 
 
 def test_train_without_projection_can_exceed_bound():
@@ -316,7 +308,7 @@ def test_train_without_projection_can_exceed_bound():
         small_cfg(),
         TrainConfig(epochs=8, batch_size=4, lr=0.05, seed=0, lipschitz_enabled=False),
     )
-    assert max_weight_spectral_norm(result.params) > 1.0 + 1e-6
+    assert oracles.max_spectral_norm(result.params) > 1.0 + 1e-6
 
 
 def test_train_single_graph_rejected():
