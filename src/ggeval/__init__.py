@@ -50,10 +50,8 @@ _EXPORTS = {
     "nt_xent": "training",
     "train_graphcl": "training",
     "MetricReport": "metrics",
-    "MetricSettings": "metrics",
     "frechet_distance": "metrics",
     "prdc": "metrics",
-    "mmd": "metrics",
     "f1_score": "metrics",
     "evaluate": "metrics",
     "BenchmarkCurve": "benchmark",

@@ -21,7 +21,7 @@ from .errors import AllClustersSelectedError
 from .features import wl_kernel_gram
 from .generators import gen_er, substream
 from .graphs import Graph, GraphSet, adjacency
-from .metrics import METRIC_NAMES, REPORT_FIELDS, MetricSettings, evaluate
+from .metrics import DEFAULT_KNN_K, METRIC_NAMES, REPORT_FIELDS, evaluate
 
 # metrics that decrease under growing perturbation get their sign flipped
 FLIP_METRICS = frozenset(
@@ -295,7 +295,7 @@ def oriented_rhos(ratios, reports):
     return rhos, flags
 
 
-def _sweep(reference, embed, kind, seed, ratios, labels, medoids, settings):
+def _sweep(reference, embed, kind, seed, ratios, labels, medoids, k):
     reports = []
     for i, r in enumerate(ratios):
         rng = substream(seed, 11, PERTURBATION_KINDS.index(kind), i)
@@ -308,7 +308,7 @@ def _sweep(reference, embed, kind, seed, ratios, labels, medoids, settings):
         else:
             perturbed = perturb_mode_drop(reference, r, rng, labels, medoids)
         h_ref, h_pert = embed(reference, perturbed)
-        reports.append(evaluate(h_ref, h_pert, settings))
+        reports.append(evaluate(h_ref, h_pert, k))
     rhos, flags = oriented_rhos(ratios, reports)
     return BenchmarkCurve(kind=kind, seed=seed, ratios=tuple(ratios),
                           reports=tuple(reports), rhos=rhos, zero_variance=flags)
@@ -317,12 +317,13 @@ def _sweep(reference, embed, kind, seed, ratios, labels, medoids, settings):
 def run_benchmark(reference: GraphSet, embed, kind: str, seeds=(0,),
                   step: float = DEFAULT_RATIO_STEP,
                   num_clusters: int = DEFAULT_NUM_CLUSTERS,
-                  settings: MetricSettings = MetricSettings()):
+                  k: int = DEFAULT_KNN_K):
     """One curve per seed for the given perturbation kind.
 
     embed is a callable (set_a, set_b) -> (H_a, H_b) producing embedding
     matrices on a common scale; the encoder's union embedding and any
-    baseline descriptor both fit this shape.
+    baseline descriptor both fit this shape. k is the PRDC neighborhood
+    size of every evaluate call.
 
     Clustering for the mode perturbations is deterministic, so it is
     computed once and shared across seeds; only the perturbation draws
@@ -332,6 +333,8 @@ def run_benchmark(reference: GraphSet, embed, kind: str, seeds=(0,),
         raise ValueError(f"unknown perturbation kind {kind!r}")
     if len(seeds) == 0:
         raise ValueError("seeds is empty; a benchmark needs at least one seed")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if kind in MODE_KINDS:
         labels, medoids = cluster_wl(reference, num_clusters)
         ratios = mode_grid(num_clusters, include_full=kind == "mode_collapse")
@@ -339,7 +342,7 @@ def run_benchmark(reference: GraphSet, embed, kind: str, seeds=(0,),
         labels = medoids = None
         ratios = ratio_grid(step)
     return tuple(
-        _sweep(reference, embed, kind, int(seed), ratios, labels, medoids, settings)
+        _sweep(reference, embed, kind, int(seed), ratios, labels, medoids, k)
         for seed in seeds
     )
 

@@ -184,11 +184,11 @@ def cmd_embed(ns) -> int:
 
 def cmd_evaluate(ns) -> int:
     from .graphs import atomic_write_text
-    from .metrics import MetricSettings, evaluate
+    from .metrics import evaluate
 
     ref = _read_matrix(_require(ns.ref, "--ref"))
     gen = _read_matrix(_require(ns.gen, "--gen"))
-    report = evaluate(ref, gen, MetricSettings(**_given(ns, "knn_k")))
+    report = evaluate(ref, gen, **_given(ns, "k"))
     payload = json.dumps(report.as_dict(), indent=2, sort_keys=True)
     if ns.out is None:
         print(payload)
@@ -207,7 +207,7 @@ def cmd_benchmark(ns) -> int:
                             curves_to_csv, rho_summary, run_benchmark)
     from .encoder import embed_union, load_params
     from .graphs import atomic_write_text, load_graphs
-    from .metrics import METRIC_NAMES, MetricSettings
+    from .metrics import METRIC_NAMES
 
     data = _require(ns.data, "--data")
     kind = ns.kind.replace("-", "_")
@@ -223,7 +223,7 @@ def cmd_benchmark(ns) -> int:
     log.info("benchmark data=%s kind=%s step=%g seeds=%s", data, kind, step, seeds)
     curves = run_benchmark(
         reference, partial(embed_union, params), kind, seeds=seeds, step=step,
-        num_clusters=num_clusters, settings=MetricSettings(**_given(ns, "knn_k")),
+        num_clusters=num_clusters, **_given(ns, "k"),
     )
     atomic_write_text(out, curves_to_csv(curves))
     summary_path = ns.summary or str(Path(out).with_suffix("")) + ".summary.json"
@@ -237,15 +237,11 @@ def cmd_benchmark(ns) -> int:
     }
     atomic_write_text(summary_path, json.dumps(summary, indent=2, sort_keys=True))
     if ns.plot is not None:
-        from .reproduce import metric_chart_series
-        from .svgplot import save_chart
+        from .reproduce import save_metric_charts
 
         stem = Path(ns.plot)
-        for name in METRIC_NAMES:
-            target = stem.with_name(f"{stem.stem}-{name}{stem.suffix or '.svg'}")
-            save_chart(target, metric_chart_series(curves, name),
-                       title=f"{name} vs perturbation ratio ({kind})",
-                       x_label="perturbation ratio r", y_label=name)
+        save_metric_charts(curves, lambda name: stem.with_name(
+            f"{stem.stem}-{name}{stem.suffix or '.svg'}"))
     for name in METRIC_NAMES:
         log.info("benchmark rho %s mean=%.4f median=%.4f", name,
                  summary["rho"][name]["mean"], summary["rho"][name]["median"])
@@ -373,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_evaluate)
     p.add_argument("--ref")
     p.add_argument("--gen")
-    p.add_argument("--k", dest="knn_k", type=int)
+    p.add_argument("--k", type=int)
     p.add_argument("--out")
 
     p = sub.add_parser("benchmark", help="perturbation rank-correlation sweep")
@@ -384,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=float)
     p.add_argument("--seeds", type=int, default=1, help="number of seeds (base --seed)")
     p.add_argument("--num-clusters", dest="num_clusters", type=int)
-    p.add_argument("--k", dest="knn_k", type=int)
+    p.add_argument("--k", type=int)
     p.add_argument("--out")
     p.add_argument("--summary")
     p.add_argument("--plot", help="SVG path stem; one chart per metric")

@@ -49,8 +49,9 @@ class EncoderConfig:
             raise ValueError("num_layers must be >= 1")
         if self.hidden < 1:
             raise ValueError("hidden must be >= 1")
-        if not self.lipschitz_bound > 0:
-            raise ValueError("lipschitz_bound must be > 0")
+        # an infinite bound would make the projection a silent no-op
+        if not 0 < self.lipschitz_bound < float("inf"):
+            raise ValueError("lipschitz_bound must be finite and > 0")
         if self.mlp_depth < 1:
             raise ValueError("mlp_depth must be >= 1")
         if self.feature_config not in ENCODER_FEATURE_CONFIGS:

@@ -63,10 +63,6 @@ class NonFiniteGradientError(GGEvalError):
     """A training step produced a NaN or infinite gradient."""
 
 
-class InfeasibleInterEdgesError(GGEvalError):
-    """More cross-community edges requested than distinct pairs exist."""
-
-
 class HypothesisViolationError(GGEvalError):
     """Cycle-pair parameters violate 4 < a < c < d < b with a+b = c+d."""
 

@@ -11,13 +11,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InfeasibleInterEdgesError
 from .graphs import Graph, GraphSet
 
 COMMUNITY_NODE_RANGE = (60, 160)
 GRID_NODE_RANGE = (100, 400)
 GRID_SIDE_RANGE = (10, 20)
 LOBSTER_NODE_RANGE = (10, 100)
+# edge probability inside each community block, and cross edges per node
+COMMUNITY_P = 0.3
+COMMUNITY_INTER_FRAC = 0.05
+# mean backbone length, and the continue probability of each pendant level
+LOBSTER_BACKBONE = 80
+LOBSTER_P1 = 0.7
+LOBSTER_P2 = 0.7
 DATASET_COUNTS = {"lobster": 100, "grid": 100, "community": 500}
 
 
@@ -44,22 +50,19 @@ def gen_er(n: int, p: float, rng) -> Graph:
     return Graph(n, edges=np.column_stack((iu[keep], iv[keep])))
 
 
-def gen_community(num_nodes: int, p: float = 0.3, inter_frac: float = 0.05, rng=0) -> Graph:
-    """Two disjoint ER(n/2, p) blocks plus round(inter_frac*n) cross edges.
+def gen_community(num_nodes: int, rng=0) -> Graph:
+    """Two disjoint ER(n/2, COMMUNITY_P) blocks joined by cross edges.
 
-    Cross edges are distinct pairs drawn uniformly from the (n/2)^2 block
-    pairs.
+    The round(COMMUNITY_INTER_FRAC * n) cross edges are distinct pairs drawn
+    uniformly from the (n/2)^2 block pairs; for every even n there are at
+    least that many pairs.
     """
     if num_nodes % 2 != 0:
         raise ValueError(f"num_nodes must be even, got {num_nodes}")
     rng = rng_from(rng)
     half = num_nodes // 2
-    num_inter = int(round(inter_frac * num_nodes))
-    if num_inter > half * half:
-        raise InfeasibleInterEdgesError(
-            f"{num_inter} inter-community edges requested, only {half * half} pairs exist"
-        )
-    blocks = [gen_er(half, p, rng).edges + offset for offset in (0, half)]
+    num_inter = int(round(COMMUNITY_INTER_FRAC * num_nodes))
+    blocks = [gen_er(half, COMMUNITY_P, rng).edges + offset for offset in (0, half)]
     cross = rng.choice(half * half, size=num_inter, replace=False)
     blocks.append(np.column_stack((cross // half, half + cross % half)))
     return Graph(num_nodes, edges=np.concatenate(blocks))
@@ -80,40 +83,35 @@ def gen_grid(rows: int, cols: int) -> Graph:
     return Graph(rows * cols, edges=edges)
 
 
-def gen_lobster(
-    expected_backbone: int = 80,
-    p1: float = 0.7,
-    p2: float = 0.7,
-    max_nodes: int = LOBSTER_NODE_RANGE[1],
-    rng=0,
-    min_nodes: int = LOBSTER_NODE_RANGE[0],
-) -> Graph:
+def gen_lobster(rng=0) -> Graph:
     """Stochastic lobster: path backbone with two levels of pendant nodes.
 
-    Backbone length is uniform with mean expected_backbone; each backbone
+    Backbone length is uniform with mean LOBSTER_BACKBONE; each backbone
     node gains a geometric number of first-level pendants (continue with
-    probability p1), each of which gains second-level pendants likewise
-    with p2. Every node ends within 2 hops of the backbone. Draws are
-    rejected until the node count lands in [min_nodes, max_nodes], matching
-    the size-capped recipes these graphs are usually built with.
+    probability LOBSTER_P1), each of which gains second-level pendants
+    likewise with LOBSTER_P2. Every node ends within 2 hops of the
+    backbone. Draws are rejected until the node count lands in
+    LOBSTER_NODE_RANGE, matching the size-capped recipes these graphs are
+    usually built with.
     """
-    if not (0.0 <= p1 <= 1.0 and 0.0 <= p2 <= 1.0):
-        raise ValueError("pendant probabilities must be in [0,1]")
+    lo, hi = LOBSTER_NODE_RANGE
+    # the pendant loops draw once per node; locals are read faster than globals
+    p_first, p_second = LOBSTER_P1, LOBSTER_P2
     rng = rng_from(rng)
     for _ in range(10_000):
-        backbone = int(2 * rng.random() * expected_backbone + 0.5)
+        backbone = int(2 * rng.random() * LOBSTER_BACKBONE + 0.5)
         backbone = max(backbone, 2)
         edges = [(i, i + 1) for i in range(backbone - 1)]
         total = backbone
         for node in range(backbone):
-            while rng.random() < p1:
+            while rng.random() < p_first:
                 first = total
                 total += 1
                 edges.append((node, first))
-                while rng.random() < p2:
+                while rng.random() < p_second:
                     edges.append((first, total))
                     total += 1
-        if min_nodes <= total <= max_nodes:
+        if lo <= total <= hi:
             return Graph(total, edges=edges)
     raise RuntimeError("lobster sampling failed to land in the size range")
 

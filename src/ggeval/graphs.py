@@ -226,8 +226,11 @@ def save_graphs(graph_set: GraphSet, path) -> None:
     atomic_write_text(path, "".join(json.dumps(_graph_to_record(g)) + "\n" for g in graph_set))
 
 
-def load_graphs(path, name: str | None = None) -> GraphSet:
-    """Load a JSON-lines graph container written by save_graphs."""
+def load_graphs(path) -> GraphSet:
+    """Load a JSON-lines graph container written by save_graphs.
+
+    The set is named after the file, without its extension.
+    """
     graphs = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -243,9 +246,7 @@ def load_graphs(path, name: str | None = None) -> GraphSet:
         raise ParseError(f"{path} is not UTF-8 text ({exc.reason})") from exc
     if not graphs:
         raise ParseError(f"no graph records found in {path}")
-    if name is None:
-        name = os.path.splitext(os.path.basename(str(path)))[0]
-    return GraphSet(name, tuple(graphs))
+    return GraphSet(os.path.splitext(os.path.basename(str(path)))[0], tuple(graphs))
 
 
 def atomic_write_text(path, text: str) -> None:

@@ -21,8 +21,7 @@ from .errors import (
 DEFAULT_KNN_K = 5
 
 
-def _check_sets(a: np.ndarray, b: np.ndarray, min_rows: int = 2,
-                too_few=TooFewRowsError):
+def _check_sets(a: np.ndarray, b: np.ndarray):
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2:
@@ -31,9 +30,9 @@ def _check_sets(a: np.ndarray, b: np.ndarray, min_rows: int = 2,
         raise DimensionMismatchError(
             f"embedding dims differ: {a.shape[1]} vs {b.shape[1]}"
         )
-    if a.shape[0] < min_rows or b.shape[0] < min_rows:
-        raise too_few(
-            f"need at least {min_rows} rows per set, got {a.shape[0]} and {b.shape[0]}"
+    if a.shape[0] < 2 or b.shape[0] < 2:
+        raise TooFewRowsError(
+            f"need at least 2 rows per set, got {a.shape[0]} and {b.shape[0]}"
         )
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise DegenerateSetError("embedding sets must be finite")
@@ -154,10 +153,8 @@ def f1_score(x: float, y: float) -> float:
     return 2.0 * lo * (hi / (x + y))
 
 
-MMD_KERNELS = ("linear", "rbf")
-
-
 def _median_sigma(sq) -> float:
+    """Median pairwise distance over the pooled sample; 1.0 if degenerate."""
     sq_rr, sq_gg, sq_rg = sq
     # every unordered pair of the pooled rows once
     vals = np.sqrt(np.concatenate((sq_rr, sq_gg, sq_rg.ravel())))
@@ -167,52 +164,24 @@ def _median_sigma(sq) -> float:
     return med
 
 
-def median_heuristic_sigma(real: np.ndarray, gen: np.ndarray) -> float:
-    """Median pairwise distance over the pooled sample; 1.0 if degenerate."""
-    return _median_sigma(_sq_dists(*_check_sets(real, gen, too_few=DegenerateSetError)))
+def _rbf_blocks(full, sigma: float):
+    """(K_rr, K_gg, K_rg) of the rbf kernel from the expanded squared-distance blocks."""
+    # sq/sigma^2 may overflow to inf for denormal sigma; exp(-inf) = 0
+    # is the correct limit, so suppress the spurious warning
+    with np.errstate(over="ignore"):
+        return tuple(np.exp(-block / (2.0 * sigma * sigma)) for block in full)
 
 
-def _kernel_blocks(real, gen, kernel: str, full, sigma):
-    """(K_rr, K_gg, K_rg); the rbf kernel reads the expanded squared-distance blocks."""
-    if kernel == "rbf":
-        # sq/sigma^2 may overflow to inf for denormal sigma; exp(-inf) = 0
-        # is the correct limit, so suppress the spurious warning
-        with np.errstate(over="ignore"):
-            return tuple(np.exp(-block / (2.0 * sigma * sigma)) for block in full)
-    return real @ real.T, gen @ gen.T, real @ gen.T
+def _mmd(k_rr, k_gg, k_rg) -> float:
+    """Unbiased squared MMD from the three kernel blocks.
 
-
-def _mmd(k_rr, k_gg, k_rg, unbiased: bool) -> float:
-    m, n = k_rg.shape
-    if unbiased:
-        term_r = (k_rr.sum() - np.trace(k_rr)) / (m * (m - 1))
-        term_g = (k_gg.sum() - np.trace(k_gg)) / (n * (n - 1))
-    else:
-        term_r = k_rr.sum() / (m * m)
-        term_g = k_gg.sum() / (n * n)
-    return float(term_r + term_g - 2.0 * k_rg.sum() / (m * n))
-
-
-def mmd(real: np.ndarray, gen: np.ndarray, kernel: str = "rbf",
-        unbiased: bool = True, sigma: float | None = None) -> float:
-    """Squared maximum mean discrepancy between the two samples.
-
-    The default estimator is the unbiased U-statistic, which drops the
-    diagonal and normalizes within-set sums by M(M-1); it can be slightly
-    negative. unbiased=False keeps the diagonal and divides by M^2.
-    For the rbf kernel, sigma defaults to the median pairwise distance of
-    the pooled sample.
+    The U-statistic drops the diagonal and normalizes within-set sums by
+    M(M-1), so it can be slightly negative.
     """
-    real, gen = _check_sets(real, gen, too_few=DegenerateSetError)
-    if kernel not in MMD_KERNELS:
-        raise ValueError(f"unknown kernel {kernel!r}")
-    full = None
-    if kernel == "rbf":
-        sq = _sq_dists(real, gen)
-        if sigma is None:
-            sigma = _median_sigma(sq)
-        full = _expand(sq)
-    return _mmd(*_kernel_blocks(real, gen, kernel, full, sigma), unbiased)
+    m, n = k_rg.shape
+    term_r = (k_rr.sum() - np.trace(k_rr)) / (m * (m - 1))
+    term_g = (k_gg.sum() - np.trace(k_gg)) / (n * (n - 1))
+    return float(term_r + term_g - 2.0 * k_rg.sum() / (m * n))
 
 
 METRIC_NAMES = (
@@ -229,19 +198,6 @@ METRIC_NAMES = (
 
 # full serialization order: scores plus the settings they were computed under
 REPORT_FIELDS = METRIC_NAMES + ("k", "rbf_sigma")
-
-
-@dataclass(frozen=True)
-class MetricSettings:
-    knn_k: int = DEFAULT_KNN_K
-    mmd_unbiased: bool = True
-    rbf_sigma: float | None = None
-
-    def __post_init__(self):
-        if self.knn_k < 1:
-            raise ValueError("knn_k must be >= 1")
-        if self.rbf_sigma is not None and not self.rbf_sigma > 0:
-            raise ValueError("rbf_sigma must be > 0")
 
 
 @dataclass(frozen=True)
@@ -267,22 +223,22 @@ class MetricReport:
         return getattr(self, name)
 
 
-def evaluate(real: np.ndarray, gen: np.ndarray,
-             settings: MetricSettings = MetricSettings()) -> MetricReport:
+def evaluate(real: np.ndarray, gen: np.ndarray, k: int = DEFAULT_KNN_K) -> MetricReport:
     """All metrics of the generated set against the reference set.
 
-    The report records the neighborhood size and the realized RBF
-    bandwidth (median heuristic unless overridden) alongside the scores.
+    PRDC uses k-NN balls. Both MMDs are the unbiased estimator, and the
+    rbf kernel's bandwidth is the median pairwise distance of the pooled
+    sample (1.0 if that is not positive). The report records k and the
+    bandwidth alongside the scores.
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     real, gen = _check_sets(real, gen)
     sq = _sq_dists(real, gen)
-    sigma = settings.rbf_sigma
-    if sigma is None:
-        sigma = _median_sigma(sq)
+    sigma = _median_sigma(sq)
     full = _expand(sq)
     del sq  # the condensed within-set blocks are not read again
-    scores = _prdc(full, settings.knn_k)
-    unbiased = settings.mmd_unbiased
+    scores = _prdc(full, k)
     return MetricReport(
         fd=_frechet(real, gen)[0],
         precision=scores["precision"],
@@ -291,8 +247,8 @@ def evaluate(real: np.ndarray, gen: np.ndarray,
         coverage=scores["coverage"],
         f1_pr=f1_score(scores["precision"], scores["recall"]),
         f1_dc=f1_score(scores["density"], scores["coverage"]),
-        mmd_linear=_mmd(*_kernel_blocks(real, gen, "linear", full, sigma), unbiased),
-        mmd_rbf=_mmd(*_kernel_blocks(real, gen, "rbf", full, sigma), unbiased),
-        k=settings.knn_k,
+        mmd_linear=_mmd(real @ real.T, gen @ gen.T, real @ gen.T),
+        mmd_rbf=_mmd(*_rbf_blocks(full, sigma)),
+        k=k,
         rbf_sigma=sigma,
     )

@@ -19,19 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .benchmark import (
-    DEFAULT_NUM_CLUSTERS,
-    MODE_KINDS,
-    PERTURBATION_KINDS,
-    BenchmarkCurve,
-    curves_to_csv,
-    ratio_grid,
-    run_benchmark,
-)
+from .benchmark import BenchmarkCurve, curves_to_csv, ratio_grid, run_benchmark
 from .encoder import EncoderConfig, embed_union, init_random, save_params
 from .generators import _sample_even, gen_community, substream
 from .graphs import GraphSet, atomic_write_text
-from .metrics import METRIC_NAMES, MetricSettings
+from .metrics import METRIC_NAMES
 from .svgplot import ChartSeries, save_chart
 from .training import (
     TRAIN_VARIANTS,
@@ -61,26 +53,22 @@ class ReproduceConfig:
     batch_size: int = 16
     lr: float = 0.001
     tau: float = 0.2
-    kind: str = "mix_random"
     step: float = 0.02
-    num_clusters: int = DEFAULT_NUM_CLUSTERS
-    knn_k: int = 5
     seeds: tuple = (0, 1, 2, 3, 4)
     variant: str = "graphcl"
 
     def __post_init__(self):
         if self.variant not in TRAIN_VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.kind not in PERTURBATION_KINDS:
-            raise ValueError(f"unknown perturbation kind {self.kind!r}")
         if len(self.seeds) == 0:
             raise ValueError("seeds is empty; a reproduction needs at least one seed")
+        # SeedSequence rejects a negative seed too, but only once the
+        # dataset is built or the seed's training starts
+        if self.dataset_seed < 0:
+            raise ValueError(f"dataset_seed must be >= 0, got {self.dataset_seed}")
+        if min(self.seeds) < 0:
+            raise ValueError(f"seeds must be >= 0, got {self.seeds}")
         ratio_grid(self.step)  # raises for a step that does not divide [0, 1]
-        if self.num_clusters < 1:
-            raise ValueError(f"num_clusters must be >= 1, got {self.num_clusters}")
-        if self.kind in MODE_KINDS and self.num_clusters > self.dataset_count:
-            raise ValueError(f"num_clusters must be in [1, {self.dataset_count}], "
-                             f"got {self.num_clusters}")
         lo, hi = self.node_range
         if not (2 <= lo <= hi):
             raise ValueError("node_range must satisfy 2 <= lo <= hi")
@@ -190,7 +178,6 @@ def run_reproduction(config: ReproduceConfig = ReproduceConfig(),
     reference = desk_community_set(config.dataset_count, config.node_range,
                                    config.dataset_seed)
     say(f"dataset {reference.name}: {len(reference)} graphs")
-    settings = MetricSettings(knn_k=config.knn_k)
     enc_cfg = config.encoder_config()
     # features of the reference graphs are computed once here; each
     # perturbed set then computes them only for the graphs it replaced
@@ -204,15 +191,13 @@ def run_reproduction(config: ReproduceConfig = ReproduceConfig(),
         say(f"seed {seed}: loss {result.epoch_losses[0]:.4f} -> "
             f"{result.epoch_losses[-1]:.4f}")
         trained_curve = run_benchmark(
-            reference, partial(embed_union, result.params), config.kind,
-            seeds=(seed,), step=config.step, num_clusters=config.num_clusters,
-            settings=settings,
+            reference, partial(embed_union, result.params), "mix_random",
+            seeds=(seed,), step=config.step,
         )[0]
         random_params = init_random(enc_cfg, seed=seed)
         random_curve = run_benchmark(
-            reference, partial(embed_union, random_params), config.kind,
-            seeds=(seed,), step=config.step, num_clusters=config.num_clusters,
-            settings=settings,
+            reference, partial(embed_union, random_params), "mix_random",
+            seeds=(seed,), step=config.step,
         )[0]
         say(f"seed {seed}: trained fd rho {trained_curve.rhos['fd']:.3f}, "
             f"random fd rho {random_curve.rhos['fd']:.3f}")
@@ -249,6 +234,14 @@ def metric_chart_series(curves, name: str):
     return series
 
 
+def save_metric_charts(curves, path_of) -> None:
+    """One chart per metric against the perturbation ratio, written to path_of(name)."""
+    for name in METRIC_NAMES:
+        save_chart(path_of(name), metric_chart_series(curves, name),
+                   title=f"{name} vs perturbation ratio ({curves[0].kind})",
+                   x_label="perturbation ratio r", y_label=name)
+
+
 def write_outputs(report: ReproduceReport, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -258,7 +251,4 @@ def write_outputs(report: ReproduceReport, out_dir) -> None:
     atomic_write_text(out / "curves-random.csv", curves_to_csv(random_))
     atomic_write_text(out / "summary.json",
                       json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    for name in METRIC_NAMES:
-        save_chart(out / f"{name}.svg", metric_chart_series(trained, name),
-                   title=f"{name} vs perturbation ratio ({report.config.kind})",
-                   x_label="perturbation ratio r", y_label=name)
+    save_metric_charts(trained, lambda name: out / f"{name}.svg")

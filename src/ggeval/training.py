@@ -88,13 +88,13 @@ def subgraph_walk(graph: Graph, length: int, rng) -> Graph:
 
 
 AUGMENTATION_KINDS = ("node_drop", "edge_drop", "subgraph")
+WALK_LENGTH = 10  # steps of the random walk behind a subgraph view
 
 
 @dataclass(frozen=True)
 class AugmentationConfig:
     node_drop_p: float = 0.1
     edge_drop_p: float = 0.1
-    walk_length: int = 10
     enabled: tuple = AUGMENTATION_KINDS
 
     def __post_init__(self):
@@ -107,8 +107,6 @@ class AugmentationConfig:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
-        if self.walk_length < 1:
-            raise ValueError("walk_length must be >= 1")
 
 
 def apply_augmentation(graph: Graph, kind: str, config: AugmentationConfig, rng) -> Graph:
@@ -117,7 +115,7 @@ def apply_augmentation(graph: Graph, kind: str, config: AugmentationConfig, rng)
     if kind == "edge_drop":
         return edge_drop(graph, config.edge_drop_p, rng)
     if kind == "subgraph":
-        return subgraph_walk(graph, config.walk_length, rng)
+        return subgraph_walk(graph, WALK_LENGTH, rng)
     raise ValueError(f"unknown augmentation {kind!r}")
 
 

@@ -367,6 +367,14 @@ def test_run_benchmark_needs_a_seed():
         run_benchmark(small_set(), random_embed(), "mix_random", seeds=())
 
 
+def test_run_benchmark_checks_k_before_any_embedding():
+    def embed(set_a, set_b):
+        raise AssertionError("embedded before k was checked")
+
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        run_benchmark(small_set(), embed, "mix_random", k=0)
+
+
 def test_benchmark_deterministic_and_seed_sensitive():
     gs = small_set(8)
     embed = random_embed()

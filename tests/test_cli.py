@@ -376,6 +376,7 @@ OUT_OF_RANGE_OPTIONS = {
     "benchmark step 0.3": (["benchmark", "--step", "0.3"], None),
     "benchmark step 0": (["benchmark", "--step", "0"], None),
     "benchmark k 0": (["benchmark", "--k", "0"], None),
+    "evaluate k 0": (["evaluate", "--k", "0"], None),
     "reproduce layers 0": (["reproduce", "--layers", "0"], None),
     "reproduce step 0.3": (["reproduce", "--step", "0.3"], None),
     "benchmark seeds 0": (["benchmark", "--seeds", "0"], None),
@@ -389,8 +390,10 @@ def test_out_of_range_option_is_usage_error(workspace, tmp_path, capsys, case):
     _, data, ckpt = workspace
     args, config_text = OUT_OF_RANGE_OPTIONS[case]
     command = args[0]
+    ref, gen = embedding_files(tmp_path)
     paths = {
         "generate": ["--recipe", "lobster", "--out", str(tmp_path / "g.jsonl")],
+        "evaluate": ["--ref", str(ref), "--gen", str(gen)],
         "train": ["--data", str(data), "--out", str(tmp_path / "enc.json")],
         "benchmark": ["--data", str(data), "--params", str(ckpt),
                       "--out", str(tmp_path / "c.csv")],

@@ -50,6 +50,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         EncoderConfig(lipschitz_bound=float("nan"))
     with pytest.raises(ValueError):
+        EncoderConfig(lipschitz_bound=float("inf"))
+    with pytest.raises(ValueError):
         EncoderConfig(feature_config="nope")
     with pytest.raises(ValueError):
         EncoderConfig(feature_config="provided")  # needs input_dim

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from ggeval.errors import InfeasibleInterEdgesError
 from ggeval.features import degrees
 from ggeval.generators import (
     COMMUNITY_NODE_RANGE,
@@ -63,11 +62,6 @@ def test_community_structure():
 def test_community_odd_nodes_rejected():
     with pytest.raises(ValueError):
         gen_community(41)
-
-
-def test_community_infeasible_inter_edges():
-    with pytest.raises(InfeasibleInterEdgesError):
-        gen_community(4, inter_frac=2.0)
 
 
 def test_grid_shape_and_degrees():

@@ -133,12 +133,6 @@ def test_jsonl_round_trip_exact(tmp_path):
         "n": 3, "edges": [[0, 1]], "x": [[0.5], [1.5], [2.5]]}
 
 
-def test_load_name_override(tmp_path):
-    path = tmp_path / "x.jsonl"
-    save_graphs(GraphSet("orig", (Graph(2),)), path)
-    assert load_graphs(path, name="given").name == "given"
-
-
 @pytest.mark.parametrize(
     "line",
     [

@@ -14,16 +14,12 @@ from ggeval.errors import (
 )
 from ggeval.metrics import (
     METRIC_NAMES,
-    MMD_KERNELS,
     REPORT_FIELDS,
     MetricReport,
-    MetricSettings,
     evaluate,
     f1_score,
     frechet_distance,
     frechet_distance_detailed,
-    median_heuristic_sigma,
-    mmd,
     prdc,
 )
 
@@ -158,78 +154,46 @@ def test_f1_bounds_and_symmetry(x, y):
 def test_mmd_linear_hand_arithmetic():
     real = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     gen = 2.0 * real
-    assert mmd(real, gen, "linear", unbiased=True) == pytest.approx(-2 / 9, abs=1e-12)
-    assert mmd(real, gen, "linear", unbiased=False) == pytest.approx(8 / 9, abs=1e-12)
+    assert evaluate(real, gen, k=1).mmd_linear == pytest.approx(-2 / 9, abs=1e-12)
 
 
 def test_mmd_rbf_hand_arithmetic():
     real = np.zeros((2, 1))
     gen = np.ones((2, 1))
-    want = 2.0 - 2.0 * np.exp(-0.5)
-    assert mmd(real, gen, "rbf", sigma=1.0, unbiased=True) == pytest.approx(want, abs=1e-12)
-    assert mmd(real, gen, "rbf", sigma=1.0, unbiased=False) == pytest.approx(want, abs=1e-12)
+    report = evaluate(real, gen, k=1)
+    assert report.rbf_sigma == 1.0  # median of the pooled distances [0,0,1,1,1,1]
+    assert report.mmd_rbf == pytest.approx(2.0 - 2.0 * np.exp(-0.5), abs=1e-12)
 
 
-def test_mmd_biased_identical_sets_is_zero():
-    h = sample(15)
-    for kernel in MMD_KERNELS:
-        assert mmd(h, h.copy(), kernel, unbiased=False) == pytest.approx(0.0, abs=1e-9)
-
-
-def test_mmd_biased_nonnegative():
-    for seed in range(10):
-        a, b = sample(seed, rows=12), sample(seed + 50, rows=9, shift=0.2)
-        for kernel in MMD_KERNELS:
-            assert mmd(a, b, kernel, unbiased=False) >= -1e-9
-
-
-@pytest.mark.parametrize("kernel", MMD_KERNELS)
-@pytest.mark.parametrize("unbiased", [True, False])
-def test_mmd_matches_loop_oracle(kernel, unbiased):
-    rng = np.random.default_rng((MMD_KERNELS.index(kernel), int(unbiased)))
-    real = rng.normal(size=(8, 3))
-    gen = rng.normal(size=(11, 3)) + 0.5
-    got = mmd(real, gen, kernel, unbiased=unbiased, sigma=1.7)
-    want = oracles.mmd_slow(real, gen, kernel, unbiased=unbiased, sigma=1.7)
-    assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+def test_mmd_matches_loop_oracle():
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        real = rng.normal(size=(8, 3))
+        gen = rng.normal(size=(11, 3)) + 0.5
+        report = evaluate(real, gen)
+        assert report.mmd_linear == pytest.approx(oracles.mmd_slow(real, gen, "linear"),
+                                                  rel=1e-9, abs=1e-12)
+        assert report.mmd_rbf == pytest.approx(
+            oracles.mmd_slow(real, gen, "rbf", sigma=report.rbf_sigma), rel=1e-9, abs=1e-12)
 
 
 def test_mmd_rbf_uses_median_heuristic_by_default():
     a, b = sample(16), sample(17, shift=1.0)
-    sigma = median_heuristic_sigma(a, b)
-    assert mmd(a, b, "rbf") == pytest.approx(mmd(a, b, "rbf", sigma=sigma), abs=1e-15)
-
-
-def test_mmd_validation():
-    h = sample(18)
-    for kernel in ("laplace", "poly"):
-        with pytest.raises(ValueError, match="unknown kernel"):
-            mmd(h, h, kernel)
-    with pytest.raises(DegenerateSetError):
-        mmd(h[:1], h)
-
-
-def test_median_heuristic_validation():
-    h = sample(37)
-    nan_row = h.copy()
-    nan_row[3] = np.nan
-    with pytest.raises(DegenerateSetError):
-        median_heuristic_sigma(nan_row, h)
-    with pytest.raises(DimensionMismatchError):
-        median_heuristic_sigma(h, h[:, :2])
-    with pytest.raises(DegenerateSetError):
-        median_heuristic_sigma(h[:1], h)
+    report = evaluate(a, b)
+    assert report.rbf_sigma == np.median(pdist(np.vstack([a, b])))
+    assert report.mmd_rbf == pytest.approx(
+        oracles.mmd_slow(a, b, "rbf", sigma=report.rbf_sigma), rel=1e-9, abs=1e-12)
 
 
 def test_median_heuristic_values():
     real = np.array([[0.0], [0.0]])
-    gen = np.array([[1.0], [1.0]])
-    assert median_heuristic_sigma(real, gen) == 1.0  # [0,0,1,1,1,1] -> 1
-    assert median_heuristic_sigma(real, real) == 1.0  # degenerate -> fallback
+    gen = np.array([[2.0], [2.0]])
+    assert evaluate(real, gen, k=1).rbf_sigma == 2.0  # [0,0,2,2,2,2] -> 2
+    assert evaluate(real, real, k=1).rbf_sigma == 1.0  # degenerate -> fallback
     rng = np.random.default_rng(36)
     for rows in (5, 6):  # 10 and 15 pairs: an even and an odd count
         a, b = rng.normal(size=(rows - 2, 3)), rng.normal(size=(2, 3))
-        assert median_heuristic_sigma(a, b) == np.median(pdist(np.vstack([a, b])))
+        assert evaluate(a, b, k=1).rbf_sigma == np.median(pdist(np.vstack([a, b])))
 
 
 # ------------------------------------------------------------- invariance
@@ -253,7 +217,7 @@ def test_metrics_invariant_under_rotation():
 )
 def test_metric_ranges_property(a, b):
     try:
-        report = evaluate(a, b, MetricSettings(knn_k=2))
+        report = evaluate(a, b, k=2)
     except DegenerateSetError:
         return  # duplicate-heavy draws can degenerate; rejection is the contract
     assert report.fd >= 0.0
@@ -273,17 +237,14 @@ def test_evaluate_identity_report():
     assert report.recall == 1.0
     assert report.coverage == 1.0
     assert report.f1_pr == 1.0
-    # only the biased estimator is exactly zero on identical sets; the
-    # unbiased one drops the diagonal and lands below zero
+    # the unbiased estimator drops the diagonal, so identical sets land
+    # below zero rather than at it
     assert report.mmd_linear < 0
-    biased = evaluate(h, h.copy(), MetricSettings(mmd_unbiased=False))
-    assert abs(biased.mmd_linear) < 1e-8
-    assert abs(biased.mmd_rbf) < 1e-8
 
 
 def test_report_fields_and_access():
     assert REPORT_FIELDS == METRIC_NAMES + ("k", "rbf_sigma")
-    report = evaluate(sample(23), sample(24), MetricSettings(knn_k=3))
+    report = evaluate(sample(23), sample(24), k=3)
     d = report.as_dict()
     assert tuple(d) == REPORT_FIELDS
     assert report.k == 3
@@ -293,31 +254,17 @@ def test_report_fields_and_access():
         report.fd = 1.0  # frozen
 
 
-def test_evaluate_sigma_override_recorded():
-    a, b = sample(25), sample(26)
-    report = evaluate(a, b, MetricSettings(rbf_sigma=2.5))
-    assert report.rbf_sigma == 2.5
-    assert report.mmd_rbf == pytest.approx(mmd(a, b, "rbf", sigma=2.5), abs=1e-15)
-
-
-@pytest.mark.parametrize("unbiased", [True, False])
-@pytest.mark.parametrize("rbf_sigma", [None, 0.7])
-def test_evaluate_matches_public_parts_bitwise(unbiased, rbf_sigma):
+def test_evaluate_matches_public_parts_bitwise():
     # unequal set sizes, so a transposed or swapped distance block cannot
     # go unnoticed
     a, b = sample(32, rows=23, dim=5), sample(33, rows=31, dim=5, shift=0.3)
-    report = evaluate(a, b, MetricSettings(knn_k=4, mmd_unbiased=unbiased,
-                                           rbf_sigma=rbf_sigma))
+    report = evaluate(a, b, k=4)
     scores = prdc(a, b, k=4)
     assert report.fd == frechet_distance(a, b)
     for name, value in scores.items():
         assert report[name] == value, name
     assert report.f1_pr == f1_score(scores["precision"], scores["recall"])
     assert report.f1_dc == f1_score(scores["density"], scores["coverage"])
-    assert report.mmd_linear == mmd(a, b, "linear", unbiased=unbiased)
-    assert report.mmd_rbf == mmd(a, b, "rbf", unbiased=unbiased, sigma=rbf_sigma)
-    assert report.rbf_sigma == (median_heuristic_sigma(a, b) if rbf_sigma is None
-                                else rbf_sigma)
     assert report.k == 4
 
 
@@ -341,14 +288,6 @@ def test_evaluate_checks_once_and_computes_each_distance_once(monkeypatch):
                              "squareform", "squareform"]
 
 
-def test_evaluate_biased_setting():
-    a, b = sample(27), sample(28)
-    report = evaluate(a, b, MetricSettings(mmd_unbiased=False))
-    assert report.mmd_linear == pytest.approx(
-        mmd(a, b, "linear", unbiased=False), abs=1e-12
-    )
-
-
 def test_set_validation_errors():
     h = sample(29)
     with pytest.raises(DimensionMismatchError):
@@ -359,6 +298,9 @@ def test_set_validation_errors():
         evaluate(h[:1], h)
     with pytest.raises(DegenerateSetError):
         evaluate(h, np.full_like(h, np.nan))
+    # k is checked before the sets are
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        evaluate(h[0], h, k=0)
 
 
 def test_report_is_plain_data():

@@ -21,7 +21,7 @@ def tiny_config(**overrides):
     base = dict(
         dataset_count=12, node_range=(12, 16), dataset_seed=0,
         num_layers=2, hidden=8, epochs=2, batch_size=8, lr=0.001,
-        step=0.25, knn_k=3, seeds=(0,),
+        step=0.25, seeds=(0,),
     )
     base.update(overrides)
     return ReproduceConfig(**base)
@@ -73,22 +73,20 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ReproduceConfig(variant="nope")
     with pytest.raises(ValueError):
-        ReproduceConfig(kind="nope")
-    with pytest.raises(ValueError):
         ReproduceConfig(node_range=(10, 4))
     with pytest.raises(ValueError, match="seeds is empty"):
         ReproduceConfig(seeds=())
     with pytest.raises(ValueError, match="does not evenly divide"):
         ReproduceConfig(step=0.3)
-    with pytest.raises(ValueError, match="num_clusters"):
-        ReproduceConfig(num_clusters=0)
-    with pytest.raises(ValueError, match="num_clusters"):
-        ReproduceConfig(kind="mode_drop", num_clusters=500)
+    # a negative seed fails here, not once the dataset is built
+    with pytest.raises(ValueError, match="dataset_seed"):
+        ReproduceConfig(dataset_seed=-1)
+    with pytest.raises(ValueError, match="seeds"):
+        ReproduceConfig(seeds=(0, -1))
     # fields handed on to EncoderConfig and TrainConfig fail at construction
     for bad in ({"lr": float("nan")}, {"epochs": 0}, {"batch_size": 1}, {"hidden": 0}):
         with pytest.raises(ValueError, match=next(iter(bad))):
             ReproduceConfig(**bad)
-    # mix_random never clusters, so a small dataset keeps the default count
     ReproduceConfig(dataset_count=6)
 
 

@@ -149,8 +149,6 @@ def test_augmentation_config_validation():
         AugmentationConfig(enabled=())
     with pytest.raises(ValueError):
         AugmentationConfig(node_drop_p=1.5)
-    with pytest.raises(ValueError):
-        AugmentationConfig(walk_length=0)
     AugmentationConfig(edge_drop_p=1.0)  # closed interval
 
 
