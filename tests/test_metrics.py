@@ -165,16 +165,17 @@ def test_mmd_rbf_hand_arithmetic():
     assert report.mmd_rbf == pytest.approx(2.0 - 2.0 * np.exp(-0.5), abs=1e-12)
 
 
-def test_mmd_matches_loop_oracle():
+@pytest.mark.parametrize("kernel", ("linear", "rbf"))
+@pytest.mark.parametrize("shifted", [True, False])
+def test_mmd_matches_loop_oracle(kernel, shifted):
+    # a generated set drawn off the real distribution and one drawn from it
     for seed in range(4):
         rng = np.random.default_rng(seed)
         real = rng.normal(size=(8, 3))
-        gen = rng.normal(size=(11, 3)) + 0.5
+        gen = rng.normal(size=(11, 3)) + (0.5 if shifted else 0.0)
         report = evaluate(real, gen)
-        assert report.mmd_linear == pytest.approx(oracles.mmd_slow(real, gen, "linear"),
-                                                  rel=1e-9, abs=1e-12)
-        assert report.mmd_rbf == pytest.approx(
-            oracles.mmd_slow(real, gen, "rbf", sigma=report.rbf_sigma), rel=1e-9, abs=1e-12)
+        want = oracles.mmd_slow(real, gen, kernel, sigma=report.rbf_sigma)
+        assert report[f"mmd_{kernel}"] == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
 def test_mmd_rbf_uses_median_heuristic_by_default():
@@ -254,10 +255,17 @@ def test_report_fields_and_access():
         report.fd = 1.0  # frozen
 
 
-def test_evaluate_matches_public_parts_bitwise():
+@pytest.mark.parametrize("swap", [True, False])
+@pytest.mark.parametrize("scale", [None, 0.7])
+def test_evaluate_matches_public_parts_bitwise(swap, scale):
     # unequal set sizes, so a transposed or swapped distance block cannot
-    # go unnoticed
+    # go unnoticed; swapping the sets and narrowing one of them moves the
+    # asymmetric PRDC scores
     a, b = sample(32, rows=23, dim=5), sample(33, rows=31, dim=5, shift=0.3)
+    if scale is not None:
+        b = scale * b
+    if swap:
+        a, b = b, a
     report = evaluate(a, b, k=4)
     scores = prdc(a, b, k=4)
     assert report.fd == frechet_distance(a, b)
