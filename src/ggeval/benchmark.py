@@ -223,16 +223,13 @@ def spearman(x, y):
 
 
 def _mean_ranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size, dtype=np.float64)
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    """1-based ranks; tied values share their mean rank, and every NaN is
+    its own tie group, ranked after every number in input order."""
+    # return_index makes np.unique sort stably, which keeps the NaNs in order
+    _, _, inverse, counts = np.unique(values, return_index=True, return_inverse=True,
+                                      return_counts=True, equal_nan=False)
+    # a group of c ties ending at 1-based rank r has mean rank r - (c - 1) / 2
+    return (np.cumsum(counts) - (counts - 1) / 2)[inverse]
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """GIN graph encoder in plain numpy.
 
 Layer k update: h_v <- MLP_k(h_v + sum of neighbor states), i.e. sum
-aggregation with epsilon = 0. Each MLP is mlp_depth linear maps with batch
-normalization and ReLU after every hidden layer. The graph readout sums
-node states per layer and concatenates the per-layer sums, so the
-embedding dimension is num_layers * hidden.
+aggregation with epsilon = 0. Every MLP is the same fixed block: linear,
+batch normalization, ReLU, linear. The graph readout sums node states per
+layer and concatenates the per-layer sums, so the embedding dimension is
+num_layers * hidden.
 
 Normalization: every pass, training or embedding, normalizes with the
 mean and variance over all nodes of the batch it runs on. Comparing two
@@ -37,11 +37,10 @@ class EncoderConfig:
     hidden: int = 32
     lipschitz_bound: float = 1.0
     feature_config: str = "none"
-    mlp_depth: int = 2
     input_dim: int | None = None  # set iff feature_config == "provided"
 
     def __post_init__(self):
-        for name in ("num_layers", "hidden", "mlp_depth", "input_dim"):
+        for name in ("num_layers", "hidden", "input_dim"):
             value = getattr(self, name)
             if value is not None and not isinstance(value, Integral):
                 raise TypeError(f"{name} must be an integer, got {value!r}")
@@ -52,8 +51,6 @@ class EncoderConfig:
         # an infinite bound would make the projection a silent no-op
         if not 0 < self.lipschitz_bound < float("inf"):
             raise ValueError("lipschitz_bound must be finite and > 0")
-        if self.mlp_depth < 1:
-            raise ValueError("mlp_depth must be >= 1")
         if self.feature_config not in ENCODER_FEATURE_CONFIGS:
             raise ValueError(f"unknown feature_config {self.feature_config!r}")
         if (self.feature_config == "provided") != (self.input_dim is not None):
@@ -76,8 +73,9 @@ class EncoderConfig:
 class EncoderParams:
     """Trainable weights of an encoder.
 
-    weights maps "l{k}.m{m}.W" / ".b" for every linear and
-    "l{k}.m{m}.gamma" / ".beta" for every hidden-layer normalization.
+    weights maps "l{k}.m0.W" / ".b" / ".gamma" / ".beta" for layer k's
+    first linear and its normalization, and "l{k}.m1.W" / ".b" for its
+    second linear.
     """
 
     config: EncoderConfig
@@ -100,21 +98,20 @@ def orthogonal_matrix(rng, rows: int, cols: int) -> np.ndarray:
 
 def weight_count(config: EncoderConfig) -> int:
     """Number of arrays weight_shapes(config) yields, without building them."""
-    return config.num_layers * (4 * config.mlp_depth - 2)
+    return 6 * config.num_layers
 
 
 def weight_shapes(config: EncoderConfig):
     """(name, shape) of every trainable array, in init_random's draw order."""
-    d_in = config.in_dim
+    d_in, hidden = config.in_dim, config.hidden
     for k in range(config.num_layers):
-        dims = [d_in] + [config.hidden] * config.mlp_depth
-        for m in range(config.mlp_depth):
-            yield f"l{k}.m{m}.W", (dims[m], dims[m + 1])
-            yield f"l{k}.m{m}.b", (dims[m + 1],)
-            if m < config.mlp_depth - 1:
-                yield f"l{k}.m{m}.gamma", (dims[m + 1],)
-                yield f"l{k}.m{m}.beta", (dims[m + 1],)
-        d_in = config.hidden
+        yield f"l{k}.m0.W", (d_in, hidden)
+        yield f"l{k}.m0.b", (hidden,)
+        yield f"l{k}.m0.gamma", (hidden,)
+        yield f"l{k}.m0.beta", (hidden,)
+        yield f"l{k}.m1.W", (hidden, hidden)
+        yield f"l{k}.m1.b", (hidden,)
+        d_in = hidden
 
 
 def init_random(config: EncoderConfig, seed: int = 0) -> EncoderParams:
@@ -226,37 +223,29 @@ def forward_batch(params: EncoderParams, batch: BatchedGraphs,
     readouts = []
     cache = {"batch": batch, "layers": []} if collect_cache else None
     for k in range(cfg.num_layers):
-        z = batch.agg @ h
-        steps = []
-        for m in range(cfg.mlp_depth):
-            lin_in = z
-            z = z @ w[f"l{k}.m{m}.W"]
-            z += w[f"l{k}.m{m}.b"]
-            step = {"lin_in": lin_in}
-            if m < cfg.mlp_depth - 1:
-                # same operations, in the same order, as z.mean and z.var
-                n = z.shape[0]
-                mean = z.mean(axis=0)
-                z -= mean
-                var = np.square(z).sum(axis=0) / n
-                inv_std = 1.0 / np.sqrt(var + BN_EPS)
-                z *= inv_std
-                if collect_cache:
-                    # the reverse pass reads normed and pre_relu, so keep both
-                    normed = z
-                    z = normed * w[f"l{k}.m{m}.gamma"]
-                    z += w[f"l{k}.m{m}.beta"]
-                    step.update(normed=normed, inv_std=inv_std, pre_relu=z)
-                    z = np.maximum(z, 0.0)
-                else:
-                    z *= w[f"l{k}.m{m}.gamma"]
-                    z += w[f"l{k}.m{m}.beta"]
-                    np.maximum(z, 0.0, out=z)
-            if collect_cache:
-                steps.append(step)
+        lin_in = batch.agg @ h
+        z = lin_in @ w[f"l{k}.m0.W"]
+        z += w[f"l{k}.m0.b"]
+        # same operations, in the same order, as z.mean and z.var
+        z -= z.mean(axis=0)
+        inv_std = 1.0 / np.sqrt(np.square(z).sum(axis=0) / z.shape[0] + BN_EPS)
+        z *= inv_std
+        # the reverse pass reads normed and pre_relu, so a cached pass
+        # writes each op to a new array; an uncached one writes in place
+        out = None if collect_cache else z
+        normed, z = z, np.multiply(z, w[f"l{k}.m0.gamma"], out=out)
+        z += w[f"l{k}.m0.beta"]
+        pre_relu, z = z, np.maximum(z, 0.0, out=out)
         if collect_cache:
-            cache["layers"].append({"steps": steps})
-        h = z
+            cache["layers"].append({"steps": [
+                {"lin_in": lin_in, "normed": normed, "inv_std": inv_std, "pre_relu": pre_relu},
+                {"lin_in": z},
+            ]})
+        # free the aggregation output, and drop the names that alias the
+        # hidden state so that it dies with z in the next layer
+        del lin_in, normed, pre_relu, out
+        h = z @ w[f"l{k}.m1.W"]
+        h += w[f"l{k}.m1.b"]
         readouts.append(batch.pool @ h)
     return np.hstack(readouts), cache
 
@@ -302,10 +291,11 @@ def load_params(path) -> EncoderParams:
     """Read a checkpoint written by save_params.
 
     The payload must carry this version and the weight_shapes(config)
-    layout: every name, every shape, and finite values. Anything else
-    raises ParseError. The layout is checked without drawing weights, and
-    the array count before any name is built, so a config that claims a
-    huge encoder costs nothing to reject.
+    layout: every name, every shape, and finite values; a stored
+    "mlp_depth" must be 2. Anything else raises ParseError. The layout is
+    checked without drawing weights, and the array count before any name
+    is built, so a config that claims a huge encoder costs nothing to
+    reject.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -317,6 +307,12 @@ def load_params(path) -> EncoderParams:
     version = payload.get("version")
     if version != CHECKPOINT_VERSION:
         raise ParseError(f"unsupported checkpoint version {version!r}")
+    fields = payload.get("config")
+    if isinstance(fields, dict) and "mlp_depth" in fields:
+        # files written before the layer block was fixed hold "mlp_depth": 2
+        depth = fields.pop("mlp_depth")
+        if type(depth) is not int or depth != 2:
+            raise ParseError(f"checkpoint config mlp_depth {depth!r} is not 2")
     try:
         config = EncoderConfig(**payload["config"])
     except (KeyError, TypeError, ValueError) as exc:

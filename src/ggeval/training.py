@@ -234,29 +234,30 @@ def encoder_backward(params: EncoderParams, cache, d_emb: np.ndarray) -> dict:
     per_layer = np.split(d_emb, cfg.num_layers, axis=1)
     carry = None
     for k in reversed(range(cfg.num_layers)):
-        lc = cache["layers"][k]
+        first, second = cache["layers"][k]["steps"]
         d_h = batch.pool.T @ per_layer[k]
         if carry is not None:
             d_h = d_h + carry
-        for m in reversed(range(cfg.mlp_depth)):
-            step = lc["steps"][m]
-            if m < cfg.mlp_depth - 1:
-                d_h = d_h * (step["pre_relu"] > 0.0)
-                normed = step["normed"]
-                gamma = w[f"l{k}.m{m}.gamma"]
-                grads[f"l{k}.m{m}.gamma"] = np.sum(d_h * normed, axis=0)
-                grads[f"l{k}.m{m}.beta"] = np.sum(d_h, axis=0)
-                d_norm = d_h * gamma
-                nrows = d_norm.shape[0]
-                d_h = (step["inv_std"] / nrows) * (
-                    nrows * d_norm
-                    - d_norm.sum(axis=0)
-                    - normed * np.sum(d_norm * normed, axis=0)
-                )
-            lin_in = step["lin_in"]
-            grads[f"l{k}.m{m}.W"] = lin_in.T @ d_h
-            grads[f"l{k}.m{m}.b"] = d_h.sum(axis=0)
-            d_h = d_h @ w[f"l{k}.m{m}.W"].T
+        # second linear
+        grads[f"l{k}.m1.W"] = second["lin_in"].T @ d_h
+        grads[f"l{k}.m1.b"] = d_h.sum(axis=0)
+        d_h = d_h @ w[f"l{k}.m1.W"].T
+        # ReLU, then the batch norm's affine map and its normalization
+        d_h = d_h * (first["pre_relu"] > 0.0)
+        normed = first["normed"]
+        grads[f"l{k}.m0.gamma"] = np.sum(d_h * normed, axis=0)
+        grads[f"l{k}.m0.beta"] = np.sum(d_h, axis=0)
+        d_norm = d_h * w[f"l{k}.m0.gamma"]
+        nrows = d_norm.shape[0]
+        d_h = (first["inv_std"] / nrows) * (
+            nrows * d_norm
+            - d_norm.sum(axis=0)
+            - normed * np.sum(d_norm * normed, axis=0)
+        )
+        # first linear
+        grads[f"l{k}.m0.W"] = first["lin_in"].T @ d_h
+        grads[f"l{k}.m0.b"] = d_h.sum(axis=0)
+        d_h = d_h @ w[f"l{k}.m0.W"].T
         # aggregation matrix is symmetric, so its transpose is itself
         carry = batch.agg @ d_h
     return grads
@@ -343,9 +344,7 @@ TRAIN_VARIANTS = {
 @dataclass
 class TrainResult:
     params: EncoderParams
-    head: dict
     epoch_losses: list
-    config: TrainConfig
 
 
 def attach_features(graphs, encoder_config: EncoderConfig):
@@ -433,8 +432,7 @@ def train_graphcl(graphs, encoder_config: EncoderConfig,
                            train_config.lipschitz_enabled)
             )
         epoch_losses.append(float(np.mean(losses)))
-    return TrainResult(params=params, head=head, epoch_losses=epoch_losses,
-                       config=train_config)
+    return TrainResult(params=params, epoch_losses=epoch_losses)
 
 
 # ---------------------------------------------------------------------------

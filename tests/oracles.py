@@ -305,29 +305,44 @@ def _kernel_value(x, y, kernel, sigma):
     raise ValueError(kernel)
 
 
-def mmd_slow(real, gen, kernel="linear", unbiased=True, sigma=1.0) -> float:
-    """Squared MMD with quadruple-explicit loops."""
+def mmd_slow(real, gen, kernel="linear", sigma=1.0) -> float:
+    """Unbiased squared MMD with quadruple-explicit loops."""
     m, n = len(real), len(gen)
     kxx = 0.0
     for i in range(m):
         for j in range(m):
-            if unbiased and i == j:
-                continue
-            kxx += _kernel_value(real[i], real[j], kernel, sigma)
-    kxx /= m * (m - 1) if unbiased else m * m
+            if i != j:
+                kxx += _kernel_value(real[i], real[j], kernel, sigma)
+    kxx /= m * (m - 1)
     kyy = 0.0
     for i in range(n):
         for j in range(n):
-            if unbiased and i == j:
-                continue
-            kyy += _kernel_value(gen[i], gen[j], kernel, sigma)
-    kyy /= n * (n - 1) if unbiased else n * n
+            if i != j:
+                kyy += _kernel_value(gen[i], gen[j], kernel, sigma)
+    kyy /= n * (n - 1)
     kxy = 0.0
     for i in range(m):
         for j in range(n):
             kxy += _kernel_value(real[i], gen[j], kernel, sigma)
     kxy /= m * n
     return kxx + kyy - 2.0 * kxy
+
+
+def mean_ranks_slow(values) -> np.ndarray:
+    """1-based ranks with ties sharing their mean rank, one tie run at a time.
+
+    Every NaN is its own run and ranks after every number, in input order.
+    """
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(values.size, dtype=np.float64)
+    i = 0
+    while i < values.size:
+        j = i
+        while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
 
 
 def spearman_scipy(x, y) -> float:
@@ -419,41 +434,27 @@ def pack_graphs_slow(graphs, config) -> BatchedGraphs:
 
 def forward_batch_slow(params, batch, collect_cache=False):
     """Forward pass with z.mean / z.var and a new array for every step."""
-    cfg = params.config
     w = params.weights
     h = batch.features
     readouts = []
     cache = {"batch": batch, "layers": []} if collect_cache else None
-    for k in range(cfg.num_layers):
-        lc = {"h_in": h} if collect_cache else None
-        z = batch.agg @ h
+    for k in range(params.config.num_layers):
+        lin_in = batch.agg @ h
+        z = lin_in @ w[f"l{k}.m0.W"] + w[f"l{k}.m0.b"]
+        mean = z.mean(axis=0)
+        var = z.var(axis=0)
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
+        normed = (z - mean) * inv_std
+        pre_relu = normed * w[f"l{k}.m0.gamma"] + w[f"l{k}.m0.beta"]
+        hidden = np.maximum(pre_relu, 0.0)
+        h = hidden @ w[f"l{k}.m1.W"] + w[f"l{k}.m1.b"]
         if collect_cache:
-            lc["agg_out"] = z
-        steps = []
-        for m in range(cfg.mlp_depth):
-            lin_in = z
-            z = z @ w[f"l{k}.m{m}.W"] + w[f"l{k}.m{m}.b"]
-            step = {"lin_in": lin_in}
-            if m < cfg.mlp_depth - 1:
-                mean = z.mean(axis=0)
-                var = z.var(axis=0)
-                inv_std = 1.0 / np.sqrt(var + BN_EPS)
-                normed = (z - mean) * inv_std
-                z = normed * w[f"l{k}.m{m}.gamma"] + w[f"l{k}.m{m}.beta"]
-                pre_relu = z
-                z = np.maximum(z, 0.0)
-                step.update(normed=normed, inv_std=inv_std, pre_relu=pre_relu)
-            steps.append(step)
-        if collect_cache:
-            lc["steps"] = steps
-            lc["h_out"] = z
-            cache["layers"].append(lc)
-        h = z
+            cache["layers"].append({"steps": [
+                {"lin_in": lin_in, "normed": normed, "inv_std": inv_std, "pre_relu": pre_relu},
+                {"lin_in": hidden},
+            ]})
         readouts.append(batch.pool @ h)
-    emb = np.hstack(readouts)
-    if collect_cache:
-        cache["embedding"] = emb
-    return emb, cache
+    return np.hstack(readouts), cache
 
 
 def pooled_sq(real, gen):
@@ -495,39 +496,34 @@ def median_sigma_pooled(real, gen) -> float:
     return med
 
 
-def mmd_pooled(real, gen, kernel="rbf", unbiased=True, sigma=None) -> float:
-    """Squared MMD with the rbf kernel read from the pooled matrix."""
+def mmd_pooled(real, gen, kernel, sigma=None) -> float:
+    """Unbiased squared MMD, the rbf kernel at bandwidth sigma read from
+    the pooled matrix."""
     m = len(real)
     if kernel == "rbf":
         sq = pooled_sq(real, gen)
-        if sigma is None:
-            sigma = median_sigma_pooled(real, gen)
         with np.errstate(over="ignore"):
             k_rr, k_gg, k_rg = (np.exp(-block / (2.0 * sigma * sigma))
                                 for block in (sq[:m, :m], sq[m:, m:], sq[:m, m:]))
     else:
         k_rr, k_gg, k_rg = real @ real.T, gen @ gen.T, real @ gen.T
     n = len(gen)
-    if unbiased:
-        term_r = (k_rr.sum() - np.trace(k_rr)) / (m * (m - 1))
-        term_g = (k_gg.sum() - np.trace(k_gg)) / (n * (n - 1))
-    else:
-        term_r = k_rr.sum() / (m * m)
-        term_g = k_gg.sum() / (n * n)
+    term_r = (k_rr.sum() - np.trace(k_rr)) / (m * (m - 1))
+    term_g = (k_gg.sum() - np.trace(k_gg)) / (n * (n - 1))
     return float(term_r + term_g - 2.0 * k_rg.sum() / (m * n))
 
 
-def evaluate_pooled(real, gen, knn_k=5, mmd_unbiased=True, rbf_sigma=None) -> dict:
+def evaluate_pooled(real, gen, knn_k=5) -> dict:
     """Every MetricReport field, each metric read from the pooled matrix."""
     scores = prdc_pooled(real, gen, knn_k)
-    sigma = median_sigma_pooled(real, gen) if rbf_sigma is None else rbf_sigma
+    sigma = median_sigma_pooled(real, gen)
     return {
         "fd": frechet_distance(real, gen),
         **scores,
         "f1_pr": f1_score(scores["precision"], scores["recall"]),
         "f1_dc": f1_score(scores["density"], scores["coverage"]),
-        "mmd_linear": mmd_pooled(real, gen, "linear", mmd_unbiased),
-        "mmd_rbf": mmd_pooled(real, gen, "rbf", mmd_unbiased, sigma),
+        "mmd_linear": mmd_pooled(real, gen, "linear"),
+        "mmd_rbf": mmd_pooled(real, gen, "rbf", sigma),
         "k": knn_k,
         "rbf_sigma": sigma,
     }

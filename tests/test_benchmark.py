@@ -3,14 +3,16 @@ from functools import partial
 import numpy as np
 import oracles
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ggeval.benchmark import (
     DEFAULT_NUM_CLUSTERS,
     DEFAULT_RATIO_STEP,
     FLIP_METRICS,
     PERTURBATION_KINDS,
+    _mean_ranks,
     _rewire_graph,
     _round_half_up,
     cluster_wl,
@@ -197,6 +199,17 @@ def test_spearman_matches_scipy_with_ties():
     x = rng.integers(0, 5, size=30).astype(float)  # heavy ties
     y = rng.integers(0, 5, size=30).astype(float)
     assert spearman(x, y)[0] == pytest.approx(oracles.spearman_scipy(x, y), abs=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=arrays(np.float64, st.integers(1, 40),
+                     elements=st.sampled_from((-np.inf, -1.0, -0.0, 0.0, 0.5, 2.0, np.inf, np.nan))
+                     | st.floats(-1e3, 1e3)))
+@example(values=np.array([np.nan, 1.0, np.nan, np.inf, 1.0, np.nan, -np.inf]))
+def test_mean_ranks_match_loop_oracle(values):
+    ranks = _mean_ranks(values)
+    expected = oracles.mean_ranks_slow(values)
+    assert ranks.dtype == expected.dtype and ranks.tobytes() == expected.tobytes()
 
 
 def test_spearman_validation():

@@ -59,7 +59,7 @@ def test_config_validation():
         EncoderConfig(feature_config="provided", input_dim=0)
     with pytest.raises(ValueError, match="input_dim"):
         EncoderConfig(input_dim=3)  # would be ignored: feature_config is "none"
-    for field in ("num_layers", "hidden", "mlp_depth", "input_dim"):
+    for field in ("num_layers", "hidden", "input_dim"):
         with pytest.raises(TypeError, match=field):
             EncoderConfig(**{field: 2.0})
     EncoderConfig(feature_config="provided", input_dim=7)
@@ -82,8 +82,7 @@ def test_config_dict_round_trip(tmp_path):
     stored = json.loads(path.read_text())["config"]
     # every field, in declaration order
     assert list(stored.items()) == [("num_layers", 2), ("hidden", 5), ("lipschitz_bound", 0.7),
-                                    ("feature_config", "provided"), ("mlp_depth", 2),
-                                    ("input_dim", 3)]
+                                    ("feature_config", "provided"), ("input_dim", 3)]
     assert load_params(path).config == cfg
 
 
@@ -318,6 +317,25 @@ def test_checkpoint_round_trip_exact(tmp_path):
     )
 
 
+def test_checkpoint_storing_mlp_depth_2_loads(tmp_path):
+    import json
+
+    # the layout files had while the layer block's depth was a config field
+    params = init_random(CFG, seed=4)
+    config = {"num_layers": 2, "hidden": 6, "lipschitz_bound": 1.0, "feature_config": "degree",
+              "mlp_depth": 2, "input_dim": None}
+    path = tmp_path / "enc.json"
+    path.write_text(json.dumps({"version": 2, "config": config,
+                                "weights": {k: v.tolist() for k, v in params.weights.items()}}))
+    loaded = load_params(path)
+    assert loaded.config == CFG
+    assert list(loaded.weights) == list(params.weights)
+    for name, w in params.weights.items():
+        assert loaded.weights[name].tobytes() == w.tobytes()
+    save_params(loaded, path)
+    assert "mlp_depth" not in json.loads(path.read_text())["config"]
+
+
 def test_checkpoint_version_guard(tmp_path):
     import json
 
@@ -346,7 +364,7 @@ def test_version_1_checkpoint_rejected(tmp_path):
 
 
 def test_weight_shapes_match_init_random():
-    for cfg in (CFG, EncoderConfig(mlp_depth=3, feature_config="provided", input_dim=5)):
+    for cfg in (CFG, EncoderConfig(num_layers=2, feature_config="provided", input_dim=5)):
         params = init_random(cfg, seed=3)
         shapes = list(weight_shapes(cfg))
         assert len(shapes) == weight_count(cfg)
@@ -392,7 +410,7 @@ def checkpoint_payloads(draw):
     """A saved small encoder's payload with a few keys, shapes or values changed."""
     feature_config = draw(st.sampled_from(("none", "degree", "provided")))
     cfg = EncoderConfig(num_layers=draw(st.integers(1, 2)), hidden=draw(st.integers(1, 3)),
-                        mlp_depth=draw(st.integers(1, 2)), feature_config=feature_config,
+                        feature_config=feature_config,
                         input_dim=2 if feature_config == "provided" else None)
     params = init_random(cfg, seed=0)
     blob = {"version": 2, "config": dataclasses.asdict(cfg),
@@ -427,7 +445,8 @@ def checkpoint_payloads(draw):
         elif draw(st.booleans()):
             blob["config"].pop(draw(st.sampled_from(fields)), None)
         else:
-            blob["config"][draw(st.text(max_size=8))] = draw(CONFIG_VALUES)
+            key = draw(st.text(max_size=8) | st.just("mlp_depth"))
+            blob["config"][key] = draw(st.just(2) | CONFIG_VALUES)
     if draw(st.integers(0, 9)) == 0:
         blob[draw(st.sampled_from(("version", "config", "weights")))] = draw(JSON_VALUES)
     return blob
@@ -459,6 +478,7 @@ CHECKPOINT_CORRUPTIONS = {
     "non-finite weight": (lambda b: b["weights"].update({"l1.m0.gamma": [float("nan")] * 32}),
                           "non-finite"),
     "invalid config value": (lambda b: b["config"].update(hidden=0), "config"),
+    "mlp depth 3": (lambda b: b["config"].update(mlp_depth=3), "mlp_depth"),
     "unknown config field": (lambda b: b["config"].update(width=3), "config"),
     "weights not an object": (lambda b: b.update(weights=[]), "not an object"),
 }
