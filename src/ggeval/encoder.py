@@ -9,6 +9,8 @@ num_layers * hidden.
 Normalization: every pass, training or embedding, normalizes with the
 mean and variance over all nodes of the batch it runs on. Comparing two
 sets is done by embedding their union so both live on a common scale.
+
+Memory: an uncached pass holds at most two (nodes, hidden) arrays at once.
 """
 
 from __future__ import annotations
@@ -204,7 +206,7 @@ def pack_graphs(graphs, config: EncoderConfig) -> BatchedGraphs:
     # sort. Any order gives the same canonical matrix.
     rows = np.concatenate((edges[1], diag, edges[0]))
     cols = np.concatenate((edges[0], diag, edges[1]))
-    del edges  # not held through the CSR conversion, where memory peaks
+    del edges  # freed before the CSR build, the scoring path's transient peak
     agg = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(total, total))
     pool = sp.csr_matrix((np.ones(total), diag, offsets), shape=(len(graphs), total))
     return BatchedGraphs(features=x, agg=agg, pool=pool)
@@ -212,19 +214,21 @@ def pack_graphs(graphs, config: EncoderConfig) -> BatchedGraphs:
 
 def forward_batch(params: EncoderParams, batch: BatchedGraphs,
                   collect_cache: bool = False):
-    """Run the encoder over a packed batch; params are only read.
+    """Run the encoder over a packed batch; params and batch are only read.
 
     Returns (embeddings, cache); cache holds the intermediates needed for
     the reverse pass when collect_cache is set.
     """
-    cfg = params.config
     w = params.weights
     h = batch.features
     readouts = []
     cache = {"batch": batch, "layers": []} if collect_cache else None
-    for k in range(cfg.num_layers):
+    for k in range(params.config.num_layers):
         lin_in = batch.agg @ h
+        del h  # the batch still holds the input features
         z = lin_in @ w[f"l{k}.m0.W"]
+        first = {"lin_in": lin_in} if collect_cache else None
+        del lin_in
         z += w[f"l{k}.m0.b"]
         # same operations, in the same order, as z.mean and z.var
         z -= z.mean(axis=0)
@@ -237,14 +241,10 @@ def forward_batch(params: EncoderParams, batch: BatchedGraphs,
         z += w[f"l{k}.m0.beta"]
         pre_relu, z = z, np.maximum(z, 0.0, out=out)
         if collect_cache:
-            cache["layers"].append({"steps": [
-                {"lin_in": lin_in, "normed": normed, "inv_std": inv_std, "pre_relu": pre_relu},
-                {"lin_in": z},
-            ]})
-        # free the aggregation output, and drop the names that alias the
-        # hidden state so that it dies with z in the next layer
-        del lin_in, normed, pre_relu, out
+            first.update(normed=normed, inv_std=inv_std, pre_relu=pre_relu)
+            cache["layers"].append({"steps": [first, {"lin_in": z}]})
         h = z @ w[f"l{k}.m1.W"]
+        del z, normed, pre_relu, out
         h += w[f"l{k}.m1.b"]
         readouts.append(batch.pool @ h)
     return np.hstack(readouts), cache

@@ -257,9 +257,9 @@ def encoder_backward(params: EncoderParams, cache, d_emb: np.ndarray) -> dict:
         # first linear
         grads[f"l{k}.m0.W"] = first["lin_in"].T @ d_h
         grads[f"l{k}.m0.b"] = d_h.sum(axis=0)
-        d_h = d_h @ w[f"l{k}.m0.W"].T
-        # aggregation matrix is symmetric, so its transpose is itself
-        carry = batch.agg @ d_h
+        if k:  # nothing reads layer 0's input gradient
+            # aggregation matrix is symmetric, so its transpose is itself
+            carry = batch.agg @ (d_h @ w[f"l{k}.m0.W"].T)
     return grads
 
 
