@@ -33,6 +33,13 @@ def _round_half_up(x: float) -> int:
     return int(np.floor(x + 0.5))
 
 
+def _chosen(r: float, population: int, rng) -> np.ndarray:
+    """round(r * population) distinct units of range(population), in draw order."""
+    if not 0.0 <= r <= 1.0:
+        raise ValueError("r must be in [0, 1]")
+    return rng.choice(population, size=_round_half_up(r * population), replace=False)
+
+
 # ---------------------------------------------------------------------------
 # perturbations
 
@@ -44,12 +51,8 @@ def perturb_mix_random(graph_set: GraphSet, r: float, rng) -> GraphSet:
     p = |E| / C(n, 2), so expected density is preserved. Replaced indices
     are drawn without replacement.
     """
-    if not 0.0 <= r <= 1.0:
-        raise ValueError("r must be in [0, 1]")
-    count = _round_half_up(r * len(graph_set))
-    picked = rng.choice(len(graph_set), size=count, replace=False)
     out = list(graph_set)
-    for i in sorted(int(j) for j in picked):
+    for i in sorted(int(j) for j in _chosen(r, len(out), rng)):
         g = out[i]
         pairs = g.num_nodes * (g.num_nodes - 1) / 2
         p = g.num_edges / pairs if pairs > 0 else 0.0
@@ -122,35 +125,25 @@ def cluster_wl(graph_set: GraphSet, num_clusters: int):
     diag = np.diag(gram)
     dist = np.sqrt(np.clip(diag[:, None] + diag[None, :] - 2.0 * gram, 0.0, None))
 
-    # cross[a][b]: maximum pairwise distance between clusters a and b
-    clusters = {i: [i] for i in range(n)}
+    # cross[a, b]: maximum pairwise distance between the clusters whose
+    # smallest members are a and b; inf on the diagonal and on merged-away
+    # rows and columns. The matrix stays symmetric, so the first argmin in
+    # row-major order is the smallest (a, b) pair with a < b.
     cross = dist.copy()
     np.fill_diagonal(cross, np.inf)
-    alive = sorted(clusters)
-    while len(clusters) > num_clusters:
-        # argmin over the upper triangle; ties resolve to the smallest
-        # (row, column) pair in index order
-        sub = cross[np.ix_(alive, alive)].copy()
-        sub[np.tril_indices(len(alive))] = np.inf
-        flat = int(np.argmin(sub))
-        a = alive[flat // len(alive)]
-        b = alive[flat % len(alive)]
-        clusters[a].extend(clusters[b])
-        del clusters[b]
-        alive.remove(b)
-        rest = np.asarray([c for c in alive if c != a], dtype=np.int64)
-        if rest.size:
-            link = np.maximum(cross[a, rest], cross[b, rest])
-            cross[a, rest] = link
-            cross[rest, a] = link
+    owner = np.arange(n)  # each graph's cluster, keyed by its smallest member
+    for _ in range(n - num_clusters):
+        a, b = divmod(int(np.argmin(cross)), n)
+        cross[a] = cross[:, a] = np.maximum(cross[a], cross[b])
+        cross[b] = cross[:, b] = np.inf
+        owner[owner == b] = a
 
-    labels = np.empty(n, dtype=np.int64)
+    keys, labels = np.unique(owner, return_inverse=True)
     medoids = []
-    for new_label, key in enumerate(sorted(clusters)):
-        members = sorted(clusters[key])
-        labels[members] = new_label
+    for key in keys:
+        members = np.flatnonzero(owner == key)
         block = gram[np.ix_(members, members)]
-        medoids.append(members[int(np.argmax(block.mean(axis=1)))])
+        medoids.append(int(members[np.argmax(block.mean(axis=1))]))
     return labels, medoids
 
 
@@ -162,14 +155,10 @@ def perturb_mode_collapse(graph_set: GraphSet, r: float, rng,
     cluster's medoid, shrinking within-mode diversity while keeping the
     set size and the mode locations.
     """
-    num_clusters = len(medoids)
-    count = _round_half_up(r * num_clusters)
-    picked = set(int(c) for c in rng.choice(num_clusters, size=count, replace=False))
+    picked = _chosen(r, len(medoids), rng)
     out = list(graph_set)
-    for i in range(len(out)):
-        c = int(labels[i])
-        if c in picked:
-            out[i] = graph_set[medoids[c]]
+    for i in np.flatnonzero(np.isin(labels, picked)):
+        out[i] = graph_set[medoids[labels[i]]]
     return graph_set.replace(out, name=f"{graph_set.name}/mode_collapse[{r:g}]")
 
 
@@ -181,18 +170,16 @@ def perturb_mode_drop(graph_set: GraphSet, r: float, rng,
     replacement) from the survivors' members. Selecting every cluster
     leaves nothing to refill from and raises AllClustersSelectedError.
     """
-    num_clusters = len(medoids)
-    count = _round_half_up(r * num_clusters)
-    if count >= num_clusters:
+    picked = _chosen(r, len(medoids), rng)
+    if len(picked) == len(medoids):
         raise AllClustersSelectedError(
-            f"mode drop at r={r:g} would remove all {num_clusters} clusters"
+            f"mode drop at r={r:g} would remove all {len(medoids)} clusters"
         )
-    picked = set(int(c) for c in rng.choice(num_clusters, size=count, replace=False))
-    survivors = [i for i in range(len(graph_set)) if int(labels[i]) not in picked]
+    dropped = np.isin(labels, picked)
+    survivors = np.flatnonzero(~dropped)
     out = list(graph_set)
-    for i in range(len(out)):
-        if int(labels[i]) in picked:
-            out[i] = graph_set[survivors[int(rng.integers(len(survivors)))]]
+    for i in np.flatnonzero(dropped):
+        out[i] = graph_set[survivors[int(rng.integers(len(survivors)))]]
     return graph_set.replace(out, name=f"{graph_set.name}/mode_drop[{r:g}]")
 
 

@@ -9,6 +9,7 @@ across threads.
 from __future__ import annotations
 
 import json
+import operator
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -47,7 +48,8 @@ class Graph:
 
     Construction canonicalizes the edge list: pairs are stored as
     (min, max), duplicates removed, sorted lexicographically. Self-loops
-    and out-of-range endpoints raise instead of being dropped silently.
+    and out-of-range endpoints raise instead of being dropped silently, and
+    a non-integer node count or endpoint raises instead of being truncated.
     After construction ``edges`` is the canonical read-only
     (num_edges, 2) int64 array; an empty graph has shape (0, 2).
     ``node_features`` is None or a read-only finite float64 matrix with
@@ -59,17 +61,24 @@ class Graph:
     node_features: np.ndarray | None = None
 
     def __post_init__(self):
-        n = int(self.num_nodes)
+        try:
+            n = operator.index(self.num_nodes)
+        except TypeError as exc:
+            raise InvariantViolationError(
+                f"num_nodes must be an integer, got {self.num_nodes!r}") from exc
         if n < 0:
             raise InvariantViolationError(f"num_nodes must be >= 0, got {n}")
         object.__setattr__(self, "num_nodes", n)
 
-        try:
-            raw = np.asarray(self.edges, dtype=np.int64)
-        except OverflowError as exc:
-            raise EndpointOutOfRangeError(f"edge endpoint outside [0,{n})") from exc
+        # the dtype alone says whether every endpoint is an integer: an empty
+        # input has no endpoints, whatever dtype numpy gives it
+        raw = np.asarray(self.edges)
         if raw.size == 0:
-            raw = raw.reshape(0, 2)
+            raw = np.empty((0, 2), dtype=np.int64)
+        elif raw.dtype.kind not in "iu":
+            raise InvariantViolationError(
+                f"edges must hold integer endpoints, got dtype {raw.dtype}")
+        raw = raw.astype(np.int64, copy=False)
         if raw.ndim != 2 or raw.shape[1] != 2:
             raise InvariantViolationError(
                 f"edges must be a sequence of (u, v) pairs, got shape {raw.shape}"

@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .benchmark import BenchmarkCurve, curves_to_csv, ratio_grid, run_benchmark
+from .benchmark import (BenchmarkCurve, curves_to_csv, ratio_grid, rho_summary,
+                        run_benchmark)
 from .encoder import EncoderConfig, embed_union, init_random, save_params
 from .generators import _sample_even, gen_community, substream
 from .graphs import GraphSet, atomic_write_text
@@ -68,6 +69,9 @@ class ReproduceConfig:
             raise ValueError(f"dataset_seed must be >= 0, got {self.dataset_seed}")
         if min(self.seeds) < 0:
             raise ValueError(f"seeds must be >= 0, got {self.seeds}")
+        # summary.json keys the per-seed rhos by seed: a repeat would hide a run
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError(f"seeds must be distinct, got {self.seeds}")
         ratio_grid(self.step)  # raises for a step that does not divide [0, 1]
         lo, hi = self.node_range
         if not (2 <= lo <= hi):
@@ -125,11 +129,8 @@ class ReproduceReport:
     elapsed_seconds: float
 
     def mean_rhos(self, which: str = "trained") -> dict:
-        key = f"{which}_rhos"
-        return {
-            name: float(np.mean([getattr(run, key)[name] for run in self.runs]))
-            for name in METRIC_NAMES
-        }
+        summary = rho_summary([getattr(run, f"{which}_curve") for run in self.runs])
+        return {name: stats["mean"] for name, stats in summary.items()}
 
     def recall_trend_wins(self) -> int:
         """Seeds where the trained encoder tracks recall better than random."""

@@ -9,6 +9,7 @@ acceptance tests.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 
 import numpy as np
@@ -371,6 +372,37 @@ def wl_subtree_kernel_slow(graph_a: Graph, graph_b: Graph, h: int) -> int:
     for ha, hb in zip(colors_per_round(graph_a), colors_per_round(graph_b)):
         total += sum(count * hb.get(color, 0) for color, count in ha.items())
     return total
+
+
+def cluster_wl_slow(kernel, num_clusters: int):
+    """Complete-linkage clustering that rescans every cluster pair each round.
+
+    kernel is a square nested list of kernel values. Each round computes
+    every pair's largest member-to-member distance
+    sqrt(k_ii + k_jj - 2 k_ij) from the member lists and merges the
+    smallest pair, ties broken by (distance, a, b) over clusters ordered
+    by smallest member. Returns (labels, medoids) in that order; a medoid
+    is the first member with the highest mean kernel row over its cluster.
+    """
+    n = len(kernel)
+
+    def dist(i, j):
+        return math.sqrt(max(0.0, float(kernel[i][i] + kernel[j][j] - 2 * kernel[i][j])))
+
+    clusters = [[i] for i in range(n)]
+    while len(clusters) > num_clusters:
+        _, a, b = min(
+            (max(dist(i, j) for i in clusters[a] for j in clusters[b]), a, b)
+            for a in range(len(clusters)) for b in range(a + 1, len(clusters))
+        )
+        clusters[a] = sorted(clusters[a] + clusters.pop(b))
+    labels = np.empty(n, dtype=np.int64)
+    medoids = []
+    for c, members in enumerate(clusters):
+        labels[members] = c
+        medoids.append(max(members, key=lambda i: sum(kernel[i][j] for j in members)
+                           / len(members)))
+    return labels, medoids
 
 
 def random_graph(rng: np.random.Generator, n: int, p: float) -> Graph:

@@ -30,7 +30,8 @@ from ggeval.benchmark import (
 )
 from ggeval.encoder import EncoderConfig, embed_union, init_random
 from ggeval.errors import AllClustersSelectedError
-from ggeval.generators import gen_community, gen_er, gen_grid, substream
+from ggeval.features import WL_KERNEL_DEPTH_DEFAULT
+from ggeval.generators import gen_community, gen_er, gen_grid, gen_lobster, substream
 from ggeval.graphs import Graph, GraphSet
 from ggeval.metrics import METRIC_NAMES, REPORT_FIELDS, MetricReport
 
@@ -260,6 +261,33 @@ def test_cluster_wl_validates_num_clusters():
         cluster_wl(gs, 5)
 
 
+def _assert_linkage_matches_oracle(graphs, ks):
+    kernel = [[oracles.wl_subtree_kernel_slow(a, b, WL_KERNEL_DEPTH_DEFAULT) for b in graphs]
+              for a in graphs]
+    for k in ks:
+        labels, medoids = cluster_wl(GraphSet("s", tuple(graphs)), k)
+        want_labels, want_medoids = oracles.cluster_wl_slow(kernel, k)
+        assert labels.dtype == np.int64
+        assert labels.tolist() == want_labels.tolist(), k
+        assert medoids == want_medoids, k
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_cluster_wl_matches_oracle_on_tied_sets(seed):
+    # small communities repeat WL colors and grids repeat whole graphs, so
+    # many pairs tie on distance and the (a, b) tie rule decides the merges
+    rng = np.random.default_rng(seed)
+    communities = [gen_community(8, rng=substream(seed, i)) for i in range(20)]
+    grids = [gen_grid(int(rng.integers(1, 4)), int(rng.integers(2, 4))) for _ in range(20)]
+    for graphs in (communities, grids):
+        _assert_linkage_matches_oracle(graphs, (1, 2, 3, 5, 10, len(graphs)))
+
+
+def test_cluster_wl_matches_oracle_on_repeated_graphs():
+    graphs = [gen_lobster(rng=substream(7, i)) for i in range(8)] * 3
+    _assert_linkage_matches_oracle(graphs, range(1, len(graphs) + 1))
+
+
 # ------------------------------------------------------- mode operations
 
 
@@ -309,6 +337,14 @@ def test_mode_drop_all_clusters_rejected():
     gs, labels, medoids = build_clustered_set()
     with pytest.raises(AllClustersSelectedError):
         perturb_mode_drop(gs, 1.0, substream(15), labels, medoids)
+
+
+@pytest.mark.parametrize("perturb", [perturb_mode_collapse, perturb_mode_drop])
+@pytest.mark.parametrize("r", [1.5, -0.5, float("nan")])
+def test_mode_perturbations_reject_ratio_outside_unit_interval(perturb, r):
+    gs, labels, medoids = build_clustered_set()
+    with pytest.raises(ValueError, match=r"r must be in \[0, 1\]"):
+        perturb(gs, r, substream(16), labels, medoids)
 
 
 # ------------------------------------------------------------ orientation

@@ -232,6 +232,21 @@ def test_benchmark_outputs(workspace, tmp_path):
         assert (tmp_path / f"chart-{name}.svg").exists()
 
 
+def test_benchmark_mode_drop_outputs(workspace, tmp_path):
+    _, data, ckpt = workspace
+    out = tmp_path / "drop.csv"
+    assert run("--seed", "2", "benchmark", "--data", str(data),
+               "--params", str(ckpt), "--kind", "mode-drop",
+               "--num-clusters", "3", "--k", "3", "--out", str(out)) == 0
+    rows = [line.split(",") for line in out.read_text().strip().splitlines()]
+    # mode drop stops short of dropping every cluster: ratios 0, 1/3, 2/3
+    assert [float(row[1]) for row in rows[1:]] == [0.0, 1 / 3, 2 / 3]
+    summary = json.loads((tmp_path / "drop.summary.json").read_text())
+    assert summary["kind"] == "mode_drop"
+    assert summary["num_clusters"] == 3
+    assert set(summary["rho"]) == set(METRIC_NAMES)
+
+
 def test_benchmark_unknown_kind_is_usage_error(workspace, tmp_path, capsys):
     _, data, ckpt = workspace
     assert run("benchmark", "--data", str(data), "--params", str(ckpt),

@@ -50,6 +50,24 @@ def test_negative_num_nodes_rejected():
         Graph(-1)
 
 
+@pytest.mark.parametrize("args", [
+    (2.9,), (np.float64(3.0),), (3, [[0, 1.7]]), (3, np.array([[0, 1]], dtype=np.float64)),
+    (3, [[True, False]]), (3, np.array([[0, 1]], dtype=object)),
+])
+def test_non_integer_input_rejected(args):
+    # converting would truncate: Graph(2.9) would hold 2 nodes, [[0, 1.7]] the edge (0, 1)
+    with pytest.raises(InvariantViolationError, match="integer"):
+        Graph(*args)
+
+
+def test_integer_and_empty_input_accepted():
+    g = Graph(np.int32(3), np.array([[2, 0]], dtype=np.uint8))
+    assert type(g.num_nodes) is int and g.num_nodes == 3
+    assert g.edges.dtype == np.int64 and g.edges.tolist() == [[0, 2]]
+    for empty in ((), [], np.empty((0, 2))):
+        assert Graph(3, empty).edges.shape == (0, 2)
+
+
 def test_node_feature_validation():
     Graph(2, edges=[(0, 1)], node_features=[[1.0], [2.0]])
     with pytest.raises(InvariantViolationError):

@@ -83,6 +83,9 @@ def test_config_validation():
         ReproduceConfig(dataset_seed=-1)
     with pytest.raises(ValueError, match="seeds"):
         ReproduceConfig(seeds=(0, -1))
+    # summary.json keys per_seed_rho by seed, so a repeated seed would drop a run
+    with pytest.raises(ValueError, match="seeds must be distinct"):
+        ReproduceConfig(seeds=(1, 1))
     # fields handed on to EncoderConfig and TrainConfig fail at construction
     for bad in ({"lr": float("nan")}, {"epochs": 0}, {"batch_size": 1}, {"hidden": 0}):
         with pytest.raises(ValueError, match=next(iter(bad))):
@@ -129,7 +132,7 @@ def test_mean_rhos_and_trend(tiny_report):
     assert set(means) == set(METRIC_NAMES)
     for name in METRIC_NAMES:
         per_seed = [run.trained_rhos[name] for run in tiny_report.runs]
-        assert means[name] == pytest.approx(np.mean(per_seed))
+        assert means[name] == float(np.mean(per_seed))
     wins = tiny_report.recall_trend_wins()
     expected = sum(run.trained_rhos["recall"] > run.random_rhos["recall"]
                    for run in tiny_report.runs)
