@@ -305,9 +305,8 @@ def run_benchmark(reference: GraphSet, embed, kind: str, seeds=(0,),
     """One curve per seed for the given perturbation kind.
 
     embed is a callable (set_a, set_b) -> (H_a, H_b) producing embedding
-    matrices on a common scale; the encoder's union embedding and any
-    baseline descriptor both fit this shape. k is the PRDC neighborhood
-    size of every evaluate call.
+    matrices on a common scale, such as the encoder's union embedding. k
+    is the PRDC neighborhood size of every evaluate call.
 
     Clustering for the mode perturbations is deterministic, so it is
     computed once and shared across seeds; only the perturbation draws
@@ -338,6 +337,12 @@ def rho_summary(curves) -> dict:
         values = np.asarray([c.rhos[name] for c in curves], dtype=np.float64)
         out[name] = {"mean": float(values.mean()), "median": float(np.median(values))}
     return out
+
+
+def zero_variance_names(curves) -> dict:
+    """Per seed, the metrics whose curve was constant, so their rho reads 0."""
+    return {str(c.seed): [name for name in METRIC_NAMES if c.zero_variance[name]]
+            for c in curves}
 
 
 def rows_to_csv(rows) -> str:

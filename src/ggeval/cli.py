@@ -204,10 +204,11 @@ def cmd_benchmark(ns) -> int:
 
     from . import __version__
     from .benchmark import (DEFAULT_NUM_CLUSTERS, DEFAULT_RATIO_STEP, PERTURBATION_KINDS,
-                            curves_to_csv, rho_summary, run_benchmark)
+                            curves_to_csv, rho_summary, run_benchmark, zero_variance_names)
     from .encoder import embed_union, load_params
     from .graphs import atomic_write_text, load_graphs
     from .metrics import METRIC_NAMES
+    from .training import attach_features
 
     data = _require(ns.data, "--data")
     kind = ns.kind.replace("-", "_")
@@ -219,6 +220,8 @@ def cmd_benchmark(ns) -> int:
     num_clusters = DEFAULT_NUM_CLUSTERS if ns.num_clusters is None else ns.num_clusters
     params = load_params(_require(ns.params, "--params"))
     reference = load_graphs(data)
+    # the reference's features once; each perturbed set adds only its new graphs
+    reference = reference.replace(attach_features(reference, params.config))
     seeds = tuple(range(ns.seed, ns.seed + ns.seeds))
     log.info("benchmark data=%s kind=%s step=%g seeds=%s", data, kind, step, seeds)
     curves = run_benchmark(
@@ -234,6 +237,7 @@ def cmd_benchmark(ns) -> int:
         "seeds": list(seeds),
         "num_clusters": num_clusters,
         "rho": rho_summary(curves),
+        "zero_variance": zero_variance_names(curves),
     }
     atomic_write_text(summary_path, json.dumps(summary, indent=2, sort_keys=True))
     if ns.plot is not None:

@@ -33,6 +33,12 @@ BN_EPS = 1e-5
 ENCODER_FEATURE_CONFIGS = FEATURE_CONFIGS + ("provided",)
 
 
+def require_integer(name: str, value) -> None:
+    """TypeError unless value is an integer; a bool is not a count."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class EncoderConfig:
     num_layers: int = 3
@@ -43,9 +49,8 @@ class EncoderConfig:
 
     def __post_init__(self):
         for name in ("num_layers", "hidden", "input_dim"):
-            value = getattr(self, name)
-            if value is not None and not isinstance(value, Integral):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
+            if getattr(self, name) is not None:
+                require_integer(name, getattr(self, name))
         if self.num_layers < 1:
             raise ValueError("num_layers must be >= 1")
         if self.hidden < 1:

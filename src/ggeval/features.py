@@ -3,8 +3,8 @@ orbit census, and Weisfeiler-Lehman color refinement with its subtree-kernel
 Gram matrix.
 
 These are the "traditional" descriptors used three ways: as encoder input
-features, as baselines in benchmarks, and as the local-metric side of the
-distinguishability checks.
+features, as the WL-kernel clustering behind the mode perturbations, and as
+the local-metric side of the distinguishability checks.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Synthetic graph generators: ER, two-block community, 2D grid, lobster,
 and the bridged cycle-pair construction, plus whole-dataset recipes.
 
-Reproducibility contract: all randomness flows through numpy Generators
-seeded from a SeedSequence. substream(seed, *key) derives independent,
+Reproducibility contract: every generator that draws takes a numpy
+Generator, never an integer seed. substream(seed, *key) derives independent,
 platform-stable streams; dataset recipes use key (graph_index,) per graph,
 so generation is order-independent and parallelizable.
 """
@@ -32,17 +32,10 @@ def substream(seed, *key) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
 
 
-def rng_from(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-
-
 def gen_er(n: int, p: float, rng) -> Graph:
     """Erdos-Renyi G(n, p): each of the C(n,2) edges kept with probability p."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must be in [0,1], got {p}")
-    rng = rng_from(rng)
     if n < 2:
         return Graph(n)
     iu, iv = np.triu_indices(n, k=1)
@@ -50,7 +43,7 @@ def gen_er(n: int, p: float, rng) -> Graph:
     return Graph(n, edges=np.column_stack((iu[keep], iv[keep])))
 
 
-def gen_community(num_nodes: int, rng=0) -> Graph:
+def gen_community(num_nodes: int, rng) -> Graph:
     """Two disjoint ER(n/2, COMMUNITY_P) blocks joined by cross edges.
 
     The round(COMMUNITY_INTER_FRAC * n) cross edges are distinct pairs drawn
@@ -59,7 +52,6 @@ def gen_community(num_nodes: int, rng=0) -> Graph:
     """
     if num_nodes % 2 != 0:
         raise ValueError(f"num_nodes must be even, got {num_nodes}")
-    rng = rng_from(rng)
     half = num_nodes // 2
     num_inter = int(round(COMMUNITY_INTER_FRAC * num_nodes))
     blocks = [gen_er(half, COMMUNITY_P, rng).edges + offset for offset in (0, half)]
@@ -83,7 +75,7 @@ def gen_grid(rows: int, cols: int) -> Graph:
     return Graph(rows * cols, edges=edges)
 
 
-def gen_lobster(rng=0) -> Graph:
+def gen_lobster(rng) -> Graph:
     """Stochastic lobster: path backbone with two levels of pendant nodes.
 
     Backbone length is uniform with mean LOBSTER_BACKBONE; each backbone
@@ -97,7 +89,6 @@ def gen_lobster(rng=0) -> Graph:
     lo, hi = LOBSTER_NODE_RANGE
     # the pendant loops draw once per node; locals are read faster than globals
     p_first, p_second = LOBSTER_P1, LOBSTER_P2
-    rng = rng_from(rng)
     for _ in range(10_000):
         backbone = int(2 * rng.random() * LOBSTER_BACKBONE + 0.5)
         backbone = max(backbone, 2)

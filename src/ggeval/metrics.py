@@ -102,8 +102,6 @@ def _knn_radii(d: np.ndarray, k: int) -> np.ndarray:
     k-th nearest other point is the row's (k+1)-th smallest entry.
     """
     n = d.shape[0]
-    if k < 1:
-        raise KTooLargeError("k must be >= 1")
     if k > n - 1:
         raise KTooLargeError(f"k={k} needs at least {k + 1} rows, got {n}")
     # sqrt is monotone, so it commutes with taking the k-th smallest
@@ -137,6 +135,8 @@ def prdc(real: np.ndarray, gen: np.ndarray, k: int = DEFAULT_KNN_K) -> dict:
     Balls use Euclidean distance to the k-th nearest neighbor within the
     point's own set, self excluded.
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     real, gen = _check_sets(real, gen)
     return _prdc(_expand(_sq_dists(real, gen)), k)
 

@@ -20,11 +20,11 @@ import numpy as np
 
 from . import __version__
 from .benchmark import (BenchmarkCurve, curves_to_csv, ratio_grid, rho_summary,
-                        run_benchmark)
-from .encoder import EncoderConfig, embed_union, init_random, save_params
+                        run_benchmark, zero_variance_names)
+from .encoder import EncoderConfig, embed_union, init_random, require_integer, save_params
 from .generators import _sample_even, gen_community, substream
 from .graphs import GraphSet, atomic_write_text
-from .metrics import METRIC_NAMES
+from .metrics import DEFAULT_KNN_K, METRIC_NAMES
 from .svgplot import ChartSeries, save_chart
 from .training import (
     TRAIN_VARIANTS,
@@ -59,8 +59,16 @@ class ReproduceConfig:
     variant: str = "graphcl"
 
     def __post_init__(self):
+        for name in ("dataset_count", "dataset_seed"):
+            require_integer(name, getattr(self, name))
+        for seed in self.seeds:
+            require_integer("each seed", seed)
         if self.variant not in TRAIN_VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
+        # k-NN balls of k = DEFAULT_KNN_K; a smaller set fails after the first training
+        if self.dataset_count < DEFAULT_KNN_K + 1:
+            raise ValueError(f"dataset_count must be >= {DEFAULT_KNN_K + 1} "
+                             f"(k-NN balls of k={DEFAULT_KNN_K}), got {self.dataset_count}")
         if len(self.seeds) == 0:
             raise ValueError("seeds is empty; a reproduction needs at least one seed")
         # SeedSequence rejects a negative seed too, but only once the
@@ -151,12 +159,14 @@ class ReproduceReport:
                 "per_seed_rho": {
                     str(run.seed): run.trained_rhos for run in self.runs
                 },
+                "zero_variance": zero_variance_names([run.trained_curve for run in self.runs]),
             },
             "random_init": {
                 "mean_rho": self.mean_rhos("random"),
                 "per_seed_rho": {
                     str(run.seed): run.random_rhos for run in self.runs
                 },
+                "zero_variance": zero_variance_names([run.random_curve for run in self.runs]),
             },
             "recall_trend": {
                 "trained_wins": self.recall_trend_wins(),

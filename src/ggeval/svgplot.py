@@ -18,6 +18,7 @@ PALETTE = (
     "#4477aa", "#ee6677", "#228833", "#ccbb44",
     "#66ccee", "#aa3377", "#bbbbbb", "#000000",
 )
+WIDTH, HEIGHT = 720, 460  # pixels
 
 
 @dataclass(frozen=True)
@@ -29,25 +30,15 @@ class ChartSeries:
     stroke_width: float = 1.5
 
 
-def _ticks(lo: float, hi: float, count: int = 5):
-    if hi <= lo:
-        hi = lo + 1.0
-    return np.linspace(lo, hi, count)
-
-
 def _fmt(value: float) -> str:
     return f"{value:.4g}"
 
 
-def line_chart(series, title: str = "", x_label: str = "", y_label: str = "",
-               width: int = 720, height: int = 460) -> str:
-    """Render series of (x, y) points to a standalone SVG document."""
-    series = [s if isinstance(s, ChartSeries) else ChartSeries(*s) for s in series]
-    if not series:
-        raise ValueError("line_chart needs at least one series")
+def line_chart(series, title: str, x_label: str, y_label: str) -> str:
+    """Render ChartSeries to a standalone SVG document of WIDTH x HEIGHT."""
     left, right, top, bottom = 64, 180, 40, 48
-    plot_w = width - left - right
-    plot_h = height - top - bottom
+    plot_w = WIDTH - left - right
+    plot_h = HEIGHT - top - bottom
 
     all_x = np.concatenate([np.asarray(s.xs, dtype=np.float64) for s in series])
     all_y = np.concatenate([np.asarray(s.ys, dtype=np.float64) for s in series])
@@ -68,36 +59,31 @@ def line_chart(series, title: str = "", x_label: str = "", y_label: str = "",
         return top + plot_h - (y - y_lo) / (y_hi - y_lo) * plot_h
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="sans-serif" font-size="12">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<rect x="{left}" y="{top}" width="{plot_w}" height="{plot_h}" '
         f'fill="none" stroke="#444444"/>',
+        f'<text x="{WIDTH / 2:.1f}" y="24" text-anchor="middle" '
+        f'font-size="15">{escape(title)}</text>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" '
-            f'font-size="15">{escape(title)}</text>'
-        )
-    for tick in _ticks(x_lo, x_hi):
+    for tick in np.linspace(x_lo, x_hi, 5):
         x = sx(tick)
         parts.append(f'<line x1="{x:.1f}" y1="{top + plot_h}" x2="{x:.1f}" '
                      f'y2="{top + plot_h + 5}" stroke="#444444"/>')
         parts.append(f'<text x="{x:.1f}" y="{top + plot_h + 18}" '
                      f'text-anchor="middle">{_fmt(tick)}</text>')
-    for tick in _ticks(y_lo, y_hi):
+    for tick in np.linspace(y_lo, y_hi, 5):
         y = sy(tick)
         parts.append(f'<line x1="{left - 5}" y1="{y:.1f}" x2="{left}" '
                      f'y2="{y:.1f}" stroke="#444444"/>')
         parts.append(f'<text x="{left - 8}" y="{y + 4:.1f}" '
                      f'text-anchor="end">{_fmt(tick)}</text>')
-    if x_label:
-        parts.append(f'<text x="{left + plot_w / 2:.1f}" y="{height - 10}" '
-                     f'text-anchor="middle">{escape(x_label)}</text>')
-    if y_label:
-        parts.append(f'<text x="18" y="{top + plot_h / 2:.1f}" text-anchor="middle" '
-                     f'transform="rotate(-90 18 {top + plot_h / 2:.1f})">'
-                     f'{escape(y_label)}</text>')
+    parts.append(f'<text x="{left + plot_w / 2:.1f}" y="{HEIGHT - 10}" '
+                 f'text-anchor="middle">{escape(x_label)}</text>')
+    parts.append(f'<text x="18" y="{top + plot_h / 2:.1f}" text-anchor="middle" '
+                 f'transform="rotate(-90 18 {top + plot_h / 2:.1f})">'
+                 f'{escape(y_label)}</text>')
 
     for i, s in enumerate(series):
         color = s.color or PALETTE[i % len(PALETTE)]

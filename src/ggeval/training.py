@@ -27,6 +27,7 @@ from .encoder import (
     orthogonal_matrix,
     pack_graphs,
     project_lipschitz_inplace,
+    require_integer,
 )
 # unused here (attach_features goes through graph_features, the projection
 # through project_lipschitz_inplace), but the benchmark's tracer
@@ -267,12 +268,12 @@ def encoder_backward(params: EncoderParams, cache, d_emb: np.ndarray) -> dict:
 # optimizer
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # the Adam paper's defaults
+
+
 @dataclass
 class AdamState:
     lr: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -280,17 +281,17 @@ class AdamState:
     def update(self, trainables: dict, grads: dict) -> None:
         """One in-place Adam step over every array present in grads."""
         self.step += 1
-        bc1 = 1.0 - self.beta1 ** self.step
-        bc2 = 1.0 - self.beta2 ** self.step
+        bc1 = 1.0 - ADAM_BETA1 ** self.step
+        bc2 = 1.0 - ADAM_BETA2 ** self.step
         for name, g in grads.items():
             arr = trainables[name]
             m = self.m.setdefault(name, np.zeros_like(arr))
             v = self.v.setdefault(name, np.zeros_like(arr))
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            arr -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            arr -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +309,8 @@ class TrainConfig:
     augmentations: AugmentationConfig = AugmentationConfig()
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size"):
+            require_integer(name, getattr(self, name))
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 2:

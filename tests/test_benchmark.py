@@ -140,7 +140,7 @@ def test_rewire_preserves_edge_and_node_counts():
 
 
 def test_rewire_complete_graph_unchanged():
-    k5 = gen_er(5, 1.0, 0)
+    k5 = gen_er(5, 1.0, substream(0))
     out = perturb_rewire(GraphSet("k5", (k5,)), 1.0, substream(7))
     assert out[0] == k5  # no free endpoint exists anywhere
 
@@ -156,7 +156,7 @@ def test_rewire_changes_graphs_at_high_ratio():
        seed=st.integers(0, 2**31 - 1))
 def test_rewire_matches_candidate_list_oracle(n, p, r, seed):
     # dense graphs included, so stable endpoints with no free target occur
-    graph = gen_er(n, p, seed)
+    graph = gen_er(n, p, substream(seed))
     rng_fast = np.random.default_rng(seed + 1)
     rng_slow = np.random.default_rng(seed + 1)
     fast = _rewire_graph(graph, r, rng_fast)

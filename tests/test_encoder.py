@@ -60,8 +60,9 @@ def test_config_validation():
     with pytest.raises(ValueError, match="input_dim"):
         EncoderConfig(input_dim=3)  # would be ignored: feature_config is "none"
     for field in ("num_layers", "hidden", "input_dim"):
-        with pytest.raises(TypeError, match=field):
-            EncoderConfig(**{field: 2.0})
+        for bad in (2.0, True):  # a bool is an Integral, but not a count
+            with pytest.raises(TypeError, match=field):
+                EncoderConfig(**{field: bad})
     EncoderConfig(feature_config="provided", input_dim=7)
 
 

@@ -13,7 +13,6 @@ from ggeval.generators import (
     gen_er,
     gen_grid,
     gen_lobster,
-    rng_from,
     substream,
 )
 from ggeval.graphs import adjacency
@@ -27,21 +26,16 @@ def test_substream_deterministic_and_independent():
     assert not np.array_equal(a, c)
 
 
-def test_rng_from_passthrough():
-    rng = substream(0)
-    assert rng_from(rng) is rng
-
-
 def test_er_extremes():
-    assert gen_er(6, 0.0, 0).num_edges == 0
-    assert gen_er(6, 1.0, 0).num_edges == 15
-    assert gen_er(1, 0.5, 0).num_edges == 0
-    assert gen_er(0, 0.5, 0).num_nodes == 0
+    assert gen_er(6, 0.0, substream(0)).num_edges == 0
+    assert gen_er(6, 1.0, substream(0)).num_edges == 15
+    assert gen_er(1, 0.5, substream(0)).num_edges == 0
+    assert gen_er(0, 0.5, substream(0)).num_nodes == 0
 
 
 def test_er_probability_validated():
     with pytest.raises(ValueError):
-        gen_er(5, 1.5, 0)
+        gen_er(5, 1.5, substream(0))
 
 
 def test_er_edge_count_near_expectation():
@@ -61,7 +55,7 @@ def test_community_structure():
 
 def test_community_odd_nodes_rejected():
     with pytest.raises(ValueError):
-        gen_community(41)
+        gen_community(41, substream(0))
 
 
 def test_grid_shape_and_degrees():

@@ -121,8 +121,10 @@ def test_prdc_k_too_large():
     h = sample(12, rows=5)
     with pytest.raises(KTooLargeError):
         prdc(h, h, k=5)
-    with pytest.raises(KTooLargeError):
-        prdc(h, h, k=0)
+    # k < 1 is out of range whatever the sets, so it is checked first, as in evaluate
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            prdc(h[0], h, k=k)
 
 
 # -------------------------------------------------------------------- f1

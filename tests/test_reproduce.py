@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ggeval.benchmark import BenchmarkCurve
-from ggeval.metrics import METRIC_NAMES
+from ggeval.metrics import DEFAULT_KNN_K, METRIC_NAMES
 from ggeval.reproduce import (
     ReproduceConfig,
     ReproduceReport,
@@ -90,7 +90,16 @@ def test_config_validation():
     for bad in ({"lr": float("nan")}, {"epochs": 0}, {"batch_size": 1}, {"hidden": 0}):
         with pytest.raises(ValueError, match=next(iter(bad))):
             ReproduceConfig(**bad)
-    ReproduceConfig(dataset_count=6)
+    # every evaluate call needs k + 1 rows per set, k = DEFAULT_KNN_K
+    for count in (0, DEFAULT_KNN_K):
+        with pytest.raises(ValueError, match="dataset_count must be >= 6"):
+            ReproduceConfig(dataset_count=count)
+    ReproduceConfig(dataset_count=DEFAULT_KNN_K + 1)
+    for bad in ({"dataset_count": 50.0}, {"dataset_count": True}, {"dataset_seed": 1.0},
+                {"dataset_seed": False}, {"seeds": (0, 1.5)}, {"seeds": (True,)},
+                {"epochs": 2.5}, {"batch_size": 8.0}, {"num_layers": True}):
+        with pytest.raises(TypeError, match="integer"):
+            ReproduceConfig(**bad)
 
 
 def test_config_plumbs_variants():
@@ -171,6 +180,19 @@ def test_write_outputs_artifacts(tiny_report, tmp_path):
     assert len(lines) == 1 + len(tiny_report.runs) * len(ratios)
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["dataset"] == tiny_report.dataset_name
+
+
+def test_summary_names_the_zero_variance_metrics(tiny_report, tmp_path):
+    write_outputs(tiny_report, tmp_path)
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    for key, curve in (("trained", "trained_curve"), ("random_init", "random_curve")):
+        # the ratios vary, so a flag means the metric's curve is constant
+        want = {str(run.seed): [name for name in METRIC_NAMES
+                                if len(set(getattr(run, curve).metric_values(name))) == 1]
+                for run in tiny_report.runs}
+        assert summary[key]["zero_variance"] == want
+    # twelve graphs with k = 5 cover every reference ball at every ratio
+    assert all("coverage" in names for names in summary["trained"]["zero_variance"].values())
 
 
 def test_run_writes_checkpoints(tmp_path):

@@ -329,6 +329,12 @@ def test_train_config_validation():
             TrainConfig(lr=bad)
         with pytest.raises(ValueError, match="tau must be finite"):
             TrainConfig(tau=bad)
+    # a float count would fail only inside train_graphcl, a bool is not a count
+    for field in ("epochs", "batch_size"):
+        for bad in (2.5, True, "4"):
+            with pytest.raises(TypeError, match=field):
+                TrainConfig(**{field: bad})
+    TrainConfig(epochs=np.int64(2), batch_size=np.int64(4))
 
 
 def test_variants():
