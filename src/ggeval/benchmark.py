@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllClustersSelectedError
+from .errors import AllClustersSelectedError, require_integer
 from .features import wl_kernel_gram
 from .generators import gen_er, substream
-from .graphs import Graph, GraphSet, adjacency
+from .graphs import Graph, GraphSet
 from .metrics import DEFAULT_KNN_K, METRIC_NAMES, REPORT_FIELDS, evaluate
 
 # metrics that decrease under growing perturbation get their sign flipped
@@ -62,7 +62,7 @@ def perturb_mix_random(graph_set: GraphSet, r: float, rng) -> GraphSet:
 
 def _rewire_graph(graph: Graph, r: float, rng) -> Graph:
     n = graph.num_nodes
-    nbrs = [set(neighbors) for neighbors in adjacency(graph)]
+    nbrs = [set(neighbors) for neighbors in graph.neighbors()]
     edges = graph.edges.tolist()
     for idx in range(len(edges)):
         if rng.random() >= r:
@@ -314,8 +314,10 @@ def run_benchmark(reference: GraphSet, embed, kind: str, seeds=(0,),
     """
     if kind not in PERTURBATION_KINDS:
         raise ValueError(f"unknown perturbation kind {kind!r}")
-    if len(seeds) == 0:
+    seeds = [require_integer("each seed", seed) for seed in seeds]
+    if not seeds:
         raise ValueError("seeds is empty; a benchmark needs at least one seed")
+    k = require_integer("k", k)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if kind in MODE_KINDS:
@@ -325,7 +327,7 @@ def run_benchmark(reference: GraphSet, embed, kind: str, seeds=(0,),
         labels = medoids = None
         ratios = ratio_grid(step)
     return tuple(
-        _sweep(reference, embed, kind, int(seed), ratios, labels, medoids, k)
+        _sweep(reference, embed, kind, seed, ratios, labels, medoids, k)
         for seed in seeds
     )
 

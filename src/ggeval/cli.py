@@ -413,16 +413,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
-    if ns.threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ[var] = str(ns.threads)
     logging.basicConfig(
         stream=sys.stderr,
         level=logging.DEBUG if ns.verbose else logging.INFO,
         format="%(asctime)s %(name)s %(levelname)s %(message)s",
     )
     try:
+        if ns.threads is not None:
+            if ns.threads < 1:
+                raise UsageError(f"--threads must be >= 1, got {ns.threads}")
+            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                        "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+                os.environ[var] = str(ns.threads)
         if ns.config is not None:
             ns = _apply_config(parser, ns, argv)
         from .errors import GGEvalError

@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from numbers import Integral
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import FeatureMismatchError, ParseError
+from .errors import FeatureMismatchError, ParseError, require_integer
 from .features import FEATURE_CONFIGS, feature_dim, structural_features
 from .graphs import Graph, atomic_write_text
 
@@ -31,12 +30,6 @@ BN_EPS = 1e-5
 # feature selectors accepted by the encoder: the structural ones, plus
 # "provided" for datasets whose files carry their own node features
 ENCODER_FEATURE_CONFIGS = FEATURE_CONFIGS + ("provided",)
-
-
-def require_integer(name: str, value) -> None:
-    """TypeError unless value is an integer; a bool is not a count."""
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -50,7 +43,7 @@ class EncoderConfig:
     def __post_init__(self):
         for name in ("num_layers", "hidden", "input_dim"):
             if getattr(self, name) is not None:
-                require_integer(name, getattr(self, name))
+                object.__setattr__(self, name, require_integer(name, getattr(self, name)))
         if self.num_layers < 1:
             raise ValueError("num_layers must be >= 1")
         if self.hidden < 1:

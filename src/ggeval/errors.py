@@ -1,9 +1,23 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, and the integer-argument rule.
 
 Every error raised on purpose derives from GGEvalError so the CLI can map
 library failures to exit code 1 while argparse keeps exit code 2 for usage
 problems.
 """
+
+import operator
+from numbers import Integral
+
+
+def require_integer(name: str, value) -> int:
+    """value as a plain int; TypeError unless it is an integer (a bool is not a count).
+
+    Callers keep the returned int, so a numpy integer never reaches a
+    json.dumps of a config or report.
+    """
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
 
 
 class GGEvalError(Exception):

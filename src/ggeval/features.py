@@ -17,7 +17,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import CensusTooLargeError
-from .graphs import Graph, adjacency
+from .graphs import Graph
 
 # Induced 4-node subgraph classes. Letters f..k are pinned down by how the
 # cycle-pair counting argument uses them (claw, 1-edge, 2 disjoint edges,
@@ -165,7 +165,7 @@ def _joint_refinement(graphs, max_iter):
     stopping early once the joint partition reaches a fixed point. Initial
     colors are node degrees.
     """
-    neighs = [adjacency(g) for g in graphs]
+    neighs = [g.neighbors() for g in graphs]
     colors = []
     palette = {}
     for g, neigh in zip(graphs, neighs):

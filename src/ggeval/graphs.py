@@ -121,34 +121,22 @@ class Graph:
     def __hash__(self):
         return hash((self.num_nodes, self.edges.tobytes()))
 
-    def neighbors(self):
-        """(indptr, indices) CSR adjacency, computed once per graph.
+    def neighbors(self) -> tuple:
+        """One tuple per node of its neighbors, ascending, computed once per graph.
 
-        Node u's neighbors are indices[indptr[u]:indptr[u + 1]], ascending;
-        both arrays are read-only int64.
+        N(u) contains v iff N(v) contains u. The canonical edge order needs
+        no sort: node u meets its lower neighbors as (v, u) pairs, ascending
+        in v, before its upper ones as (u, v) pairs, ascending in v.
         """
-        csr = self.__dict__.get("_csr")
-        if csr is None:
-            e = self.edges
-            src = np.concatenate((e[:, 0], e[:, 1]))
-            dst = np.concatenate((e[:, 1], e[:, 0]))
-            order = np.lexsort((dst, src))
-            indptr = np.zeros(self.num_nodes + 1, dtype=np.int64)
-            np.cumsum(np.bincount(src, minlength=self.num_nodes), out=indptr[1:])
-            indices = dst[order]
-            indptr.flags.writeable = False
-            indices.flags.writeable = False
-            csr = (indptr, indices)
-            object.__setattr__(self, "_csr", csr)
-        return csr
-
-
-def adjacency(graph: Graph) -> list[list[int]]:
-    """Per-node sorted neighbor lists. N(u) contains v iff N(v) contains u."""
-    indptr, indices = graph.neighbors()
-    flat = indices.tolist()
-    bounds = indptr.tolist()
-    return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+        nbrs = self.__dict__.get("_neighbors")
+        if nbrs is None:
+            lists = [[] for _ in range(self.num_nodes)]
+            for u, v in self.edges.tolist():
+                lists[u].append(v)
+                lists[v].append(u)
+            nbrs = tuple(map(tuple, lists))
+            object.__setattr__(self, "_neighbors", nbrs)
+        return nbrs
 
 
 @dataclass(frozen=True, eq=False)

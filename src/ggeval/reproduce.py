@@ -21,7 +21,8 @@ import numpy as np
 from . import __version__
 from .benchmark import (BenchmarkCurve, curves_to_csv, ratio_grid, rho_summary,
                         run_benchmark, zero_variance_names)
-from .encoder import EncoderConfig, embed_union, init_random, require_integer, save_params
+from .encoder import EncoderConfig, embed_union, init_random, save_params
+from .errors import require_integer
 from .generators import _sample_even, gen_community, substream
 from .graphs import GraphSet, atomic_write_text
 from .metrics import DEFAULT_KNN_K, METRIC_NAMES
@@ -59,10 +60,14 @@ class ReproduceConfig:
     variant: str = "graphcl"
 
     def __post_init__(self):
-        for name in ("dataset_count", "dataset_seed"):
-            require_integer(name, getattr(self, name))
-        for seed in self.seeds:
-            require_integer("each seed", seed)
+        for name in ("dataset_count", "dataset_seed", "num_layers", "hidden", "epochs",
+                     "batch_size"):
+            object.__setattr__(self, name, require_integer(name, getattr(self, name)))
+        object.__setattr__(self, "seeds",
+                           tuple(require_integer("each seed", s) for s in self.seeds))
+        object.__setattr__(self, "node_range",
+                           tuple(require_integer("each node_range bound", b)
+                                 for b in self.node_range))
         if self.variant not in TRAIN_VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
         # k-NN balls of k = DEFAULT_KNN_K; a smaller set fails after the first training

@@ -27,13 +27,13 @@ from .encoder import (
     orthogonal_matrix,
     pack_graphs,
     project_lipschitz_inplace,
-    require_integer,
 )
 # unused here (attach_features goes through graph_features, the projection
 # through project_lipschitz_inplace), but the benchmark's tracer
 # (perfbench/tracer.py) wraps these names in this module
 from .encoder import spectral_norm  # noqa: F401
-from .errors import DegenerateBatchError, FeatureMismatchError, NonFiniteGradientError
+from .errors import (DegenerateBatchError, FeatureMismatchError, NonFiniteGradientError,
+                     require_integer)
 from .features import structural_features  # noqa: F401
 from .generators import substream
 from .graphs import Graph
@@ -76,14 +76,14 @@ def subgraph_walk(graph: Graph, length: int, rng) -> Graph:
     The walk starts at a uniform node and takes up to `length` steps to a
     uniform neighbor; it stops early at a node with no neighbors.
     """
-    indptr, indices = graph.neighbors()
+    nbrs = graph.neighbors()
     cur = int(rng.integers(graph.num_nodes))
     visited = {cur}
     for _ in range(length):
-        start, stop = int(indptr[cur]), int(indptr[cur + 1])
-        if start == stop:
+        options = nbrs[cur]
+        if not options:
             break
-        cur = int(indices[start + int(rng.integers(stop - start))])
+        cur = options[int(rng.integers(len(options)))]
         visited.add(cur)
     return induced_subgraph(graph, visited)
 
@@ -309,12 +309,15 @@ class TrainConfig:
     augmentations: AugmentationConfig = AugmentationConfig()
 
     def __post_init__(self):
-        for name in ("epochs", "batch_size"):
-            require_integer(name, getattr(self, name))
+        for name in ("epochs", "batch_size", "seed"):
+            object.__setattr__(self, name, require_integer(name, getattr(self, name)))
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2")
+        # SeedSequence rejects a negative seed too, but only once training starts
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (np.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be finite and > 0, got {self.lr}")
         if not (np.isfinite(self.tau) and self.tau > 0):

@@ -21,7 +21,7 @@ from scipy.spatial.distance import cdist
 from ggeval.encoder import BN_EPS, BatchedGraphs, graph_features
 from ggeval.errors import EndpointOutOfRangeError, SelfLoopError
 from ggeval.features import ORBIT4_CLASSES
-from ggeval.graphs import Graph, adjacency
+from ggeval.graphs import Graph
 from ggeval.metrics import f1_score, frechet_distance
 
 
@@ -418,7 +418,7 @@ def random_graph(rng: np.random.Generator, n: int, p: float) -> Graph:
 def rewire_graph_slow(graph: Graph, r: float, rng) -> Graph:
     """Edge rewiring that lists every candidate target, same RNG draws."""
     n = graph.num_nodes
-    nbrs = [set(neighbors) for neighbors in adjacency(graph)]
+    nbrs = [set(neighbors) for neighbors in graph.neighbors()]
     edges = graph.edges.tolist()
     for idx in range(len(edges)):
         if rng.random() >= r:

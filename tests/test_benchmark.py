@@ -422,6 +422,18 @@ def test_run_benchmark_checks_k_before_any_embedding():
 
     with pytest.raises(ValueError, match="k must be >= 1"):
         run_benchmark(small_set(), embed, "mix_random", k=0)
+    with pytest.raises(TypeError, match="k must be an integer"):
+        run_benchmark(small_set(), embed, "mix_random", k=2.5)
+
+
+def test_run_benchmark_checks_seeds_before_any_embedding():
+    def embed(set_a, set_b):
+        raise AssertionError("embedded before the seeds were checked")
+
+    # a float seed used to run as int(seed) and label its curve so
+    for seeds in ((1.7,), (0, True)):
+        with pytest.raises(TypeError, match="each seed must be an integer"):
+            run_benchmark(small_set(), embed, "rewire", seeds=seeds)
 
 
 def test_benchmark_deterministic_and_seed_sensitive():

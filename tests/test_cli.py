@@ -493,6 +493,20 @@ def test_threads_flag_sets_environment(tmp_path):
                 os.environ[var] = value
 
 
+@pytest.mark.parametrize("threads", ["-3", "0"])
+def test_threads_below_one_is_usage_error(capsys, threads):
+    before = os.environ.get("OPENBLAS_NUM_THREADS")
+    assert run("--threads", threads, "verify", "--prop1", "5,8,6,7") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: --threads must be >= 1")
+    assert len(err.strip().splitlines()) == 1
+    assert os.environ.get("OPENBLAS_NUM_THREADS") == before
+    # the check comes before any subcommand loads numpy
+    run_python("import sys\nfrom ggeval.cli import main\n"
+               f"assert main(['--threads', '{threads}', 'verify']) == 2\n"
+               "assert 'numpy' not in sys.modules\n")
+
+
 def run_python(script):
     """Run script in a fresh interpreter that imports this checkout's ggeval."""
     env = dict(os.environ)

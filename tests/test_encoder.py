@@ -87,6 +87,18 @@ def test_config_dict_round_trip(tmp_path):
     assert load_params(path).config == cfg
 
 
+def test_numpy_integer_config_serializes(tmp_path):
+    import json
+
+    # the config stores plain ints, so the checkpoint is written, not a TypeError
+    cfg = EncoderConfig(num_layers=np.int64(2), hidden=np.int32(8))
+    assert type(cfg.num_layers) is int and type(cfg.hidden) is int
+    assert json.loads(json.dumps(dataclasses.asdict(cfg)))["hidden"] == 8
+    path = tmp_path / "enc.json"
+    save_params(init_random(cfg, seed=0), path)
+    assert load_params(path).config == EncoderConfig(num_layers=2, hidden=8)
+
+
 @pytest.mark.parametrize("rows,cols", [(16, 16), (12, 4), (4, 12), (1, 5), (5, 1)])
 def test_orthogonal_matrix(rows, cols):
     w = orthogonal_matrix(substream(0, 9), rows, cols)

@@ -15,7 +15,6 @@ from ggeval.generators import (
     gen_lobster,
     substream,
 )
-from ggeval.graphs import adjacency
 
 
 def test_substream_deterministic_and_independent():
@@ -100,7 +99,7 @@ def test_lobster_is_lobster():
 
 def test_lobster_connected():
     g = gen_lobster(rng=substream(9))
-    neigh = adjacency(g)
+    neigh = g.neighbors()
     seen = {0}
     stack = [0]
     while stack:

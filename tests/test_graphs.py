@@ -14,7 +14,6 @@ from ggeval.errors import (
 from ggeval.graphs import (
     Graph,
     GraphSet,
-    adjacency,
     atomic_write_text,
     load_graphs,
     save_graphs,
@@ -100,11 +99,13 @@ def test_canonicalize_idempotent():
 
 def test_adjacency_symmetric_and_sorted():
     g = Graph(4, edges=[(0, 2), (0, 1), (2, 3)])
-    neigh = adjacency(g)
-    assert neigh == [[1, 2], [0], [0, 3], [2]]
+    neigh = g.neighbors()
+    assert neigh == ((1, 2), (0,), (0, 3), (2,))
     for u in range(4):
         for v in neigh[u]:
             assert u in neigh[v]
+    assert Graph(0).neighbors() == ()
+    assert Graph(4, [(3, 1)]).neighbors() == ((), (3,), (), (1,))  # isolated nodes
 
 
 def test_graphset_basics():

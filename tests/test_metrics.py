@@ -125,6 +125,10 @@ def test_prdc_k_too_large():
     for k in (0, -1):
         with pytest.raises(ValueError, match="k must be >= 1"):
             prdc(h[0], h, k=k)
+    for k in (2.5, True):
+        with pytest.raises(TypeError, match="k must be an integer"):
+            prdc(h[0], h, k=k)
+    assert prdc(h, sample(13, rows=5), k=np.int64(2)) == prdc(h, sample(13, rows=5), k=2)
 
 
 # -------------------------------------------------------------------- f1
@@ -311,6 +315,10 @@ def test_set_validation_errors():
     # k is checked before the sets are
     with pytest.raises(ValueError, match="k must be >= 1"):
         evaluate(h[0], h, k=0)
+    with pytest.raises(TypeError, match="k must be an integer"):
+        evaluate(h[0], h, k=2.5)
+    report = evaluate(h, sample(3, rows=len(h)), k=np.int64(2))
+    assert type(report.k) is int and report.k == 2
 
 
 def test_report_is_plain_data():

@@ -1,5 +1,6 @@
 """End-to-end pipeline wiring: dataset builder, seed runs, artifacts."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -97,9 +98,19 @@ def test_config_validation():
     ReproduceConfig(dataset_count=DEFAULT_KNN_K + 1)
     for bad in ({"dataset_count": 50.0}, {"dataset_count": True}, {"dataset_seed": 1.0},
                 {"dataset_seed": False}, {"seeds": (0, 1.5)}, {"seeds": (True,)},
-                {"epochs": 2.5}, {"batch_size": 8.0}, {"num_layers": True}):
+                {"epochs": 2.5}, {"batch_size": 8.0}, {"num_layers": True},
+                {"node_range": (60.5, 100.0)}, {"node_range": (60, 100.0)}):
         with pytest.raises(TypeError, match="integer"):
             ReproduceConfig(**bad)
+
+
+def test_config_stores_numpy_integers_as_plain_ints():
+    # summary.json dumps the config: a numpy int there would lose it after every seed ran
+    cfg = tiny_config(seeds=(np.int64(0), np.int32(1)), node_range=(np.int64(12), 16),
+                      dataset_count=np.int64(12), hidden=np.int16(8), epochs=np.uint8(2))
+    stored = json.loads(json.dumps(dataclasses.asdict(cfg)))
+    assert stored["seeds"] == [0, 1] and stored["node_range"] == [12, 16]
+    assert stored["dataset_count"] == 12 and stored["hidden"] == 8 and stored["epochs"] == 2
 
 
 def test_config_plumbs_variants():

@@ -334,7 +334,14 @@ def test_train_config_validation():
         for bad in (2.5, True, "4"):
             with pytest.raises(TypeError, match=field):
                 TrainConfig(**{field: bad})
-    TrainConfig(epochs=np.int64(2), batch_size=np.int64(4))
+    # a float seed would fail only inside train_graphcl, in SeedSequence
+    for bad in (1.5, True):
+        with pytest.raises(TypeError, match="seed"):
+            TrainConfig(seed=bad)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        TrainConfig(seed=-1)
+    cfg = TrainConfig(epochs=np.int64(2), batch_size=np.int64(4), seed=np.uint8(3))
+    assert [type(v) for v in (cfg.epochs, cfg.batch_size, cfg.seed)] == [int, int, int]
 
 
 def test_variants():
