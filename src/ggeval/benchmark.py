@@ -119,7 +119,8 @@ def cluster_wl(graph_set: GraphSet, num_clusters: int):
     similarity to its own cluster (smallest index on ties).
     """
     n = len(graph_set)
-    if not 1 <= num_clusters <= n:
+    num_clusters = require_integer("num_clusters", num_clusters, 1)
+    if num_clusters > n:
         raise ValueError(f"num_clusters must be in [1, {n}]")
     gram = wl_kernel_gram(list(graph_set))
     diag = np.diag(gram)
@@ -240,8 +241,15 @@ def ratio_grid(step: float = DEFAULT_RATIO_STEP):
 
 def mode_grid(num_clusters: int, include_full: bool):
     """Ratios i / num_clusters; the full ratio only where it is feasible."""
+    num_clusters = require_integer("num_clusters", num_clusters, 1)
     top = num_clusters + 1 if include_full else num_clusters
     return tuple(i / num_clusters for i in range(top))
+
+
+def require_three_ratios(ratios) -> None:
+    """Raise ValueError unless a sweep's grid holds the 3 points spearman needs."""
+    if len(ratios) < 3:
+        raise ValueError(f"a sweep needs at least 3 ratios for spearman, got {ratios}")
 
 
 @dataclass(frozen=True)
@@ -314,18 +322,17 @@ def run_benchmark(reference: GraphSet, embed, kind: str, seeds=(0,),
     """
     if kind not in PERTURBATION_KINDS:
         raise ValueError(f"unknown perturbation kind {kind!r}")
-    seeds = [require_integer("each seed", seed) for seed in seeds]
+    seeds = [require_integer("each seed", seed, 0) for seed in seeds]
     if not seeds:
         raise ValueError("seeds is empty; a benchmark needs at least one seed")
-    k = require_integer("k", k)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    k = require_integer("k", k, 1)
     if kind in MODE_KINDS:
-        labels, medoids = cluster_wl(reference, num_clusters)
         ratios = mode_grid(num_clusters, include_full=kind == "mode_collapse")
     else:
-        labels = medoids = None
         ratios = ratio_grid(step)
+    require_three_ratios(ratios)
+    labels, medoids = (cluster_wl(reference, num_clusters) if kind in MODE_KINDS
+                       else (None, None))
     return tuple(
         _sweep(reference, embed, kind, seed, ratios, labels, medoids, k)
         for seed in seeds

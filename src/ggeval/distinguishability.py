@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoder import EncoderConfig, embed_set, init_random
-from .errors import HypothesisViolationError
+from .errors import HypothesisViolationError, require_integer
 from .features import clustering, degrees, orbit_census_4, wl_first_separation
 from .generators import gen_cycle_pair
 from .graphs import Graph
@@ -193,6 +193,7 @@ def verify_gnn_ceiling(pair=None, num_inits: int = 20,
     suffice because the claim is architectural: no trained instance of
     the same network can do better than its refinement ceiling.
     """
+    num_inits = require_integer("num_inits", num_inits, 1)
     if pair is None:
         pair = wl_ceiling_pair()
     g1, g2 = pair

@@ -43,11 +43,7 @@ class EncoderConfig:
     def __post_init__(self):
         for name in ("num_layers", "hidden", "input_dim"):
             if getattr(self, name) is not None:
-                object.__setattr__(self, name, require_integer(name, getattr(self, name)))
-        if self.num_layers < 1:
-            raise ValueError("num_layers must be >= 1")
-        if self.hidden < 1:
-            raise ValueError("hidden must be >= 1")
+                object.__setattr__(self, name, require_integer(name, getattr(self, name), 1))
         # an infinite bound would make the projection a silent no-op
         if not 0 < self.lipschitz_bound < float("inf"):
             raise ValueError("lipschitz_bound must be finite and > 0")
@@ -55,8 +51,6 @@ class EncoderConfig:
             raise ValueError(f"unknown feature_config {self.feature_config!r}")
         if (self.feature_config == "provided") != (self.input_dim is not None):
             raise ValueError("input_dim is set iff feature_config is 'provided'")
-        if self.input_dim is not None and self.input_dim < 1:
-            raise ValueError("input_dim must be >= 1")
 
     @property
     def in_dim(self) -> int:

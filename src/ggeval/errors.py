@@ -9,15 +9,20 @@ import operator
 from numbers import Integral
 
 
-def require_integer(name: str, value) -> int:
-    """value as a plain int; TypeError unless it is an integer (a bool is not a count).
+def require_integer(name: str, value, minimum: int) -> int:
+    """value as a plain int, checked against the smallest value it may take.
 
-    Callers keep the returned int, so a numpy integer never reaches a
-    json.dumps of a config or report.
+    Raises TypeError unless value is an integer (a bool is not a count)
+    and ValueError when it is below minimum. Callers keep the returned
+    int, so a numpy integer never reaches a json.dumps of a config or
+    report.
     """
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise TypeError(f"{name} must be an integer, got {value!r}")
-    return operator.index(value)
+    value = operator.index(value)
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value
 
 
 class GGEvalError(Exception):

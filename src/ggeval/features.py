@@ -16,7 +16,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import CensusTooLargeError
+from .errors import CensusTooLargeError, require_integer
 from .graphs import Graph
 
 # Induced 4-node subgraph classes. Letters f..k are pinned down by how the
@@ -198,8 +198,7 @@ def _joint_refinement(graphs, max_iter):
 
 def wl_first_separation(graph_a: Graph, graph_b: Graph, max_iter: int):
     """(separated, first iteration at which histograms differ or None)."""
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    max_iter = require_integer("max_iter", max_iter, 1)
     for it, (ca, cb) in _joint_refinement([graph_a, graph_b], max_iter):
         if Counter(ca) != Counter(cb):
             return True, it
@@ -218,8 +217,7 @@ def wl_kernel_gram(graphs, h: int = WL_KERNEL_DEPTH_DEFAULT) -> np.ndarray:
     point, further rounds only rename colors and leave every histogram dot
     product unchanged, so the last level is counted for the rounds left.
     """
-    if h < 0:
-        raise ValueError(f"h must be >= 0, got {h}")
+    h = require_integer("h", h, 0)
     s = len(graphs)
     owner = np.repeat(np.arange(s), [g.num_nodes for g in graphs])
     gram = np.zeros((s, s), dtype=np.float64)

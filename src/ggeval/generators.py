@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import require_integer
 from .graphs import Graph, GraphSet
 
 COMMUNITY_NODE_RANGE = (60, 160)
@@ -141,8 +142,7 @@ def gen_dataset(recipe: str, count: int | None = None, seed: int = 0) -> GraphSe
         raise ValueError(f"unknown recipe {recipe!r}, expected one of {sorted(DATASET_COUNTS)}")
     if count is None:
         count = DATASET_COUNTS[recipe]
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    count = require_integer("count", count, 1)
     graphs = []
     for i in range(count):
         rng = substream(seed, i)

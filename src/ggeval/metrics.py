@@ -136,9 +136,7 @@ def prdc(real: np.ndarray, gen: np.ndarray, k: int = DEFAULT_KNN_K) -> dict:
     Balls use Euclidean distance to the k-th nearest neighbor within the
     point's own set, self excluded.
     """
-    k = require_integer("k", k)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    k = require_integer("k", k, 1)
     real, gen = _check_sets(real, gen)
     return _prdc(_expand(_sq_dists(real, gen)), k)
 
@@ -233,9 +231,7 @@ def evaluate(real: np.ndarray, gen: np.ndarray, k: int = DEFAULT_KNN_K) -> Metri
     sample (1.0 if that is not positive). The report records k and the
     bandwidth alongside the scores.
     """
-    k = require_integer("k", k)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    k = require_integer("k", k, 1)
     real, gen = _check_sets(real, gen)
     sq = _sq_dists(real, gen)
     sigma = _median_sigma(sq)

@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .benchmark import (BenchmarkCurve, curves_to_csv, ratio_grid, rho_summary,
-                        run_benchmark, zero_variance_names)
+from .benchmark import (BenchmarkCurve, curves_to_csv, ratio_grid, require_three_ratios,
+                        rho_summary, run_benchmark, zero_variance_names)
 from .encoder import EncoderConfig, embed_union, init_random, save_params
 from .errors import require_integer
 from .generators import _sample_even, gen_community, substream
@@ -60,35 +60,29 @@ class ReproduceConfig:
     variant: str = "graphcl"
 
     def __post_init__(self):
-        for name in ("dataset_count", "dataset_seed", "num_layers", "hidden", "epochs",
-                     "batch_size"):
-            object.__setattr__(self, name, require_integer(name, getattr(self, name)))
+        # dataset_count: k-NN balls of k = DEFAULT_KNN_K need k + 1 graphs, and a
+        # smaller set fails after the first training. Seeds >= 0: SeedSequence
+        # rejects a negative seed too, but only once the dataset is built or the
+        # seed's training starts.
+        for name, minimum in (("dataset_count", DEFAULT_KNN_K + 1), ("dataset_seed", 0),
+                              ("num_layers", 1), ("hidden", 1), ("epochs", 1), ("batch_size", 2)):
+            object.__setattr__(self, name, require_integer(name, getattr(self, name), minimum))
         object.__setattr__(self, "seeds",
-                           tuple(require_integer("each seed", s) for s in self.seeds))
+                           tuple(require_integer("seeds", s, 0) for s in self.seeds))
         object.__setattr__(self, "node_range",
-                           tuple(require_integer("each node_range bound", b)
+                           tuple(require_integer("each node_range bound", b, 2)
                                  for b in self.node_range))
         if self.variant not in TRAIN_VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        # k-NN balls of k = DEFAULT_KNN_K; a smaller set fails after the first training
-        if self.dataset_count < DEFAULT_KNN_K + 1:
-            raise ValueError(f"dataset_count must be >= {DEFAULT_KNN_K + 1} "
-                             f"(k-NN balls of k={DEFAULT_KNN_K}), got {self.dataset_count}")
         if len(self.seeds) == 0:
             raise ValueError("seeds is empty; a reproduction needs at least one seed")
-        # SeedSequence rejects a negative seed too, but only once the
-        # dataset is built or the seed's training starts
-        if self.dataset_seed < 0:
-            raise ValueError(f"dataset_seed must be >= 0, got {self.dataset_seed}")
-        if min(self.seeds) < 0:
-            raise ValueError(f"seeds must be >= 0, got {self.seeds}")
         # summary.json keys the per-seed rhos by seed: a repeat would hide a run
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds must be distinct, got {self.seeds}")
-        ratio_grid(self.step)  # raises for a step that does not divide [0, 1]
+        require_three_ratios(ratio_grid(self.step))
         lo, hi = self.node_range
-        if not (2 <= lo <= hi):
-            raise ValueError("node_range must satisfy 2 <= lo <= hi")
+        if lo > hi:
+            raise ValueError("node_range must satisfy lo <= hi")
         if lo % 2 and lo == hi:
             raise ValueError("node_range must hold an even node count")
         # the configs handed on check their own fields: fail here, before

@@ -309,15 +309,9 @@ class TrainConfig:
     augmentations: AugmentationConfig = AugmentationConfig()
 
     def __post_init__(self):
-        for name in ("epochs", "batch_size", "seed"):
-            object.__setattr__(self, name, require_integer(name, getattr(self, name)))
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 2:
-            raise ValueError("batch_size must be >= 2")
-        # SeedSequence rejects a negative seed too, but only once training starts
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        # seed >= 0 here: SeedSequence rejects a negative seed too, but only once training starts
+        for name, minimum in (("epochs", 1), ("batch_size", 2), ("seed", 0)):
+            object.__setattr__(self, name, require_integer(name, getattr(self, name), minimum))
         if not (np.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be finite and > 0, got {self.lr}")
         if not (np.isfinite(self.tau) and self.tau > 0):

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from ggeval import benchmark
 from ggeval.benchmark import (
     DEFAULT_NUM_CLUSTERS,
     DEFAULT_RATIO_STEP,
@@ -253,12 +254,26 @@ def test_cluster_wl_deterministic():
     assert a[0].tolist() == b[0].tolist() and a[1] == b[1]
 
 
-def test_cluster_wl_validates_num_clusters():
+def test_cluster_wl_validates_num_clusters(monkeypatch):
     gs = small_set(4)
+    want = cluster_wl(gs, 2)
+    got = cluster_wl(gs, np.int64(2))
+    assert got[0].tolist() == want[0].tolist() and got[1] == want[1]
+
+    def gram(graphs):
+        raise AssertionError("the WL gram ran before num_clusters was checked")
+
+    monkeypatch.setattr(benchmark, "wl_kernel_gram", gram)
     with pytest.raises(ValueError):
         cluster_wl(gs, 0)
     with pytest.raises(ValueError):
         cluster_wl(gs, 5)
+    # 2.5 used to fail after the whole gram, and True to run as 1 cluster
+    for bad in (2.5, True):
+        with pytest.raises(TypeError, match="num_clusters must be an integer"):
+            cluster_wl(gs, bad)
+        with pytest.raises(TypeError, match="num_clusters must be an integer"):
+            run_benchmark(gs, random_embed(), "mode_drop", num_clusters=bad)
 
 
 def _assert_linkage_matches_oracle(graphs, ks):
@@ -393,9 +408,12 @@ def test_run_benchmark_all_kinds():
     gs = small_set(12)
     embed = random_embed()
     for kind in PERTURBATION_KINDS:
-        curves = run_benchmark(gs, embed, kind, seeds=(0,), step=0.5, num_clusters=3)
+        # numpy integers reach the curve as a plain int k and plain float ratios
+        curves = run_benchmark(gs, embed, kind, seeds=(0,), step=0.5,
+                               num_clusters=np.int64(3), k=np.int64(5))
         curve = curves[0]
         assert curve.kind == kind and curve.seed == 0
+        assert type(curve.reports[0].k) is int and type(curve.ratios[1]) is float
         assert len(curve.reports) == len(curve.ratios)
         assert curve.ratios[0] == 0.0
         assert set(curve.rhos) == set(METRIC_NAMES)
@@ -434,6 +452,24 @@ def test_run_benchmark_checks_seeds_before_any_embedding():
     for seeds in ((1.7,), (0, True)):
         with pytest.raises(TypeError, match="each seed must be an integer"):
             run_benchmark(small_set(), embed, "rewire", seeds=seeds)
+    with pytest.raises(ValueError, match="each seed must be >= 0, got -1"):
+        run_benchmark(small_set(), embed, "rewire", seeds=(-1,))
+
+
+def test_run_benchmark_checks_grid_length_before_any_work(monkeypatch):
+    def embed(set_a, set_b):
+        raise AssertionError("embedded before the grid was checked")
+
+    def gram(graphs):
+        raise AssertionError("clustered before the grid was checked")
+
+    monkeypatch.setattr(benchmark, "wl_kernel_gram", gram)
+    # spearman needs 3 ratios: each of these grids holds 2
+    for kind, setting in (("mix_random", {"step": 1.0}), ("rewire", {"step": 1.0}),
+                          ("mode_collapse", {"num_clusters": 1}),
+                          ("mode_drop", {"num_clusters": 2})):
+        with pytest.raises(ValueError, match="needs at least 3 ratios"):
+            run_benchmark(small_set(), embed, kind, **setting)
 
 
 def test_benchmark_deterministic_and_seed_sensitive():

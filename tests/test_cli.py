@@ -440,6 +440,11 @@ OUT_OF_RANGE_OPTIONS = {
     "evaluate k 0": (["evaluate", "--k", "0"], None),
     "reproduce layers 0": (["reproduce", "--layers", "0"], None),
     "reproduce step 0.3": (["reproduce", "--step", "0.3"], None),
+    # spearman needs 3 ratios: each of these sweeps would visit 2
+    "reproduce step 1": (["reproduce", "--step", "1"], None),
+    "benchmark step 1": (["benchmark", "--step", "1"], None),
+    "benchmark mode-drop num-clusters 2": (["benchmark", "--kind", "mode-drop",
+                                            "--num-clusters", "2"], None),
     "benchmark seeds 0": (["benchmark", "--seeds", "0"], None),
     "reproduce seeds 0": (["reproduce", "--seeds", "0"], None),
     "generate count 0": (["generate", "--count", "0"], None),

@@ -172,3 +172,8 @@ def test_gnn_ceiling_custom_pair_and_inits():
     assert not report.passed
     assert report.wl_separated
     assert len(report.gaps) == 3
+    # no inits would leave no gap for .passed to take the max of
+    with pytest.raises(ValueError, match="num_inits must be >= 1"):
+        verify_gnn_ceiling(num_inits=0)
+    with pytest.raises(TypeError, match="num_inits must be an integer"):
+        verify_gnn_ceiling(num_inits=2.5)

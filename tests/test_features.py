@@ -157,6 +157,13 @@ def test_wl_kernel_symmetry_and_self():
 def test_wl_kernel_negative_depth_rejected():
     with pytest.raises(ValueError, match="h must be >= 0"):
         wl_kernel_gram([TRIANGLE, PATH3], -1)
+    # a float depth used to build level 0 before range() rejected it
+    with pytest.raises(TypeError, match="h must be an integer"):
+        wl_kernel_gram([TRIANGLE, PATH3], 2.5)
+    with pytest.raises(ValueError, match="max_iter must be >= 1"):
+        wl_first_separation(TRIANGLE, PATH3, 0)
+    with pytest.raises(TypeError, match="max_iter must be an integer"):
+        wl_first_separation(TRIANGLE, PATH3, 2.5)
 
 
 def test_wl_kernel_gram_psd_and_consistent():

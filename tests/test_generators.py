@@ -163,7 +163,12 @@ def test_dataset_unknown_recipe():
         gen_dataset("mystery")
 
 
-@pytest.mark.parametrize("count", [0, -3])
+@pytest.mark.parametrize("count", [0, -3, 2.5, True])
 def test_dataset_count_below_one_rejected(count):
-    with pytest.raises(ValueError, match=f"count must be >= 1, got {count}"):
+    # a float count used to fail in range(), and True to build one graph
+    if type(count) is int:
+        error, message = ValueError, f"count must be >= 1, got {count}"
+    else:
+        error, message = TypeError, "count must be an integer"
+    with pytest.raises(error, match=message):
         gen_dataset("lobster", count=count)
