@@ -246,6 +246,13 @@ def mode_grid(num_clusters: int, include_full: bool):
     return tuple(i / num_clusters for i in range(top))
 
 
+def sweep_ratios(kind: str, step: float, num_clusters: int):
+    """The ratio grid of a sweep: clusters for the mode kinds, step for the rest."""
+    if kind in MODE_KINDS:
+        return mode_grid(num_clusters, include_full=kind == "mode_collapse")
+    return ratio_grid(step)
+
+
 def require_three_ratios(ratios) -> None:
     """Raise ValueError unless a sweep's grid holds the 3 points spearman needs."""
     if len(ratios) < 3:
@@ -326,10 +333,7 @@ def run_benchmark(reference: GraphSet, embed, kind: str, seeds=(0,),
     if not seeds:
         raise ValueError("seeds is empty; a benchmark needs at least one seed")
     k = require_integer("k", k, 1)
-    if kind in MODE_KINDS:
-        ratios = mode_grid(num_clusters, include_full=kind == "mode_collapse")
-    else:
-        ratios = ratio_grid(step)
+    ratios = sweep_ratios(kind, step, num_clusters)
     require_three_ratios(ratios)
     labels, medoids = (cluster_wl(reference, num_clusters) if kind in MODE_KINDS
                        else (None, None))

@@ -204,11 +204,11 @@ def cmd_benchmark(ns) -> int:
 
     from . import __version__
     from .benchmark import (DEFAULT_NUM_CLUSTERS, DEFAULT_RATIO_STEP, PERTURBATION_KINDS,
-                            curves_to_csv, rho_summary, run_benchmark, zero_variance_names)
+                            curves_to_csv, require_three_ratios, rho_summary, run_benchmark,
+                            sweep_ratios, zero_variance_names)
     from .encoder import embed_union, load_params
     from .graphs import atomic_write_text, load_graphs
     from .metrics import METRIC_NAMES
-    from .training import attach_features
 
     data = _require(ns.data, "--data")
     kind = ns.kind.replace("-", "_")
@@ -218,10 +218,10 @@ def cmd_benchmark(ns) -> int:
     out = _require(ns.out, "--out")
     step = DEFAULT_RATIO_STEP if ns.step is None else ns.step
     num_clusters = DEFAULT_NUM_CLUSTERS if ns.num_clusters is None else ns.num_clusters
+    # a grid spearman cannot rank is a usage error before anything loads
+    require_three_ratios(sweep_ratios(kind, step, num_clusters))
     params = load_params(_require(ns.params, "--params"))
     reference = load_graphs(data)
-    # the reference's features once; each perturbed set adds only its new graphs
-    reference = reference.replace(attach_features(reference, params.config))
     seeds = tuple(range(ns.seed, ns.seed + ns.seeds))
     log.info("benchmark data=%s kind=%s step=%g seeds=%s", data, kind, step, seeds)
     curves = run_benchmark(

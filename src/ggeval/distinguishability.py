@@ -27,6 +27,7 @@ DEFAULT_CYCLE_TUPLES = ((5, 8, 6, 7), (5, 9, 6, 8), (5, 10, 7, 8))
 
 def check_cycle_hypotheses(a: int, b: int, c: int, d: int) -> None:
     """Raise unless 4 < a < c < d < b and a + b = c + d."""
+    a, b, c, d = (require_integer(name, size, 1) for name, size in zip("abcd", (a, b, c, d)))
     if not (4 < a < c < d < b):
         raise HypothesisViolationError(
             f"need 4 < a < c < d < b, got a={a}, c={c}, d={d}, b={b}"
@@ -144,8 +145,7 @@ def verify_cycle_pair(a: int, b: int, c: int, d: int) -> CyclePairReport:
 
 
 def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise ValueError("a cycle needs at least 3 nodes")
+    n = require_integer("n", n, 3)
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 

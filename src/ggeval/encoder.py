@@ -41,8 +41,9 @@ class EncoderConfig:
     input_dim: int | None = None  # set iff feature_config == "provided"
 
     def __post_init__(self):
+        # only input_dim may be None: a layer count or width must be a count
         for name in ("num_layers", "hidden", "input_dim"):
-            if getattr(self, name) is not None:
+            if name != "input_dim" or self.input_dim is not None:
                 object.__setattr__(self, name, require_integer(name, getattr(self, name), 1))
         # an infinite bound would make the projection a silent no-op
         if not 0 < self.lipschitz_bound < float("inf"):
@@ -161,7 +162,9 @@ def graph_features(graph: Graph, config: EncoderConfig) -> np.ndarray:
 
     Graphs that already carry node features (e.g. augmented views with
     carried-over structural features, or datasets with intrinsic features)
-    must match the configured input dimension.
+    must match the configured input dimension. Otherwise the rows are
+    ``structural_features``' read-only matrix, computed once per graph and
+    selector, so re-embedding a graph costs no recomputation.
     """
     if graph.node_features is not None:
         if graph.node_features.shape[1] != config.in_dim:

@@ -238,23 +238,29 @@ FEATURE_CONFIGS = ("none", "degree", "degree+clustering")
 
 
 def structural_features(graph: Graph, config: str = "none") -> np.ndarray:
-    """Node feature matrix built from local statistics.
+    """Read-only node feature matrix built from local statistics.
 
     none               -> [1.0]
     degree             -> [1.0, deg]
     degree+clustering  -> [1.0, deg, triangle clustering, square clustering]
+
+    Computed once per graph and selector and cached on the graph, like
+    ``Graph.neighbors()``: every later call returns the same array.
     """
     if config not in FEATURE_CONFIGS:
         raise ValueError(f"unknown feature config {config!r}, expected one of {FEATURE_CONFIGS}")
-    n = graph.num_nodes
-    ones = np.ones((n, 1), dtype=np.float64)
-    if config == "none":
-        return ones
-    deg = degrees(graph).astype(np.float64)[:, None]
-    if config == "degree":
-        return np.hstack([ones, deg])
-    c3, c4 = clustering(graph)
-    return np.hstack([ones, deg, c3[:, None], c4[:, None]])
+    cache = graph.__dict__.setdefault("_structural_features", {})
+    feats = cache.get(config)
+    if feats is None:
+        columns = [np.ones(graph.num_nodes)]
+        if config != "none":
+            columns.append(degrees(graph).astype(np.float64))
+        if config == "degree+clustering":
+            columns.extend(clustering(graph))
+        feats = np.column_stack(columns)
+        feats.flags.writeable = False
+        cache[config] = feats
+    return feats
 
 
 def feature_dim(config: str) -> int:

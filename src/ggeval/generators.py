@@ -63,8 +63,8 @@ def gen_community(num_nodes: int, rng) -> Graph:
 
 def gen_grid(rows: int, cols: int) -> Graph:
     """2D lattice with rows*cols nodes and rows*(cols-1)+cols*(rows-1) edges."""
-    if rows < 1 or cols < 1:
-        raise ValueError("grid dimensions must be >= 1")
+    rows = require_integer("rows", rows, 1)
+    cols = require_integer("cols", cols, 1)
     edges = []
     for r in range(rows):
         for c in range(cols):
@@ -115,8 +115,8 @@ def gen_cycle_pair(a: int, b: int) -> Graph:
     connects node 0 to node a. The result has a+b nodes, a+b+1 edges, and
     exactly two nodes of degree 3.
     """
-    if a < 3 or b < 3:
-        raise ValueError(f"cycle sizes must be >= 3, got ({a},{b})")
+    a = require_integer("a", a, 3)
+    b = require_integer("b", b, 3)
     edges = [(i, (i + 1) % a) for i in range(a)]
     edges += [(a + i, a + (i + 1) % b) for i in range(b)]
     edges.append((0, a))

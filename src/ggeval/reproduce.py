@@ -27,13 +27,7 @@ from .generators import _sample_even, gen_community, substream
 from .graphs import GraphSet, atomic_write_text
 from .metrics import DEFAULT_KNN_K, METRIC_NAMES
 from .svgplot import ChartSeries, save_chart
-from .training import (
-    TRAIN_VARIANTS,
-    AugmentationConfig,
-    TrainConfig,
-    attach_features,
-    train_graphcl,
-)
+from .training import TRAIN_VARIANTS, AugmentationConfig, TrainConfig, train_graphcl
 
 
 @dataclass(frozen=True)
@@ -189,9 +183,6 @@ def run_reproduction(config: ReproduceConfig = ReproduceConfig(),
                                    config.dataset_seed)
     say(f"dataset {reference.name}: {len(reference)} graphs")
     enc_cfg = config.encoder_config()
-    # features of the reference graphs are computed once here; each
-    # perturbed set then computes them only for the graphs it replaced
-    reference = reference.replace(attach_features(reference, enc_cfg))
 
     runs = []
     for seed in config.seeds:

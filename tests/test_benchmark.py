@@ -472,6 +472,27 @@ def test_run_benchmark_checks_grid_length_before_any_work(monkeypatch):
             run_benchmark(small_set(), embed, kind, **setting)
 
 
+def test_mode_drop_sweep_computes_each_graphs_features_once(monkeypatch):
+    import ggeval.features
+
+    lobsters = GraphSet("lobsters", tuple(gen_lobster(substream(30, i)) for i in range(12)))
+    cfg = EncoderConfig(num_layers=2, hidden=8, feature_config="degree+clustering")
+    computed = []
+    original = ggeval.features.clustering
+
+    def spy(graph):
+        computed.append(graph)
+        return original(graph)
+
+    monkeypatch.setattr(ggeval.features, "clustering", spy)
+    run_benchmark(lobsters, partial(embed_union, init_random(cfg, seed=0)), "mode_drop",
+                  seeds=(0, 1), num_clusters=4)
+    # every set the sweep embeds holds only reference graphs: 2 seeds x 4 ratios
+    # x 24 rows, of which each of the 12 graphs is computed the first time only
+    assert len(computed) == len(lobsters)
+    assert {id(g) for g in computed} == {id(g) for g in lobsters}
+
+
 def test_benchmark_deterministic_and_seed_sensitive():
     gs = small_set(8)
     embed = random_embed()

@@ -251,31 +251,38 @@ def test_benchmark_summary_names_the_zero_variance_metrics(workspace, tmp_path):
 
 def test_benchmark_computes_reference_features_once(workspace, tmp_path, monkeypatch):
     import ggeval.encoder
-    import ggeval.training
+    import ggeval.features
+    from ggeval.graphs import Graph
 
-    _, data, ckpt = workspace
-    calls = []
-    original = ggeval.encoder.structural_features
+    _, data, _ = workspace
+    ckpt = tmp_path / "enc.json"
+    assert run("--seed", "3", "train", "--data", str(data), "--out", str(ckpt),
+               "--epochs", "1", "--batch-size", "4", "--layers", "2", "--hidden", "8",
+               "--features", "degree+clustering") == 0
+    computed = []
+    clustering = ggeval.features.clustering
 
-    def counting(graph, feature_config):
-        calls.append(graph)
-        return original(graph, feature_config)
+    def counting(graph):
+        computed.append(graph)
+        return clustering(graph)
 
     def bench(name):
+        del computed[:]
         out = tmp_path / f"{name}.csv"
         assert run("--seed", "2", "benchmark", "--data", str(data), "--params", str(ckpt),
                    "--step", "0.5", "--k", "3", "--out", str(out)) == 0
         return out.read_bytes(), (tmp_path / f"{name}.summary.json").read_bytes()
 
-    monkeypatch.setattr(ggeval.encoder, "structural_features", counting)
+    monkeypatch.setattr(ggeval.features, "clustering", counting)
     cached = bench("cached")
     # the 10 reference graphs once, then only the 0, 5 and 10 graphs that
     # ratios 0, 0.5 and 1 replace, instead of both whole sets at every ratio
-    assert len(calls) == 10 + 0 + 5 + 10
-    monkeypatch.setattr(ggeval.training, "attach_features", lambda graphs, config: graphs)
-    del calls[:]
-    assert bench("uncached") == cached
-    assert len(calls) == 3 * (10 + 10)
+    assert len(computed) == 10 + 0 + 5 + 10
+    structural_features = ggeval.encoder.structural_features
+    monkeypatch.setattr(ggeval.encoder, "structural_features", lambda graph, config:
+                        structural_features(Graph(graph.num_nodes, graph.edges), config))
+    assert bench("computed") == cached
+    assert len(computed) == 3 * (10 + 10)
 
 
 def test_benchmark_mode_drop_outputs(workspace, tmp_path):
@@ -479,6 +486,23 @@ def test_out_of_range_option_is_usage_error(workspace, tmp_path, capsys, case):
     assert err.startswith("usage error: ")
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("args", [["--step", "1"], ["--kind", "mode-drop", "--num-clusters", "2"]])
+def test_benchmark_grid_checked_before_loading(tmp_path, capsys, monkeypatch, args):
+    import ggeval.encoder
+    import ggeval.graphs
+
+    def load(path):
+        raise AssertionError("loaded before the grid was checked")
+
+    monkeypatch.setattr(ggeval.encoder, "load_params", load)
+    monkeypatch.setattr(ggeval.graphs, "load_graphs", load)
+    # the files need not exist: nothing is read
+    assert run("benchmark", "--data", str(tmp_path / "ref.jsonl"),
+               "--params", str(tmp_path / "enc.json"), "--out", str(tmp_path / "c.csv"),
+               *args) == 2
+    assert "needs at least 3 ratios" in capsys.readouterr().err
 
 
 def test_threads_flag_sets_environment(tmp_path):

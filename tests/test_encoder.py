@@ -63,6 +63,9 @@ def test_config_validation():
         for bad in (2.0, True):  # a bool is an Integral, but not a count
             with pytest.raises(TypeError, match=field):
                 EncoderConfig(**{field: bad})
+    for field in ("num_layers", "hidden"):
+        with pytest.raises(TypeError, match=field):
+            EncoderConfig(**{field: None})
     EncoderConfig(feature_config="provided", input_dim=7)
 
 

@@ -238,3 +238,17 @@ def test_feature_dim_matches_configs():
 def test_unknown_feature_config():
     with pytest.raises(ValueError):
         structural_features(TRIANGLE, "bogus")
+
+
+def test_structural_features_cached_read_only_per_selector():
+    g = gen_cycle_pair(5, 8)
+    first = {config: structural_features(g, config) for config in FEATURE_CONFIGS}
+    for config, feats in first.items():
+        assert structural_features(g, config) is feats
+        with pytest.raises(ValueError):
+            feats[0, 0] = 7.0
+        # an equal graph built afresh computes the same rows itself
+        fresh = structural_features(Graph(g.num_nodes, g.edges), config)
+        assert fresh is not feats
+        np.testing.assert_array_equal(fresh, feats)
+    assert len({id(feats) for feats in first.values()}) == len(FEATURE_CONFIGS)
