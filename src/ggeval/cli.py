@@ -12,7 +12,6 @@ option value out of range.
 from __future__ import annotations
 
 import argparse
-import configparser
 import json
 import logging
 import os
@@ -26,63 +25,9 @@ class UsageError(Exception):
     pass
 
 
-def _load_config(path):
-    # values are option values such as paths, taken literally: no % interpolation
-    parser = configparser.ConfigParser(interpolation=None)
-    try:
-        read = parser.read(path)
-    except (configparser.Error, UnicodeDecodeError) as exc:
-        # some parser messages span lines; the usage error is one line
-        raise UsageError(f"config file {path}: {' '.join(str(exc).splitlines())}") from exc
-    if not read:
-        raise UsageError(f"config file not found: {path}")
-    return parser
-
-
-def _apply_config(parser, ns, argv):
-    """Parse argv again with ns.command's config-file section as defaults.
-
-    Sections are named after subcommands. A key names an option by its
-    flag, with dashes or underscores; its value is converted with the
-    option's type and checked against its choices, and only options that
-    take one value can come from the file. Flags still win.
-    """
-    cfg = _load_config(ns.config)
-    # argparse has no public handle on a subparser or on an option's action
-    (commands,) = parser._subparsers._group_actions
-    for section in cfg.sections():
-        if section not in commands.choices:
-            raise UsageError(f"config [{section}]: no such subcommand")
-    subparser = commands.choices[ns.command]
-    section = ns.command if cfg.has_section(ns.command) else cfg.default_section
-    values = {}
-    for key, raw in cfg.items(section):
-        where = f"config [{section}] {key}"
-        action = subparser._option_string_actions.get("--" + key.replace("_", "-"))
-        if action is None:
-            raise UsageError(f"{where}: {ns.command} has no such option")
-        if type(action) is not argparse._StoreAction:
-            raise UsageError(f"{where}: a command-line only option")
-        try:
-            value = raw if action.type is None else action.type(raw)
-        except ValueError as exc:
-            raise UsageError(f"{where} = {raw!r}: {exc}") from exc
-        if action.choices is not None and value not in action.choices:
-            raise UsageError(f"{where} = {raw!r}: choose from {', '.join(action.choices)}")
-        values[action.dest] = value
-    subparser.set_defaults(**values)
-    return parser.parse_args(argv)
-
-
 def _given(ns, *fields):
     """The named options that were given, as keyword arguments."""
     return {name: getattr(ns, name) for name in fields if getattr(ns, name) is not None}
-
-
-def _require(value, what):
-    if value is None:
-        raise UsageError(f"missing required option: {what}")
-    return value
 
 
 def _write_matrix(path, matrix):
@@ -116,12 +61,10 @@ def cmd_generate(ns) -> int:
     from .generators import gen_dataset
     from .graphs import save_graphs
 
-    recipe = _require(ns.recipe, "--recipe")
-    out = _require(ns.out, "--out")
-    graph_set = gen_dataset(recipe, count=ns.count, seed=ns.seed)
-    save_graphs(graph_set, out)
+    graph_set = gen_dataset(ns.recipe, count=ns.count, seed=ns.seed)
+    save_graphs(graph_set, ns.out)
     log.info("generate recipe=%s count=%d seed=%d out=%s",
-             recipe, len(graph_set), ns.seed, out)
+             ns.recipe, len(graph_set), ns.seed, ns.out)
     return 0
 
 
@@ -130,17 +73,15 @@ def cmd_features(ns) -> int:
     from .features import clustering, degrees
     from .graphs import atomic_write_text, load_graphs
 
-    path = _require(ns.infile, "--in")
-    out = _require(ns.out, "--out")
-    graph_set = load_graphs(path)
+    graph_set = load_graphs(ns.infile)
     rows = [("graph", "node_id", "degree", "c3", "c4")]
     for gi, g in enumerate(graph_set):
         deg = degrees(g)
         c3, c4 = clustering(g)
         for v in range(g.num_nodes):
             rows.append((gi, v, int(deg[v]), repr(float(c3[v])), repr(float(c4[v]))))
-    atomic_write_text(out, rows_to_csv(rows))
-    log.info("features in=%s graphs=%d out=%s", path, len(graph_set), out)
+    atomic_write_text(ns.out, rows_to_csv(rows))
+    log.info("features in=%s graphs=%d out=%s", ns.infile, len(graph_set), ns.out)
     return 0
 
 
@@ -150,22 +91,20 @@ def cmd_train(ns) -> int:
     from .graphs import atomic_write_text, load_graphs
     from .training import TRAIN_VARIANTS, TrainConfig, train_graphcl
 
-    data = _require(ns.data, "--data")
-    out = _require(ns.out, "--out")
-    graph_set = load_graphs(data)
+    graph_set = load_graphs(ns.data)
     enc_cfg = EncoderConfig(**_given(ns, "num_layers", "hidden", "feature_config"))
     train_cfg = TRAIN_VARIANTS[ns.variant](TrainConfig(
         seed=ns.seed, **_given(ns, "epochs", "batch_size", "lr", "tau")))
     log.info("train data=%s graphs=%d variant=%s seed=%d epochs=%d",
-             data, len(graph_set), ns.variant, ns.seed, train_cfg.epochs)
+             ns.data, len(graph_set), ns.variant, ns.seed, train_cfg.epochs)
     result = train_graphcl(graph_set, enc_cfg, train_cfg)
-    save_params(result.params, out)
+    save_params(result.params, ns.out)
     if ns.history is not None:
         atomic_write_text(ns.history, rows_to_csv([("epoch", "loss")] + [
             (i, repr(loss)) for i, loss in enumerate(result.epoch_losses)
         ]))
     log.info("train done loss=%.6f -> %.6f ckpt=%s",
-             result.epoch_losses[0], result.epoch_losses[-1], out)
+             result.epoch_losses[0], result.epoch_losses[-1], ns.out)
     return 0
 
 
@@ -173,12 +112,11 @@ def cmd_embed(ns) -> int:
     from .encoder import embed_set, load_params
     from .graphs import load_graphs
 
-    params = load_params(_require(ns.params, "--params"))
-    graph_set = load_graphs(_require(ns.infile, "--in"))
-    out = _require(ns.out, "--out")
+    params = load_params(ns.params)
+    graph_set = load_graphs(ns.infile)
     emb = embed_set(params, list(graph_set))
-    _write_matrix(out, emb)
-    log.info("embed graphs=%d dim=%d out=%s", emb.shape[0], emb.shape[1], out)
+    _write_matrix(ns.out, emb)
+    log.info("embed graphs=%d dim=%d out=%s", emb.shape[0], emb.shape[1], ns.out)
     return 0
 
 
@@ -186,8 +124,8 @@ def cmd_evaluate(ns) -> int:
     from .graphs import atomic_write_text
     from .metrics import evaluate
 
-    ref = _read_matrix(_require(ns.ref, "--ref"))
-    gen = _read_matrix(_require(ns.gen, "--gen"))
+    ref = _read_matrix(ns.ref)
+    gen = _read_matrix(ns.gen)
     report = evaluate(ref, gen, **_given(ns, "k"))
     payload = json.dumps(report.as_dict(), indent=2, sort_keys=True)
     if ns.out is None:
@@ -203,36 +141,34 @@ def cmd_benchmark(ns) -> int:
     from functools import partial
 
     from . import __version__
-    from .benchmark import (DEFAULT_NUM_CLUSTERS, DEFAULT_RATIO_STEP, PERTURBATION_KINDS,
-                            curves_to_csv, require_three_ratios, rho_summary, run_benchmark,
-                            sweep_ratios, zero_variance_names)
+    from .benchmark import (DEFAULT_NUM_CLUSTERS, DEFAULT_RATIO_STEP, curves_to_csv,
+                            require_three_ratios, rho_summary, run_benchmark, sweep_ratios,
+                            zero_variance_names)
     from .encoder import embed_union, load_params
+    from .errors import require_integer
     from .graphs import atomic_write_text, load_graphs
     from .metrics import METRIC_NAMES
 
-    data = _require(ns.data, "--data")
-    kind = ns.kind.replace("-", "_")
-    if kind not in PERTURBATION_KINDS:
-        raise UsageError(f"unknown kind {kind!r}; "
-                         f"choose from {sorted(PERTURBATION_KINDS)}")
-    out = _require(ns.out, "--out")
     step = DEFAULT_RATIO_STEP if ns.step is None else ns.step
     num_clusters = DEFAULT_NUM_CLUSTERS if ns.num_clusters is None else ns.num_clusters
-    # a grid spearman cannot rank is a usage error before anything loads
-    require_three_ratios(sweep_ratios(kind, step, num_clusters))
-    params = load_params(_require(ns.params, "--params"))
-    reference = load_graphs(data)
+    # a sweep that cannot run is a usage error before anything loads
+    require_three_ratios(sweep_ratios(ns.kind, step, num_clusters))
+    require_integer("--seeds", ns.seeds, 1)
+    if ns.k is not None:
+        require_integer("--k", ns.k, 1)
+    params = load_params(ns.params)
+    reference = load_graphs(ns.data)
     seeds = tuple(range(ns.seed, ns.seed + ns.seeds))
-    log.info("benchmark data=%s kind=%s step=%g seeds=%s", data, kind, step, seeds)
+    log.info("benchmark data=%s kind=%s step=%g seeds=%s", ns.data, ns.kind, step, seeds)
     curves = run_benchmark(
-        reference, partial(embed_union, params), kind, seeds=seeds, step=step,
+        reference, partial(embed_union, params), ns.kind, seeds=seeds, step=step,
         num_clusters=num_clusters, **_given(ns, "k"),
     )
-    atomic_write_text(out, curves_to_csv(curves))
-    summary_path = ns.summary or str(Path(out).with_suffix("")) + ".summary.json"
+    atomic_write_text(ns.out, curves_to_csv(curves))
+    summary_path = ns.summary or str(Path(ns.out).with_suffix("")) + ".summary.json"
     summary = {
         "version": __version__,
-        "kind": kind,
+        "kind": ns.kind,
         "step": step,
         "seeds": list(seeds),
         "num_clusters": num_clusters,
@@ -322,6 +258,7 @@ def cmd_reproduce(ns) -> int:
 _RECIPES = ("lobster", "grid", "community")
 _FEATURE_CONFIGS = ("none", "degree", "degree+clustering")
 _VARIANTS = ("graphcl", "graphcl-nolip", "graphcl-lightaug")
+_KINDS = ("mix_random", "rewire", "mode_collapse", "mode_drop")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -330,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Evaluate graph generative models with trained graph "
                     "embeddings and perturbation benchmarks.",
     )
-    parser.add_argument("--config", help="INI-style config file; flags win")
     parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
     parser.add_argument("--threads", type=int,
                         help="BLAS/OpenMP thread count (set before numpy loads)")
@@ -340,19 +276,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write a synthetic dataset")
     p.set_defaults(handler=cmd_generate)
-    p.add_argument("--recipe", choices=_RECIPES)
+    p.add_argument("--recipe", choices=_RECIPES, required=True)
     p.add_argument("--count", type=int)
-    p.add_argument("--out")
+    p.add_argument("--out", required=True)
 
     p = sub.add_parser("features", help="local statistics per node, CSV")
     p.set_defaults(handler=cmd_features)
-    p.add_argument("--in", dest="infile")
-    p.add_argument("--out")
+    p.add_argument("--in", dest="infile", required=True)
+    p.add_argument("--out", required=True)
 
     p = sub.add_parser("train", help="contrastive encoder training")
     p.set_defaults(handler=cmd_train)
-    p.add_argument("--data")
-    p.add_argument("--out")
+    p.add_argument("--data", required=True)
+    p.add_argument("--out", required=True)
     p.add_argument("--history", help="loss history CSV")
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", dest="batch_size", type=int)
@@ -365,27 +301,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("embed", help="embed a graph set with a checkpoint")
     p.set_defaults(handler=cmd_embed)
-    p.add_argument("--params")
-    p.add_argument("--in", dest="infile")
-    p.add_argument("--out")
+    p.add_argument("--params", required=True)
+    p.add_argument("--in", dest="infile", required=True)
+    p.add_argument("--out", required=True)
 
     p = sub.add_parser("evaluate", help="metrics between two embedding CSVs")
     p.set_defaults(handler=cmd_evaluate)
-    p.add_argument("--ref")
-    p.add_argument("--gen")
+    p.add_argument("--ref", required=True)
+    p.add_argument("--gen", required=True)
     p.add_argument("--k", type=int)
     p.add_argument("--out")
 
     p = sub.add_parser("benchmark", help="perturbation rank-correlation sweep")
     p.set_defaults(handler=cmd_benchmark)
-    p.add_argument("--data")
-    p.add_argument("--params")
-    p.add_argument("--kind", default="mix_random")
+    p.add_argument("--data", required=True)
+    p.add_argument("--params", required=True)
+    p.add_argument("--kind", type=lambda s: s.replace("-", "_"), choices=_KINDS,
+                   default="mix_random")
     p.add_argument("--step", type=float)
     p.add_argument("--seeds", type=int, default=1, help="number of seeds (base --seed)")
     p.add_argument("--num-clusters", dest="num_clusters", type=int)
     p.add_argument("--k", type=int)
-    p.add_argument("--out")
+    p.add_argument("--out", required=True)
     p.add_argument("--summary")
     p.add_argument("--plot", help="SVG path stem; one chart per metric")
 
@@ -411,8 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = build_parser().parse_args(argv)
     logging.basicConfig(
         stream=sys.stderr,
         level=logging.DEBUG if ns.verbose else logging.INFO,
@@ -425,8 +361,6 @@ def main(argv=None) -> int:
             for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                         "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
                 os.environ[var] = str(ns.threads)
-        if ns.config is not None:
-            ns = _apply_config(parser, ns, argv)
         from .errors import GGEvalError
 
         try:

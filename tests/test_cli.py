@@ -34,6 +34,19 @@ def workspace(tmp_path_factory):
     return root, data, ckpt
 
 
+@pytest.fixture
+def loaders_fail(monkeypatch):
+    """Fail the test if a checkpoint or a graph file is read."""
+    import ggeval.encoder
+    import ggeval.graphs
+
+    def load(path):
+        raise AssertionError("loaded before the options were checked")
+
+    monkeypatch.setattr(ggeval.encoder, "load_params", load)
+    monkeypatch.setattr(ggeval.graphs, "load_graphs", load)
+
+
 # --- generate ----------------------------------------------------------------
 
 
@@ -55,8 +68,10 @@ def test_generate_deterministic_in_seed(tmp_path):
 
 
 def test_generate_missing_out_is_usage_error(capsys):
-    assert run("generate", "--recipe", "lobster", "--count", "2") == 2
-    assert "missing required option" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run("generate", "--recipe", "lobster", "--count", "2")
+    assert exc.value.code == 2
+    assert "the following arguments are required: --out" in capsys.readouterr().err
 
 
 def test_generate_bad_recipe_rejected_by_parser():
@@ -133,6 +148,14 @@ def test_embed_matrix_shape(workspace, tmp_path):
                "--out", str(out)) == 0
     emb = np.loadtxt(out, delimiter=",", ndmin=2)
     assert emb.shape == (10, 2 * 8)
+
+
+def test_embed_missing_out_is_usage_error(tmp_path, capsys, loaders_fail):
+    with pytest.raises(SystemExit) as exc:
+        run("embed", "--params", str(tmp_path / "enc.json"),
+            "--in", str(tmp_path / "set.jsonl"))
+    assert exc.value.code == 2
+    assert "the following arguments are required: --out" in capsys.readouterr().err
 
 
 def test_train_bad_variant_is_parser_error(workspace):
@@ -302,9 +325,11 @@ def test_benchmark_mode_drop_outputs(workspace, tmp_path):
 
 def test_benchmark_unknown_kind_is_usage_error(workspace, tmp_path, capsys):
     _, data, ckpt = workspace
-    assert run("benchmark", "--data", str(data), "--params", str(ckpt),
-               "--kind", "nope", "--out", str(tmp_path / "c.csv")) == 2
-    assert "unknown kind" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run("benchmark", "--data", str(data), "--params", str(ckpt),
+            "--kind", "nope", "--out", str(tmp_path / "c.csv"))
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 # --- verify ------------------------------------------------------------------
@@ -367,105 +392,38 @@ def test_reproduce_defaults_are_the_config_defaults(monkeypatch):
     assert seen == [ReproduceConfig()]
 
 
-# --- config file and global flags ---------------------------------------------
+# --- option checks and global flags ------------------------------------------
 
 
-def test_config_file_supplies_options(tmp_path):
-    cfg = tmp_path / "ggeval.ini"
-    out = tmp_path / "from-config-100%.jsonl"  # read literally, not interpolated
-    cfg.write_text(
-        f"[generate]\nrecipe = lobster\ncount = 4\nout = {out}\n"
-    )
-    assert run("--config", str(cfg), "generate") == 0
-    assert len(load_graphs(out)) == 4
-
-
-def test_flag_beats_config(tmp_path):
-    cfg = tmp_path / "ggeval.ini"
-    out = tmp_path / "flagged.jsonl"
-    cfg.write_text(f"[generate]\nrecipe = lobster\ncount = 4\nout = {out}\n")
-    assert run("--config", str(cfg), "generate", "--count", "2") == 0
-    assert len(load_graphs(out)) == 2
-
-
-def test_config_dashed_keys(workspace, tmp_path):
-    _, data, _ = workspace
-    cfg = tmp_path / "train.ini"
-    ckpt = tmp_path / "enc.json"
-    cfg.write_text(
-        "[train]\nepochs = 1\nbatch-size = 4\nlayers = 2\nhidden = 8\n"
-        "lr = 0.001\n"
-    )
-    assert run("--config", str(cfg), "train", "--data", str(data),
-               "--out", str(ckpt)) == 0
-    assert ckpt.exists()
-
-
-def test_config_missing_file(capsys):
-    assert run("--config", "/nonexistent.ini", "verify") == 2
-    assert "config file not found" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command, text, key", [
-    ("generate", "[generate]\nrecipe = lobster\ncount = soon\nout = x\n", "count"),
-    ("generate", "[generate]\nrecipe = lobster\ncuont = 7\nout = x\n", "cuont"),
-    ("generate", "[generate]\nrecipe = nope\nout = x\n", "recipe"),
-    ("verify", "[verify]\nprop1 = 3,5,4,4\n", "prop1"),
-    ("generate", "[genrate]\nrecipe = lobster\n", "genrate"),
-], ids=["bad count", "unknown key", "recipe outside choices", "command-line only key",
-        "unknown section"])
-def test_config_bad_value_type(tmp_path, capsys, command, text, key):
-    cfg = tmp_path / "bad.ini"
-    cfg.write_text(text)
-    assert run("--config", str(cfg), command) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("usage error: ")
-    assert len(err.strip().splitlines()) == 1
-    assert key in err
-
-
-@pytest.mark.parametrize("raw", [b"count = 3\n", b"[generate]\ncount = 3\ncount = 4\n",
-                                 b"\xff\xfe[generate]\n"],
-                         ids=["no section header", "duplicate key", "not utf-8"])
-def test_malformed_config_file_is_usage_error(tmp_path, capsys, raw):
-    cfg = tmp_path / "bad.ini"
-    cfg.write_bytes(raw)
-    assert run("--config", str(cfg), "generate") == 2
-    err = capsys.readouterr().err
-    assert err.startswith("usage error: ")
-    assert len(err.strip().splitlines()) == 1
-
-
-# name -> (arguments after the workspace paths, config file text or None)
+# name -> arguments after the workspace paths
 OUT_OF_RANGE_OPTIONS = {
-    "train epochs 0": (["train", "--epochs", "0"], None),
-    "train lr nan": (["train", "--lr", "nan"], None),
-    "train config features": (["train"], "[train]\nfeatures = bogus\n"),
-    "benchmark step 0.3": (["benchmark", "--step", "0.3"], None),
-    "benchmark step 0": (["benchmark", "--step", "0"], None),
-    "benchmark k 0": (["benchmark", "--k", "0"], None),
-    "evaluate k 0": (["evaluate", "--k", "0"], None),
-    "reproduce layers 0": (["reproduce", "--layers", "0"], None),
-    "reproduce step 0.3": (["reproduce", "--step", "0.3"], None),
+    "train epochs 0": ["train", "--epochs", "0"],
+    "train lr nan": ["train", "--lr", "nan"],
+    "benchmark step 0.3": ["benchmark", "--step", "0.3"],
+    "benchmark step 0": ["benchmark", "--step", "0"],
+    "benchmark k 0": ["benchmark", "--k", "0"],
+    "evaluate k 0": ["evaluate", "--k", "0"],
+    "reproduce layers 0": ["reproduce", "--layers", "0"],
+    "reproduce step 0.3": ["reproduce", "--step", "0.3"],
     # spearman needs 3 ratios: each of these sweeps would visit 2
-    "reproduce step 1": (["reproduce", "--step", "1"], None),
-    "benchmark step 1": (["benchmark", "--step", "1"], None),
-    "benchmark mode-drop num-clusters 2": (["benchmark", "--kind", "mode-drop",
-                                            "--num-clusters", "2"], None),
-    "benchmark seeds 0": (["benchmark", "--seeds", "0"], None),
-    "reproduce seeds 0": (["reproduce", "--seeds", "0"], None),
-    "generate count 0": (["generate", "--count", "0"], None),
+    "reproduce step 1": ["reproduce", "--step", "1"],
+    "benchmark step 1": ["benchmark", "--step", "1"],
+    "benchmark mode-drop num-clusters 2": ["benchmark", "--kind", "mode-drop",
+                                           "--num-clusters", "2"],
+    "benchmark seeds 0": ["benchmark", "--seeds", "0"],
+    "reproduce seeds 0": ["reproduce", "--seeds", "0"],
+    "generate count 0": ["generate", "--count", "0"],
     # k-NN balls of the default k = 5 need 6 graphs; both fail before any set is built
-    "reproduce count 0": (["reproduce", "--count", "0"], None),
-    "reproduce count 5": (["reproduce", "--count", "5", "--epochs", "1", "--step", "0.5",
-                           "--seeds", "1"], None),
+    "reproduce count 0": ["reproduce", "--count", "0"],
+    "reproduce count 5": ["reproduce", "--count", "5", "--epochs", "1", "--step", "0.5",
+                          "--seeds", "1"],
 }
 
 
 @pytest.mark.parametrize("case", sorted(OUT_OF_RANGE_OPTIONS))
 def test_out_of_range_option_is_usage_error(workspace, tmp_path, capsys, case):
     _, data, ckpt = workspace
-    args, config_text = OUT_OF_RANGE_OPTIONS[case]
+    args = OUT_OF_RANGE_OPTIONS[case]
     command = args[0]
     ref, gen = embedding_files(tmp_path)
     paths = {
@@ -476,33 +434,26 @@ def test_out_of_range_option_is_usage_error(workspace, tmp_path, capsys, case):
                       "--out", str(tmp_path / "c.csv")],
         "reproduce": ["--out", str(tmp_path / "repro")],
     }[command]
-    config = []
-    if config_text is not None:
-        cfg = tmp_path / "bad.ini"
-        cfg.write_text(config_text)
-        config = ["--config", str(cfg)]
-    assert run(*config, *args, *paths) == 2
+    assert run(*args, *paths) == 2
     err = capsys.readouterr().err
     assert err.startswith("usage error: ")
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("args", [["--step", "1"], ["--kind", "mode-drop", "--num-clusters", "2"]])
-def test_benchmark_grid_checked_before_loading(tmp_path, capsys, monkeypatch, args):
-    import ggeval.encoder
-    import ggeval.graphs
-
-    def load(path):
-        raise AssertionError("loaded before the grid was checked")
-
-    monkeypatch.setattr(ggeval.encoder, "load_params", load)
-    monkeypatch.setattr(ggeval.graphs, "load_graphs", load)
+@pytest.mark.parametrize("args", [
+    (["--step", "1"], "needs at least 3 ratios"),
+    (["--kind", "mode-drop", "--num-clusters", "2"], "needs at least 3 ratios"),
+    (["--seeds", "0"], "usage error: benchmark: --seeds must be >= 1, got 0"),
+    (["--k", "0"], "usage error: benchmark: --k must be >= 1, got 0"),
+])
+def test_benchmark_grid_checked_before_loading(tmp_path, capsys, loaders_fail, args):
+    options, message = args
     # the files need not exist: nothing is read
     assert run("benchmark", "--data", str(tmp_path / "ref.jsonl"),
                "--params", str(tmp_path / "enc.json"), "--out", str(tmp_path / "c.csv"),
-               *args) == 2
-    assert "needs at least 3 ratios" in capsys.readouterr().err
+               *options) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_threads_flag_sets_environment(tmp_path):
@@ -573,6 +524,7 @@ def test_submodules_leave_slow_scipy_packages_unloaded():
 def test_cli_choices_are_the_library_names():
     # the CLI keeps its own copies so that loading it leaves numpy unloaded
     from ggeval import cli
+    from ggeval.benchmark import PERTURBATION_KINDS
     from ggeval.features import FEATURE_CONFIGS
     from ggeval.generators import DATASET_COUNTS
     from ggeval.training import TRAIN_VARIANTS
@@ -580,6 +532,7 @@ def test_cli_choices_are_the_library_names():
     assert cli._RECIPES == tuple(DATASET_COUNTS)
     assert cli._FEATURE_CONFIGS == FEATURE_CONFIGS
     assert cli._VARIANTS == tuple(TRAIN_VARIANTS)
+    assert cli._KINDS == PERTURBATION_KINDS
 
 
 def test_readme_quick_start_parses():
