@@ -9,8 +9,16 @@ num_layers * hidden.
 Normalization: every pass, training or embedding, normalizes with the
 mean and variance over all nodes of the batch it runs on. Comparing two
 sets is done by embedding their union so both live on a common scale.
+A graph object that occurs more than once in a collection is run through
+the encoder once, but the statistics still sum every node row of the
+collection in its order, copies included, so the result equals one pass
+over the whole collection bit for bit. (The exception: with hidden <= 3
+and 8 or more input features, OpenBLAS can round a row by its place in
+the product, so blocks can move the last bit.)
 
-Memory: an uncached pass holds at most two (nodes, hidden) arrays at once.
+Memory: the distinct graphs are packed in blocks of at most BLOCK_NODES
+nodes (a larger graph gets a block of its own). An uncached pass holds two
+(nodes, hidden) arrays and, beside them, temporaries of at most one block.
 """
 
 from __future__ import annotations
@@ -26,6 +34,9 @@ from .features import FEATURE_CONFIGS, feature_dim, structural_features
 from .graphs import Graph, atomic_write_text
 
 BN_EPS = 1e-5
+
+# nodes per packed block: a block's (nodes, hidden) temporaries stay cache-sized
+BLOCK_NODES = 4096
 
 # feature selectors accepted by the encoder: the structural ones, plus
 # "provided" for datasets whose files carry their own node features
@@ -184,7 +195,7 @@ def pack_graphs(graphs, config: EncoderConfig) -> BatchedGraphs:
         try:
             feats.append(graph_features(g, config))
         except FeatureMismatchError as exc:
-            raise FeatureMismatchError(f"graph {i}: {exc}") from exc
+            raise FeatureMismatchError(exc.reason, graph=i) from exc
     sizes = np.array([g.num_nodes for g in graphs], dtype=np.int64)
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     total = int(offsets[-1])
@@ -201,61 +212,184 @@ def pack_graphs(graphs, config: EncoderConfig) -> BatchedGraphs:
     # sort. Any order gives the same canonical matrix.
     rows = np.concatenate((edges[1], diag, edges[0]))
     cols = np.concatenate((edges[0], diag, edges[1]))
-    del edges  # freed before the CSR build, the scoring path's transient peak
     agg = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(total, total))
     pool = sp.csr_matrix((np.ones(total), diag, offsets), shape=(len(graphs), total))
     return BatchedGraphs(features=x, agg=agg, pool=pool)
 
 
-def forward_batch(params: EncoderParams, batch: BatchedGraphs,
-                  collect_cache: bool = False):
-    """Run the encoder over a packed batch; params and batch are only read.
+def pack_blocks(graphs, config: EncoderConfig) -> list:
+    """pack_graphs over consecutive runs of graphs with at most BLOCK_NODES
+    nodes each; a larger graph gets a block of its own."""
+    graphs = list(graphs)
+    spans, start, nodes = [], 0, 0
+    for stop, g in enumerate(graphs):
+        if stop > start and nodes + g.num_nodes > BLOCK_NODES:
+            spans.append((start, stop))
+            start, nodes = stop, 0
+        nodes += g.num_nodes
+    spans.append((start, len(graphs)))
+    blocks = []
+    for start, stop in spans:
+        try:
+            blocks.append(pack_graphs(graphs[start:stop], config))
+        except FeatureMismatchError as exc:
+            raise FeatureMismatchError(exc.reason, graph=start + exc.graph) from exc
+    return blocks
 
-    Returns (embeddings, cache); cache holds the intermediates needed for
-    the reverse pass when collect_cache is set.
+
+def _matmul(a, w, out, union_rows):
+    """out = a @ w, each row rounded as in a product over union_rows rows.
+
+    numpy hands a one-row product to BLAS's gemv, whose sums round
+    differently from the gemm that computes the same row among others.
+    """
+    if len(a) == 1 and union_rows > 1:
+        out[:] = np.matmul(np.repeat(a, 2, axis=0), w)[:1]
+    else:
+        np.matmul(a, w, out=out)
+
+
+def _union_sum(z, rows, head, step, square=False):
+    """np.add.reduce(z[rows], axis=0), of the squares if square, bit for bit.
+
+    rows[:head] is range(head). numpy's axis-0 reduce of a C-contiguous
+    array with two or more columns adds one row at a time, so the rows go
+    through a buffer in chunks of at most step, each summed below the
+    running total in the buffer's first row, which continues the same
+    reduction.
+    """
+    total = None
+    start = 0
+    if head and not square:  # the leading run is reduced where it lies
+        total, start = np.add.reduce(z[:head], axis=0), head
+    buf = np.empty((min(step + 1, len(rows) - start + bool(start)), z.shape[1]))
+    for a in range(start, len(rows), step):
+        b = min(a + step, len(rows))
+        lead = int(total is not None)
+        part = buf[:lead + b - a]
+        if lead:
+            part[0] = total
+        if b <= head:
+            np.square(z[a:b], out=part[lead:])
+        else:
+            # the indices are in range, and "clip" spares take a buffered copy
+            np.take(z, rows[a:b], axis=0, out=part[lead:], mode="clip")
+            if square:
+                np.square(part[lead:], out=part[lead:])
+        total = np.add.reduce(part, axis=0)
+    return np.add.reduce(z[:0], axis=0) if total is None else total
+
+
+def _union_rows(sizes, which):
+    """(rows, head): the node rows of the collection, in its order, as rows
+    of the distinct graphs' packing; rows[:head] is range(head), the
+    leading run of first occurrences."""
+    starts = np.concatenate(([0], np.cumsum(sizes)))  # each distinct graph's first row
+    repeats = np.flatnonzero(which != np.arange(len(which)))
+    lead = int(repeats[0]) if repeats.size else len(which)
+    later = which[lead:]
+    lengths = sizes[later]
+    offsets = np.cumsum(lengths) - lengths
+    rows = np.concatenate((np.arange(starts[lead]),
+                           np.repeat(starts[later] - offsets, lengths)
+                           + np.arange(lengths.sum())))
+    return rows, int(starts[lead])
+
+
+def forward_batch(params: EncoderParams, blocks, collect_cache: bool = False,
+                  which=None):
+    """Run the encoder over packed blocks; params and blocks are only read.
+
+    blocks pack consecutive runs of distinct graphs, and which[i] is the
+    distinct graph at position i of the collection being embedded (None:
+    each graph once, in block order). The batch-norm mean and variance sum
+    the collection's node rows in its order, copies included.
+
+    Returns (embeddings of the distinct graphs, cache); cache holds the
+    intermediates needed for the reverse pass when collect_cache is set,
+    which takes one block and no repeats.
     """
     w = params.weights
-    h = batch.features
-    readouts = []
-    cache = {"batch": batch, "layers": []} if collect_cache else None
+    hidden = params.config.hidden
+    node_ends = np.cumsum([0] + [block.features.shape[0] for block in blocks])
+    graph_ends = np.cumsum([0] + [block.pool.shape[0] for block in blocks])
+    sizes = np.concatenate([np.diff(block.pool.indptr) for block in blocks])
+    rows, head = _union_rows(sizes, np.arange(len(sizes)) if which is None else which)
+    distinct_rows = int(node_ends[-1])
+    union_rows = len(rows)
+    if collect_cache and (len(blocks) != 1 or union_rows != distinct_rows):
+        raise ValueError("a cached pass takes one block and no repeats")
+    step = BLOCK_NODES
+    if hidden == 1:
+        # numpy sums a single column pairwise, which no running total continues
+        head, step = 0, max(union_rows, 1)
+
+    emb = np.empty((int(graph_ends[-1]), params.config.embedding_dim))
+    cache = {"batch": blocks[0], "layers": []} if collect_cache else None
+    z = h = None
     for k in range(params.config.num_layers):
-        lin_in = batch.agg @ h
-        del h  # the batch still holds the input features
-        z = lin_in @ w[f"l{k}.m0.W"]
+        for i, block in enumerate(blocks):
+            nodes = slice(node_ends[i], node_ends[i + 1])
+            lin_in = block.agg @ (block.features if k == 0 else h[nodes])
+            if collect_cache:
+                # the cache keeps z, so each layer takes new arrays; h and its
+                # view go first so that z can reuse their memory, where a z
+                # made beside them lands on fresh pages at every training step
+                z = h = hb = None
+            if z is None:
+                # sized by the union: pages past the distinct rows stay untouched
+                z = np.empty((union_rows, hidden))[:distinct_rows]
+            zb = z[nodes]
+            _matmul(lin_in, w[f"l{k}.m0.W"], zb, union_rows)
+            zb += w[f"l{k}.m0.b"]
         first = {"lin_in": lin_in} if collect_cache else None
         del lin_in
-        z += w[f"l{k}.m0.b"]
-        # same operations, in the same order, as z.mean and z.var
-        z -= z.mean(axis=0)
-        inv_std = 1.0 / np.sqrt(np.square(z).sum(axis=0) / z.shape[0] + BN_EPS)
-        z *= inv_std
-        # the reverse pass reads normed and pre_relu, so a cached pass
-        # writes each op to a new array; an uncached one writes in place
-        out = None if collect_cache else z
-        normed, z = z, np.multiply(z, w[f"l{k}.m0.gamma"], out=out)
-        z += w[f"l{k}.m0.beta"]
-        pre_relu, z = z, np.maximum(z, 0.0, out=out)
+        # same operations, in the same order, as z.mean and z.var over the union
+        z -= _union_sum(z, rows, head, step) / union_rows
+        inv_std = 1.0 / np.sqrt(_union_sum(z, rows, head, step, square=True) / union_rows
+                                + BN_EPS)
+        for i, block in enumerate(blocks):
+            nodes = slice(node_ends[i], node_ends[i + 1])
+            zb = z[nodes]
+            zb *= inv_std
+            # the reverse pass reads normed and pre_relu, so a cached pass
+            # writes each op to a new array; an uncached one writes in place
+            out = None if collect_cache else zb
+            normed, zb = zb, np.multiply(zb, w[f"l{k}.m0.gamma"], out=out)
+            zb += w[f"l{k}.m0.beta"]
+            pre_relu, zb = zb, np.maximum(zb, 0.0, out=out)
+            if h is None:
+                h = np.empty((union_rows, hidden))[:distinct_rows]
+            hb = h[nodes]
+            _matmul(zb, w[f"l{k}.m1.W"], hb, union_rows)
+            hb += w[f"l{k}.m1.b"]
+            emb[graph_ends[i]:graph_ends[i + 1], k * hidden:(k + 1) * hidden] = block.pool @ hb
         if collect_cache:
             first.update(normed=normed, inv_std=inv_std, pre_relu=pre_relu)
-            cache["layers"].append({"steps": [first, {"lin_in": z}]})
-        h = z @ w[f"l{k}.m1.W"]
-        del z, normed, pre_relu, out
-        h += w[f"l{k}.m1.b"]
-        readouts.append(batch.pool @ h)
-    return np.hstack(readouts), cache
+            cache["layers"].append({"steps": [first, {"lin_in": zb}]})
+    return emb, cache
 
 
 def embed_set(params: EncoderParams, graphs) -> np.ndarray:
     """Embed a collection of graphs; row i corresponds to graphs[i].
 
     The normalization statistics come from this collection's nodes, so
-    embedding the union of two sets places them on one scale.
+    embedding the union of two sets places them on one scale. A graph
+    object that occurs more than once is embedded once, and its rows still
+    count once per occurrence in the statistics.
     """
     graphs = list(graphs)
     if not graphs:
         raise ValueError("cannot embed an empty collection")
-    batch = pack_graphs(graphs, params.config)
-    emb, _ = forward_batch(params, batch)
+    slot = {}  # distinct graphs are numbered in order of first occurrence
+    which = np.array([slot.setdefault(id(g), len(slot)) for g in graphs])
+    firsts = np.unique(which, return_index=True)[1]
+    try:
+        blocks = pack_blocks([graphs[i] for i in firsts], params.config)
+    except FeatureMismatchError as exc:
+        raise FeatureMismatchError(exc.reason, graph=int(firsts[exc.graph])) from exc
+    emb, _ = forward_batch(params, blocks, which=which)
+    emb = emb[which]
     if not np.all(np.isfinite(emb)):
         bad = np.flatnonzero(~np.isfinite(emb).all(axis=1))
         raise FeatureMismatchError(f"non-finite embedding for graph indices {bad.tolist()}")

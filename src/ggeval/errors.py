@@ -55,7 +55,16 @@ class ParseError(GGEvalError):
 
 
 class FeatureMismatchError(GGEvalError):
-    """Node features of a graph disagree with the encoder configuration."""
+    """Node features of a graph disagree with the encoder configuration.
+
+    Carries the 0-based index of the graph in its collection when known,
+    and the message without that prefix as reason.
+    """
+
+    def __init__(self, reason, graph=None):
+        super().__init__(reason if graph is None else f"graph {graph}: {reason}")
+        self.reason = reason
+        self.graph = graph
 
 
 class DimensionMismatchError(GGEvalError):

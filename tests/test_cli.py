@@ -305,7 +305,9 @@ def test_benchmark_computes_reference_features_once(workspace, tmp_path, monkeyp
     monkeypatch.setattr(ggeval.encoder, "structural_features", lambda graph, config:
                         structural_features(Graph(graph.num_nodes, graph.edges), config))
     assert bench("computed") == cached
-    assert len(computed) == 3 * (10 + 10)
+    # uncached, each union computes its distinct graphs: at ratio 0 the
+    # generated set is the reference itself, at 0.5 it adds 5 new graphs
+    assert len(computed) == 10 + 15 + 20
 
 
 def test_benchmark_mode_drop_outputs(workspace, tmp_path):

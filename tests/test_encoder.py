@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ggeval.encoder as encoder
 from ggeval.encoder import (
     EncoderConfig,
     embed_set,
@@ -274,6 +275,31 @@ def test_feature_mismatch_errors():
     bad_dim = Graph(2, node_features=np.ones((2, 2)))
     with pytest.raises(FeatureMismatchError):
         embed_set(params, [bad_dim])
+
+
+def test_feature_mismatch_names_the_first_occurrence_in_a_later_block(monkeypatch):
+    # each graph is a block of its own, and the unfeatured graph is the
+    # fourth distinct one but first appears at index 4
+    monkeypatch.setattr(encoder, "BLOCK_NODES", 2)
+    cfg = EncoderConfig(feature_config="provided", input_dim=3)
+    params = init_random(cfg, seed=0)
+    good = [Graph(2, node_features=np.ones((2, 3))) for _ in range(3)]
+    bare = Graph(2)
+    with pytest.raises(FeatureMismatchError, match=r"^graph 4: config expects provided"):
+        embed_set(params, [good[0], good[1], good[0], good[2], bare, good[1], bare])
+
+
+def test_non_finite_embedding_lists_every_occurrence(monkeypatch):
+    monkeypatch.setattr(encoder, "BLOCK_NODES", 2)
+    cfg = EncoderConfig(num_layers=1, hidden=2, feature_config="provided", input_dim=1)
+    params = init_random(cfg, seed=0)
+    ok = Graph(2, node_features=np.ones((2, 1)))
+    huge = Graph(2, [(0, 1)], node_features=np.full((2, 1), 1e308))
+    # the aggregation overflows, and the infinite rows spoil the shared
+    # statistics, so every position of the collection is reported, copies included
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            FeatureMismatchError, match=r"graph indices \[0, 1, 2, 3\]$"):
+        embed_set(params, [ok, huge, ok, huge])
 
 
 def test_provided_features_used():

@@ -4,6 +4,7 @@ oracles.py. Every comparison is byte for byte."""
 
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import oracles
@@ -11,10 +12,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import ggeval.encoder as encoder
 from ggeval.encoder import (
     EncoderConfig,
+    embed_set,
+    embed_union,
     forward_batch,
     init_random,
+    pack_blocks,
     pack_graphs,
 )
 from ggeval.generators import gen_dataset
@@ -105,7 +110,7 @@ def test_forward_matches_oracle(case, collect_cache):
     with warnings.catch_warnings():
         # a batch without nodes has empty normalization statistics
         warnings.simplefilter("ignore", RuntimeWarning)
-        emb, cache = forward_batch(params, batch, collect_cache)
+        emb, cache = forward_batch(params, [batch], collect_cache)
         emb_slow, cache_slow = oracles.forward_batch_slow(params, batch, collect_cache)
     assert_same_bytes(emb, emb_slow)
     if not collect_cache:
@@ -130,7 +135,7 @@ def test_forward_leaves_weights_untouched(case, collect_cache):
     before = {name: value.copy() for name, value in params.weights.items()}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        forward_batch(params, pack_graphs(graphs, config), collect_cache)
+        forward_batch(params, [pack_graphs(graphs, config)], collect_cache)
     assert params.weights.keys() == before.keys()
     for name, value in before.items():
         assert_same_bytes(params.weights[name], value)
@@ -145,28 +150,91 @@ def test_forward_leaves_batch_untouched(case, collect_cache):
     features, agg, pool = batch.features.copy(), batch.agg.copy(), batch.pool.copy()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        forward_batch(params, batch, collect_cache)
+        forward_batch(params, [batch], collect_cache)
     assert_same_bytes(batch.features, features)
     assert_same_csr(batch.agg, agg)
     assert_same_csr(batch.pool, pool)
 
 
+@st.composite
+def repeated_collections(draw):
+    """(params, graphs, config, block_nodes): graphs repeats objects of a drawn list."""
+    params, base, config = draw(encoder_cases())
+    layout = draw(st.sampled_from(("leading", "interleaved", "copies", "halves")))
+    if layout == "leading":  # copies of one graph before the rest
+        graphs = [base[0]] * draw(st.integers(2, 4)) + base[1:]
+    elif layout == "interleaved":
+        picks = st.integers(0, len(base) - 1)
+        graphs = [base[i] for i in draw(st.lists(picks, min_size=1, max_size=12))]
+    elif layout == "copies":
+        graphs = [base[0]] * draw(st.integers(1, 6))
+    else:  # a union whose second half is the first
+        graphs = base + base
+    # blocks of a few nodes split the collection and put a 9-node graph alone
+    block_nodes = draw(st.sampled_from((1, 3, 5, 8, encoder.BLOCK_NODES)))
+    return params, graphs, config, block_nodes
+
+
+TWO_LAYERS = EncoderConfig(num_layers=2, hidden=4, feature_config="degree")
+EMPTY, SINGLE = Graph(0), Graph(1)
+NINE = Graph(9, [(i, i + 1) for i in range(8)])
+TRIANGLE = Graph(3, [(0, 1), (1, 2), (0, 2)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=repeated_collections())
+@example(case=(init_random(EncoderConfig()), [EMPTY, EMPTY], EncoderConfig(), 5))
+@example(case=(init_random(TWO_LAYERS), [SINGLE, SINGLE], TWO_LAYERS, 5))
+@example(case=(init_random(TWO_LAYERS), [TRIANGLE, NINE, TRIANGLE, SINGLE, NINE],
+               TWO_LAYERS, 5))
+@example(case=(init_random(TWO_LAYERS), [Graph(1), NINE, Graph(1)], TWO_LAYERS, 5))
+def test_embed_set_matches_one_pack_oracle(case):
+    params, graphs, config, block_nodes = case
+    with warnings.catch_warnings(), mock.patch.object(encoder, "BLOCK_NODES", block_nodes):
+        # a collection without nodes has empty normalization statistics
+        warnings.simplefilter("ignore", RuntimeWarning)
+        emb = embed_set(params, graphs)
+        expected, _ = oracles.forward_batch_slow(params, oracles.pack_graphs_slow(graphs, config))
+    assert_same_bytes(emb, expected)
+
+
+def test_union_with_repeated_half_packs_only_distinct_graphs(monkeypatch):
+    packed = []
+    pack_graphs_ = encoder.pack_graphs
+
+    def counting(graphs, config):
+        batch = pack_graphs_(graphs, config)
+        packed.append(batch.features.shape[0])
+        return batch
+
+    monkeypatch.setattr(encoder, "pack_graphs", counting)
+    config = EncoderConfig(feature_config="degree+clustering")
+    params = init_random(config, seed=0)
+    graphs = list(gen_dataset("community", count=60, seed=0))
+    h_a, h_b = embed_union(params, graphs, graphs)
+    nodes = sum(g.num_nodes for g in graphs)
+    assert nodes > encoder.BLOCK_NODES and len(packed) > 1
+    assert sum(packed) == nodes
+    expected, _ = oracles.forward_batch_slow(
+        params, oracles.pack_graphs_slow(graphs + graphs, config))
+    assert_same_bytes(np.vstack([h_a, h_b]), expected)
+
+
 def test_uncached_forward_holds_about_two_node_arrays():
-    # each (nodes, hidden) array is dropped after its last reader, so a
-    # layer holds two at its peak: the aggregation's input and output, the
-    # first linear's input and output, z and its batch-norm square, or z
-    # and the second linear's output; a name that keeps any of them alive
-    # one op too long reads about 3
+    # the pass keeps two (nodes, hidden) arrays, z and the second linear's
+    # output, and every other temporary is at most one block; a name that
+    # keeps a whole-set array alive one op too long reads about 3
     config = EncoderConfig()
     params = init_random(config, seed=0)
-    batch = pack_graphs(gen_dataset("community", count=300, seed=0), config)
+    blocks = pack_blocks(gen_dataset("community", count=300, seed=0), config)
     tracemalloc.start()
     try:
-        forward_batch(params, batch)
+        forward_batch(params, blocks)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * batch.features.shape[0] * config.hidden * 8
+    nodes = sum(block.features.shape[0] for block in blocks)
+    assert peak < 2.5 * nodes * config.hidden * 8
 
 
 # ------------------------------------------------------------ metrics
