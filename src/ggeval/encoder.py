@@ -14,11 +14,12 @@ the encoder once, but the statistics still sum every node row of the
 collection in its order, copies included, so the result equals one pass
 over the whole collection bit for bit. (The exception: with hidden <= 3
 and 8 or more input features, OpenBLAS can round a row by its place in
-the product, so blocks can move the last bit.)
+the product, so a row's run or its place in the packing can move the
+last bit.)
 
-Memory: the distinct graphs are packed in blocks of at most BLOCK_NODES
-nodes (a larger graph gets a block of its own). An uncached pass holds two
-(nodes, hidden) arrays and, beside them, temporaries of at most one block.
+Memory: the distinct graphs are packed once, and an uncached pass works
+through each layer in runs of at most BLOCK_NODES rows. It holds two
+(nodes, hidden) arrays and, beside them, temporaries of at most one run.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .graphs import Graph, atomic_write_text
 
 BN_EPS = 1e-5
 
-# nodes per packed block: a block's (nodes, hidden) temporaries stay cache-sized
+# rows per run of an uncached pass: a run's (rows, hidden) temporaries stay cache-sized
 BLOCK_NODES = 4096
 
 # feature selectors accepted by the encoder: the structural ones, plus
@@ -212,29 +213,10 @@ def pack_graphs(graphs, config: EncoderConfig) -> BatchedGraphs:
     # sort. Any order gives the same canonical matrix.
     rows = np.concatenate((edges[1], diag, edges[0]))
     cols = np.concatenate((edges[0], diag, edges[1]))
+    del edges  # freed before the CSR build, the scoring path's transient peak
     agg = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(total, total))
     pool = sp.csr_matrix((np.ones(total), diag, offsets), shape=(len(graphs), total))
     return BatchedGraphs(features=x, agg=agg, pool=pool)
-
-
-def pack_blocks(graphs, config: EncoderConfig) -> list:
-    """pack_graphs over consecutive runs of graphs with at most BLOCK_NODES
-    nodes each; a larger graph gets a block of its own."""
-    graphs = list(graphs)
-    spans, start, nodes = [], 0, 0
-    for stop, g in enumerate(graphs):
-        if stop > start and nodes + g.num_nodes > BLOCK_NODES:
-            spans.append((start, stop))
-            start, nodes = stop, 0
-        nodes += g.num_nodes
-    spans.append((start, len(graphs)))
-    blocks = []
-    for start, stop in spans:
-        try:
-            blocks.append(pack_graphs(graphs[start:stop], config))
-        except FeatureMismatchError as exc:
-            raise FeatureMismatchError(exc.reason, graph=start + exc.graph) from exc
-    return blocks
 
 
 def _matmul(a, w, out, union_rows):
@@ -296,78 +278,84 @@ def _union_rows(sizes, which):
     return rows, int(starts[lead])
 
 
-def forward_batch(params: EncoderParams, blocks, collect_cache: bool = False,
+def _csr_rows(m, rows: slice):
+    """Rows rows.start:rows.stop of a CSR matrix, sharing its index arrays."""
+    indptr = m.indptr[rows.start:rows.stop + 1]
+    lo, hi = indptr[0], indptr[-1]
+    return sp.csr_matrix((m.data[lo:hi], m.indices[lo:hi], indptr - lo),
+                         shape=(len(indptr) - 1, m.shape[1]))
+
+
+def forward_batch(params: EncoderParams, batch: BatchedGraphs, collect_cache: bool = False,
                   which=None):
-    """Run the encoder over packed blocks; params and blocks are only read.
+    """Run the encoder over a packed batch; params and batch are only read.
 
-    blocks pack consecutive runs of distinct graphs, and which[i] is the
-    distinct graph at position i of the collection being embedded (None:
-    each graph once, in block order). The batch-norm mean and variance sum
-    the collection's node rows in its order, copies included.
+    which[i] is the packed graph at position i of the collection being
+    embedded (None: each packed graph once, in order). The batch-norm mean
+    and variance sum the collection's node rows in its order, copies
+    included. An uncached pass works through each layer in runs of at
+    most BLOCK_NODES rows.
 
-    Returns (embeddings of the distinct graphs, cache); cache holds the
+    Returns (embeddings of the packed graphs, cache); cache holds the
     intermediates needed for the reverse pass when collect_cache is set,
-    which takes one block and no repeats.
+    which takes no repeats and runs each layer as one run.
     """
     w = params.weights
     hidden = params.config.hidden
-    node_ends = np.cumsum([0] + [block.features.shape[0] for block in blocks])
-    graph_ends = np.cumsum([0] + [block.pool.shape[0] for block in blocks])
-    sizes = np.concatenate([np.diff(block.pool.indptr) for block in blocks])
+    nodes = batch.features.shape[0]
+    sizes = np.diff(batch.pool.indptr)
     rows, head = _union_rows(sizes, np.arange(len(sizes)) if which is None else which)
-    distinct_rows = int(node_ends[-1])
     union_rows = len(rows)
-    if collect_cache and (len(blocks) != 1 or union_rows != distinct_rows):
-        raise ValueError("a cached pass takes one block and no repeats")
+    if collect_cache and union_rows != nodes:
+        raise ValueError("a cached pass takes no repeats")
     step = BLOCK_NODES
     if hidden == 1:
         # numpy sums a single column pairwise, which no running total continues
         head, step = 0, max(union_rows, 1)
+    run = max(nodes, 1) if collect_cache else BLOCK_NODES
+    runs = [slice(a, min(a + run, nodes)) for a in range(0, nodes, run)] or [slice(0, 0)]
 
-    emb = np.empty((int(graph_ends[-1]), params.config.embedding_dim))
-    cache = {"batch": blocks[0], "layers": []} if collect_cache else None
+    readouts = []
+    cache = {"batch": batch, "layers": []} if collect_cache else None
     z = h = None
     for k in range(params.config.num_layers):
-        for i, block in enumerate(blocks):
-            nodes = slice(node_ends[i], node_ends[i + 1])
-            lin_in = block.agg @ (block.features if k == 0 else h[nodes])
+        x = batch.features if k == 0 else h
+        for r in runs:
+            lin_in = _csr_rows(batch.agg, r) @ x
             if collect_cache:
-                # the cache keeps z, so each layer takes new arrays; h and its
-                # view go first so that z can reuse their memory, where a z
-                # made beside them lands on fresh pages at every training step
-                z = h = hb = None
+                # the cache keeps z, so each layer takes new arrays; h goes
+                # first so that z can reuse its memory, where a z made beside
+                # it lands on fresh pages at every training step
+                z = h = x = None
             if z is None:
-                # sized by the union: pages past the distinct rows stay untouched
-                z = np.empty((union_rows, hidden))[:distinct_rows]
-            zb = z[nodes]
-            _matmul(lin_in, w[f"l{k}.m0.W"], zb, union_rows)
-            zb += w[f"l{k}.m0.b"]
+                # sized by the union: pages past the packed rows stay untouched
+                z = np.empty((union_rows, hidden))[:nodes]
+            _matmul(lin_in, w[f"l{k}.m0.W"], z[r], union_rows)
         first = {"lin_in": lin_in} if collect_cache else None
-        del lin_in
+        del lin_in, x
+        z += w[f"l{k}.m0.b"]
         # same operations, in the same order, as z.mean and z.var over the union
         z -= _union_sum(z, rows, head, step) / union_rows
         inv_std = 1.0 / np.sqrt(_union_sum(z, rows, head, step, square=True) / union_rows
                                 + BN_EPS)
-        for i, block in enumerate(blocks):
-            nodes = slice(node_ends[i], node_ends[i + 1])
-            zb = z[nodes]
-            zb *= inv_std
+        if h is None:
+            h = np.empty((union_rows, hidden))[:nodes]
+        for r in runs:
+            zr, hr = z[r], h[r]
+            zr *= inv_std
             # the reverse pass reads normed and pre_relu, so a cached pass
             # writes each op to a new array; an uncached one writes in place
-            out = None if collect_cache else zb
-            normed, zb = zb, np.multiply(zb, w[f"l{k}.m0.gamma"], out=out)
-            zb += w[f"l{k}.m0.beta"]
-            pre_relu, zb = zb, np.maximum(zb, 0.0, out=out)
-            if h is None:
-                h = np.empty((union_rows, hidden))[:distinct_rows]
-            hb = h[nodes]
-            _matmul(zb, w[f"l{k}.m1.W"], hb, union_rows)
-            hb += w[f"l{k}.m1.b"]
-            emb[graph_ends[i]:graph_ends[i + 1], k * hidden:(k + 1) * hidden] = block.pool @ hb
+            out = None if collect_cache else zr
+            normed, zr = zr, np.multiply(zr, w[f"l{k}.m0.gamma"], out=out)
+            zr += w[f"l{k}.m0.beta"]
+            pre_relu, zr = zr, np.maximum(zr, 0.0, out=out)
+            _matmul(zr, w[f"l{k}.m1.W"], hr, union_rows)
+            hr += w[f"l{k}.m1.b"]
+        readouts.append(batch.pool @ h)
         if collect_cache:
             first.update(normed=normed, inv_std=inv_std, pre_relu=pre_relu)
-            cache["layers"].append({"steps": [first, {"lin_in": zb}]})
-    return emb, cache
+            cache["layers"].append({"steps": [first, {"lin_in": zr}]})
+    return np.hstack(readouts), cache
 
 
 def embed_set(params: EncoderParams, graphs) -> np.ndarray:
@@ -385,10 +373,10 @@ def embed_set(params: EncoderParams, graphs) -> np.ndarray:
     which = np.array([slot.setdefault(id(g), len(slot)) for g in graphs])
     firsts = np.unique(which, return_index=True)[1]
     try:
-        blocks = pack_blocks([graphs[i] for i in firsts], params.config)
+        batch = pack_graphs([graphs[i] for i in firsts], params.config)
     except FeatureMismatchError as exc:
         raise FeatureMismatchError(exc.reason, graph=int(firsts[exc.graph])) from exc
-    emb, _ = forward_batch(params, blocks, which=which)
+    emb, _ = forward_batch(params, batch, which=which)
     emb = emb[which]
     if not np.all(np.isfinite(emb)):
         bad = np.flatnonzero(~np.isfinite(emb).all(axis=1))

@@ -372,7 +372,7 @@ def loss_and_grads(params: EncoderParams, head: dict, views1, views2, tau: float
     Returns (loss, grads) with grads keyed like params.weights and head.
     """
     batch = pack_graphs(list(views1) + list(views2), params.config)
-    emb, cache = forward_batch(params, [batch], collect_cache=True)
+    emb, cache = forward_batch(params, batch, collect_cache=True)
     proj, head_cache = head_forward(head, emb)
     n = len(views1)
     loss, d1, d2 = nt_xent(proj[:n], proj[n:], tau)
@@ -442,7 +442,7 @@ def train_graphcl(graphs, encoder_config: EncoderConfig,
 def training_loss(params: EncoderParams, head: dict, views1, views2, tau: float):
     """Loss of one prepared batch without any parameter mutation."""
     batch = pack_graphs(list(views1) + list(views2), params.config)
-    emb, _ = forward_batch(params, [batch])
+    emb, _ = forward_batch(params, batch)
     proj, _ = head_forward(head, emb)
     n = len(views1)
     loss, _, _ = nt_xent(proj[:n], proj[n:], tau)

@@ -162,7 +162,7 @@ def test_gate_4_gradient_gate():
         head = init_head(cfg.num_layers * cfg.hidden, substream(attempt, 23))
 
         batch = pack_graphs(list(views1) + list(views2), cfg)
-        emb, cache = forward_batch(params, [batch],
+        emb, cache = forward_batch(params, batch,
                                    collect_cache=True)
         proj, (_, head_pre, _) = head_forward(head, emb)
         kink_margin = min(

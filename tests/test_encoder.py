@@ -275,14 +275,7 @@ def test_feature_mismatch_errors():
     bad_dim = Graph(2, node_features=np.ones((2, 2)))
     with pytest.raises(FeatureMismatchError):
         embed_set(params, [bad_dim])
-
-
-def test_feature_mismatch_names_the_first_occurrence_in_a_later_block(monkeypatch):
-    # each graph is a block of its own, and the unfeatured graph is the
-    # fourth distinct one but first appears at index 4
-    monkeypatch.setattr(encoder, "BLOCK_NODES", 2)
-    cfg = EncoderConfig(feature_config="provided", input_dim=3)
-    params = init_random(cfg, seed=0)
+    # the unfeatured graph is the fourth distinct one, first seen at index 4
     good = [Graph(2, node_features=np.ones((2, 3))) for _ in range(3)]
     bare = Graph(2)
     with pytest.raises(FeatureMismatchError, match=r"^graph 4: config expects provided"):

@@ -19,7 +19,6 @@ from ggeval.encoder import (
     embed_union,
     forward_batch,
     init_random,
-    pack_blocks,
     pack_graphs,
 )
 from ggeval.generators import gen_dataset
@@ -110,7 +109,7 @@ def test_forward_matches_oracle(case, collect_cache):
     with warnings.catch_warnings():
         # a batch without nodes has empty normalization statistics
         warnings.simplefilter("ignore", RuntimeWarning)
-        emb, cache = forward_batch(params, [batch], collect_cache)
+        emb, cache = forward_batch(params, batch, collect_cache)
         emb_slow, cache_slow = oracles.forward_batch_slow(params, batch, collect_cache)
     assert_same_bytes(emb, emb_slow)
     if not collect_cache:
@@ -135,7 +134,7 @@ def test_forward_leaves_weights_untouched(case, collect_cache):
     before = {name: value.copy() for name, value in params.weights.items()}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        forward_batch(params, [pack_graphs(graphs, config)], collect_cache)
+        forward_batch(params, pack_graphs(graphs, config), collect_cache)
     assert params.weights.keys() == before.keys()
     for name, value in before.items():
         assert_same_bytes(params.weights[name], value)
@@ -150,7 +149,7 @@ def test_forward_leaves_batch_untouched(case, collect_cache):
     features, agg, pool = batch.features.copy(), batch.agg.copy(), batch.pool.copy()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        forward_batch(params, [batch], collect_cache)
+        forward_batch(params, batch, collect_cache)
     assert_same_bytes(batch.features, features)
     assert_same_csr(batch.agg, agg)
     assert_same_csr(batch.pool, pool)
@@ -170,7 +169,7 @@ def repeated_collections(draw):
         graphs = [base[0]] * draw(st.integers(1, 6))
     else:  # a union whose second half is the first
         graphs = base + base
-    # blocks of a few nodes split the collection and put a 9-node graph alone
+    # runs of a few rows split the packed nodes, a 9-node graph's among them
     block_nodes = draw(st.sampled_from((1, 3, 5, 8, encoder.BLOCK_NODES)))
     return params, graphs, config, block_nodes
 
@@ -213,8 +212,7 @@ def test_union_with_repeated_half_packs_only_distinct_graphs(monkeypatch):
     graphs = list(gen_dataset("community", count=60, seed=0))
     h_a, h_b = embed_union(params, graphs, graphs)
     nodes = sum(g.num_nodes for g in graphs)
-    assert nodes > encoder.BLOCK_NODES and len(packed) > 1
-    assert sum(packed) == nodes
+    assert packed == [nodes]
     expected, _ = oracles.forward_batch_slow(
         params, oracles.pack_graphs_slow(graphs + graphs, config))
     assert_same_bytes(np.vstack([h_a, h_b]), expected)
@@ -222,19 +220,19 @@ def test_union_with_repeated_half_packs_only_distinct_graphs(monkeypatch):
 
 def test_uncached_forward_holds_about_two_node_arrays():
     # the pass keeps two (nodes, hidden) arrays, z and the second linear's
-    # output, and every other temporary is at most one block; a name that
-    # keeps a whole-set array alive one op too long reads about 3
+    # output, and every other temporary is at most BLOCK_NODES rows; a name
+    # that keeps a whole-set array alive one op too long reads about 3
     config = EncoderConfig()
     params = init_random(config, seed=0)
-    blocks = pack_blocks(gen_dataset("community", count=300, seed=0), config)
+    batch = pack_graphs(gen_dataset("community", count=300, seed=0), config)
+    assert batch.features.shape[0] > 4 * encoder.BLOCK_NODES
     tracemalloc.start()
     try:
-        forward_batch(params, blocks)
+        forward_batch(params, batch)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    nodes = sum(block.features.shape[0] for block in blocks)
-    assert peak < 2.5 * nodes * config.hidden * 8
+    assert peak < 2.5 * batch.features.shape[0] * config.hidden * 8
 
 
 # ------------------------------------------------------------ metrics
