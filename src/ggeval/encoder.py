@@ -279,7 +279,9 @@ def _union_rows(sizes, which):
 
 
 def _csr_rows(m, rows: slice):
-    """Rows rows.start:rows.stop of a CSR matrix, sharing its index arrays."""
+    """Rows rows.start:rows.stop of a CSR matrix, built from slices of its
+    arrays; scipy copies slices under half the matrix, so a run's rows cost
+    a copy of the run's entries and nothing more."""
     indptr = m.indptr[rows.start:rows.stop + 1]
     lo, hi = indptr[0], indptr[-1]
     return sp.csr_matrix((m.data[lo:hi], m.indices[lo:hi], indptr - lo),
