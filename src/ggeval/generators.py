@@ -4,7 +4,12 @@ and the bridged cycle-pair construction, plus whole-dataset recipes.
 Reproducibility contract: every generator that draws takes a numpy
 Generator, never an integer seed. substream(seed, *key) derives independent,
 platform-stable streams; dataset recipes use key (graph_index,) per graph,
-so generation is order-independent and parallelizable.
+so generation is order-independent and parallelizable. A graph depends only
+on the draws it uses, in the order it uses them, not on how many doubles
+are read from the stream per call: rng.random(size) returns the doubles
+that as many scalar rng.random() calls would. gen_lobster reads ahead in
+blocks, so it may leave rng further advanced than the draws it used; give
+each lobster a fresh substream, as gen_dataset does.
 """
 
 from __future__ import annotations
@@ -21,10 +26,11 @@ LOBSTER_NODE_RANGE = (10, 100)
 # edge probability inside each community block, and cross edges per node
 COMMUNITY_P = 0.3
 COMMUNITY_INTER_FRAC = 0.05
-# mean backbone length, and the continue probability of each pendant level
+# mean backbone length, and the continue probability of both pendant levels
 LOBSTER_BACKBONE = 80
-LOBSTER_P1 = 0.7
-LOBSTER_P2 = 0.7
+LOBSTER_P = 0.7
+# doubles gen_lobster reads from rng per call; an attempt uses about 900
+LOBSTER_BLOCK = 4096
 DATASET_COUNTS = {"lobster": 100, "grid": 100, "community": 500}
 
 
@@ -34,14 +40,21 @@ def substream(seed, *key) -> np.random.Generator:
 
 
 def gen_er(n: int, p: float, rng) -> Graph:
-    """Erdos-Renyi G(n, p): each of the C(n,2) edges kept with probability p."""
+    """Erdos-Renyi G(n, p): each of the C(n,2) edges kept with probability p.
+
+    One draw per pair (i, j), i < j, in row-major order.
+    """
+    n = require_integer("n", n, 0)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must be in [0,1], got {p}")
     if n < 2:
         return Graph(n)
-    iu, iv = np.triu_indices(n, k=1)
-    keep = rng.random(iu.size) < p
-    return Graph(n, edges=np.column_stack((iu[keep], iv[keep])))
+    kept = np.flatnonzero(rng.random(n * (n - 1) // 2) < p)
+    # row i holds the pairs (i, i+1..n-1) and starts at flat index starts[i]
+    rows = np.arange(n - 1)
+    starts = rows * (2 * n - rows - 1) // 2
+    iu = np.searchsorted(starts, kept, side="right") - 1
+    return Graph(n, edges=np.column_stack((iu, kept - starts[iu] + iu + 1)))
 
 
 def gen_community(num_nodes: int, rng) -> Graph:
@@ -51,6 +64,7 @@ def gen_community(num_nodes: int, rng) -> Graph:
     uniformly from the (n/2)^2 block pairs; for every even n there are at
     least that many pairs.
     """
+    num_nodes = require_integer("num_nodes", num_nodes, 0)
     if num_nodes % 2 != 0:
         raise ValueError(f"num_nodes must be even, got {num_nodes}")
     half = num_nodes // 2
@@ -81,31 +95,64 @@ def gen_lobster(rng) -> Graph:
 
     Backbone length is uniform with mean LOBSTER_BACKBONE; each backbone
     node gains a geometric number of first-level pendants (continue with
-    probability LOBSTER_P1), each of which gains second-level pendants
-    likewise with LOBSTER_P2. Every node ends within 2 hops of the
-    backbone. Draws are rejected until the node count lands in
-    LOBSTER_NODE_RANGE, matching the size-capped recipes these graphs are
-    usually built with.
+    probability LOBSTER_P), each of which gains second-level pendants
+    likewise. Every node ends within 2 hops of the backbone. Draws are
+    rejected until the node count lands in LOBSTER_NODE_RANGE, matching
+    the size-capped recipes these graphs are usually built with.
+
+    Each attempt uses one draw for the backbone length, then one draw per
+    pendant decision: draw u continues the current level when u < p. A
+    draw is in backbone state when it is the attempt's first pendant draw
+    or the draw before it failed; a failure there closes the current
+    backbone node, so the attempt ends at its backbone-th such failure.
+    Draws are read LOBSTER_BLOCK at a time and the unused tail carries on
+    to the next attempt, so the graph is the one that one scalar draw per
+    decision gives, but rng may end further advanced (see the module
+    docstring). Edges are built only for the accepted attempt.
     """
     lo, hi = LOBSTER_NODE_RANGE
-    # the pendant loops draw once per node; locals are read faster than globals
-    p_first, p_second = LOBSTER_P1, LOBSTER_P2
+    draws = np.empty(0)
     for _ in range(10_000):
-        backbone = int(2 * rng.random() * LOBSTER_BACKBONE + 0.5)
-        backbone = max(backbone, 2)
-        edges = [(i, i + 1) for i in range(backbone - 1)]
-        total = backbone
-        for node in range(backbone):
-            while rng.random() < p_first:
-                first = total
-                total += 1
-                edges.append((node, first))
-                while rng.random() < p_second:
-                    edges.append((first, total))
-                    total += 1
+        if draws.size == 0:
+            draws = rng.random(LOBSTER_BLOCK)
+        backbone = max(int(2 * draws[0] * LOBSTER_BACKBONE + 0.5), 2)
+        draws = draws[1:]
+        while True:
+            fails = draws >= LOBSTER_P
+            closes = fails.copy()
+            closes[1:] &= fails[:-1]
+            closed = np.cumsum(closes)
+            if closed.size and closed[-1] >= backbone:
+                break
+            # grow geometrically, so a small block still reads in linear time
+            draws = np.concatenate((draws, rng.random(max(LOBSTER_BLOCK, draws.size))))
+        end = int(np.searchsorted(closed, backbone)) + 1
+        fails, closed = fails[:end], closed[:end]
+        draws = draws[end:]
+        total = backbone + end - int(np.count_nonzero(fails))
         if lo <= total <= hi:
-            return Graph(total, edges=edges)
+            return _lobster_graph(backbone, total, fails, closed)
     raise RuntimeError("lobster sampling failed to land in the size range")
+
+
+def _lobster_graph(backbone, total, fails, closed) -> Graph:
+    """The accepted attempt's lobster from its per-draw failure flags.
+
+    Each success is a new node, numbered in draw order after the backbone.
+    A success in backbone state hangs off the current backbone node, the
+    count of backbone-state failures up to it (closed); any other success
+    hangs off the latest first-level node.
+    """
+    succeeds = ~fails
+    in_backbone = np.ones_like(fails)
+    in_backbone[1:] = fails[:-1]
+    node = backbone - 1 + np.cumsum(succeeds)
+    first = np.maximum.accumulate(np.where(succeeds & in_backbone, node, 0))
+    parent = np.where(in_backbone, closed, first)
+    path = np.arange(backbone - 1)
+    edges = np.concatenate((np.column_stack((path, path + 1)),
+                            np.column_stack((parent[succeeds], node[succeeds]))))
+    return Graph(total, edges=edges)
 
 
 def gen_cycle_pair(a: int, b: int) -> Graph:

@@ -21,6 +21,7 @@ from scipy.spatial.distance import cdist
 from ggeval.encoder import BN_EPS, BatchedGraphs, graph_features
 from ggeval.errors import EndpointOutOfRangeError, SelfLoopError
 from ggeval.features import ORBIT4_CLASSES
+from ggeval.generators import LOBSTER_BACKBONE, LOBSTER_NODE_RANGE, LOBSTER_P
 from ggeval.graphs import Graph
 from ggeval.metrics import f1_score, frechet_distance
 
@@ -413,6 +414,40 @@ def random_graph(rng: np.random.Generator, n: int, p: float) -> Graph:
             if rng.random() < p:
                 edges.append((u, v))
     return Graph(num_nodes=n, edges=tuple(edges))
+
+
+def gen_er_slow(n: int, p: float, rng) -> Graph:
+    """ER G(n, p) over np.triu_indices: one draw per pair, row-major."""
+    if n < 2:
+        return Graph(n)
+    iu, iv = np.triu_indices(n, k=1)
+    keep = rng.random(iu.size) < p
+    return Graph(n, edges=np.column_stack((iu[keep], iv[keep])))
+
+
+def gen_lobster_slow(rng) -> Graph:
+    """Lobster rejection sampling with one scalar rng.random() per decision.
+
+    Builds the edge list of every attempt, accepted or not, and reads
+    exactly the draws it uses.
+    """
+    lo, hi = LOBSTER_NODE_RANGE
+    for _ in range(10_000):
+        backbone = int(2 * rng.random() * LOBSTER_BACKBONE + 0.5)
+        backbone = max(backbone, 2)
+        edges = [(i, i + 1) for i in range(backbone - 1)]
+        total = backbone
+        for node in range(backbone):
+            while rng.random() < LOBSTER_P:
+                first = total
+                total += 1
+                edges.append((node, first))
+                while rng.random() < LOBSTER_P:
+                    edges.append((first, total))
+                    total += 1
+        if lo <= total <= hi:
+            return Graph(total, edges=edges)
+    raise RuntimeError("lobster sampling failed to land in the size range")
 
 
 def rewire_graph_slow(graph: Graph, r: float, rng) -> Graph:

@@ -1,6 +1,8 @@
 import numpy as np
+import oracles
 import pytest
 
+import ggeval.generators as generators
 from ggeval.features import degrees
 from ggeval.generators import (
     COMMUNITY_NODE_RANGE,
@@ -35,6 +37,28 @@ def test_er_extremes():
 def test_er_probability_validated():
     with pytest.raises(ValueError):
         gen_er(5, 1.5, substream(0))
+
+
+@pytest.mark.parametrize("p", [0.0, 0.05, 0.3, 1.0])
+def test_er_matches_triu_oracle(p):
+    for n in [*range(40), 61, 100, 160]:
+        assert gen_er(n, p, substream(4, n)) == oracles.gen_er_slow(n, p, substream(4, n))
+
+
+@pytest.mark.parametrize("make, name, size, error", [
+    (lambda size, rng: gen_er(size, 0.5, rng), "n", True, TypeError),
+    (lambda size, rng: gen_er(size, 0.5, rng), "n", 4.0, TypeError),
+    (lambda size, rng: gen_er(size, 0.5, rng), "n", -1, ValueError),
+    (gen_community, "num_nodes", 4.0, TypeError),
+    (gen_community, "num_nodes", True, TypeError),
+    (gen_community, "num_nodes", -2, ValueError),
+], ids=["er-bool", "er-float", "er-negative", "community-float", "community-bool",
+        "community-negative"])
+def test_sizes_checked(make, name, size, error):
+    # gen_er(True, ...) used to return a 1-node graph, and gen_community(4.0)
+    # to name the half in "num_nodes must be an integer, got 2.0"
+    with pytest.raises(error, match=f"^{name} must be "):
+        make(size, substream(0))
 
 
 def test_er_edge_count_near_expectation():
@@ -108,6 +132,28 @@ def test_lobster_connected():
                 seen.add(u)
                 stack.append(u)
     assert len(seen) == g.num_nodes
+
+
+def test_lobster_matches_scalar_oracle():
+    for seed in (0, 4, 5, 6, 7):
+        for i in range(200):
+            assert gen_lobster(substream(seed, i)) == oracles.gen_lobster_slow(substream(seed, i)), (seed, i)
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_lobster_small_blocks_match_scalar_oracle(block, monkeypatch):
+    # blocks then end inside attempts and right after a backbone draw, so the
+    # tail an attempt leaves unread must carry over to the next one
+    monkeypatch.setattr(generators, "LOBSTER_BLOCK", block)
+    for i in range(40):
+        assert gen_lobster(substream(8, i)) == oracles.gen_lobster_slow(substream(8, i)), i
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_lobster_dataset_matches_scalar_oracle(seed):
+    # the benchmark's sweep_lobster pools
+    expected = tuple(oracles.gen_lobster_slow(substream(seed, i)) for i in range(200))
+    assert tuple(gen_dataset("lobster", 200, seed=seed)) == expected
 
 
 def test_cycle_pair_structure():
