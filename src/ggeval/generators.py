@@ -101,14 +101,15 @@ def gen_lobster(rng) -> Graph:
     the size-capped recipes these graphs are usually built with.
 
     Each attempt uses one draw for the backbone length, then one draw per
-    pendant decision: draw u continues the current level when u < p. A
-    draw is in backbone state when it is the attempt's first pendant draw
-    or the draw before it failed; a failure there closes the current
-    backbone node, so the attempt ends at its backbone-th such failure.
-    Draws are read LOBSTER_BLOCK at a time and the unused tail carries on
-    to the next attempt, so the graph is the one that one scalar draw per
-    decision gives, but rng may end further advanced (see the module
-    docstring). Edges are built only for the accepted attempt.
+    pendant decision; draw u continues the current level when
+    u < LOBSTER_P. A draw is in backbone state when it is the attempt's
+    first pendant draw or the draw before it failed; a failure there
+    closes the current backbone node, so the attempt ends at its
+    backbone-th such failure. Draws are read LOBSTER_BLOCK at a time and
+    the unused tail carries on to the next attempt, so the graph is the
+    one that one scalar draw per decision gives, but rng may end further
+    advanced (see the module docstring). Edges are built only for the
+    accepted attempt.
     """
     lo, hi = LOBSTER_NODE_RANGE
     draws = np.empty(0)

@@ -45,20 +45,14 @@ def test_er_matches_triu_oracle(p):
         assert gen_er(n, p, substream(4, n)) == oracles.gen_er_slow(n, p, substream(4, n))
 
 
-@pytest.mark.parametrize("make, name, size, error", [
-    (lambda size, rng: gen_er(size, 0.5, rng), "n", True, TypeError),
-    (lambda size, rng: gen_er(size, 0.5, rng), "n", 4.0, TypeError),
-    (lambda size, rng: gen_er(size, 0.5, rng), "n", -1, ValueError),
-    (gen_community, "num_nodes", 4.0, TypeError),
-    (gen_community, "num_nodes", True, TypeError),
-    (gen_community, "num_nodes", -2, ValueError),
-], ids=["er-bool", "er-float", "er-negative", "community-float", "community-bool",
-        "community-negative"])
-def test_sizes_checked(make, name, size, error):
+@pytest.mark.parametrize("size, error", [(True, TypeError), (4.0, TypeError), (-2, ValueError)])
+def test_er_and_community_sizes_checked(size, error):
     # gen_er(True, ...) used to return a 1-node graph, and gen_community(4.0)
     # to name the half in "num_nodes must be an integer, got 2.0"
-    with pytest.raises(error, match=f"^{name} must be "):
-        make(size, substream(0))
+    with pytest.raises(error, match="^n must be "):
+        gen_er(size, 0.5, substream(0))
+    with pytest.raises(error, match="^num_nodes must be "):
+        gen_community(size, substream(0))
 
 
 def test_er_edge_count_near_expectation():
@@ -137,7 +131,8 @@ def test_lobster_connected():
 def test_lobster_matches_scalar_oracle():
     for seed in (0, 4, 5, 6, 7):
         for i in range(200):
-            assert gen_lobster(substream(seed, i)) == oracles.gen_lobster_slow(substream(seed, i)), (seed, i)
+            expected = oracles.gen_lobster_slow(substream(seed, i))
+            assert gen_lobster(substream(seed, i)) == expected, (seed, i)
 
 
 @pytest.mark.parametrize("block", [1, 7])
