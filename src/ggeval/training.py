@@ -225,36 +225,43 @@ def head_backward(head: dict, cache, d_out: np.ndarray):
 def encoder_backward(params: EncoderParams, cache, d_emb: np.ndarray) -> dict:
     """Gradients of every trainable encoder array given d loss / d embedding.
 
-    Follows the forward cache from forward_batch(collect_cache=True).
-    Batch-norm backward uses the batch statistics, matching the forward.
+    Follows the forward cache from forward_batch(collect_cache=True), which
+    is only read. Batch-norm backward uses the batch statistics, matching
+    the forward. Each node row starts from its graph's readout gradient,
+    repeated; the carry, the ReLU mask and the batch-norm backward then
+    work in place, with the operations, and so the bits, of writing each
+    step to a new array.
     """
     cfg = params.config
     w = params.weights
     batch = cache["batch"]
+    sizes = np.diff(batch.pool.indptr)
     grads = {}
     per_layer = np.split(d_emb, cfg.num_layers, axis=1)
     carry = None
     for k in reversed(range(cfg.num_layers)):
         first, second = cache["layers"][k]["steps"]
-        d_h = batch.pool.T @ per_layer[k]
+        d_h = np.repeat(per_layer[k], sizes, axis=0)
         if carry is not None:
-            d_h = d_h + carry
+            d_h += carry
         # second linear
         grads[f"l{k}.m1.W"] = second["lin_in"].T @ d_h
         grads[f"l{k}.m1.b"] = d_h.sum(axis=0)
         d_h = d_h @ w[f"l{k}.m1.W"].T
         # ReLU, then the batch norm's affine map and its normalization
-        d_h = d_h * (first["pre_relu"] > 0.0)
+        d_h *= first["pre_relu"] > 0.0
         normed = first["normed"]
-        grads[f"l{k}.m0.gamma"] = np.sum(d_h * normed, axis=0)
+        prod = np.multiply(d_h, normed)
+        grads[f"l{k}.m0.gamma"] = np.sum(prod, axis=0)
         grads[f"l{k}.m0.beta"] = np.sum(d_h, axis=0)
-        d_norm = d_h * w[f"l{k}.m0.gamma"]
-        nrows = d_norm.shape[0]
-        d_h = (first["inv_std"] / nrows) * (
-            nrows * d_norm
-            - d_norm.sum(axis=0)
-            - normed * np.sum(d_norm * normed, axis=0)
-        )
+        d_h *= w[f"l{k}.m0.gamma"]  # d_norm from here on
+        nrows = d_h.shape[0]
+        d_sum = d_h.sum(axis=0)
+        d_dot = np.sum(np.multiply(d_h, normed, out=prod), axis=0)
+        d_h *= nrows
+        d_h -= d_sum
+        d_h -= np.multiply(normed, d_dot, out=prod)
+        d_h *= first["inv_std"] / nrows
         # first linear
         grads[f"l{k}.m0.W"] = first["lin_in"].T @ d_h
         grads[f"l{k}.m0.b"] = d_h.sum(axis=0)

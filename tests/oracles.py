@@ -21,7 +21,13 @@ from scipy.spatial.distance import cdist
 from ggeval.encoder import BN_EPS, BatchedGraphs, graph_features
 from ggeval.errors import EndpointOutOfRangeError, SelfLoopError
 from ggeval.features import ORBIT4_CLASSES
-from ggeval.generators import LOBSTER_BACKBONE, LOBSTER_NODE_RANGE, LOBSTER_P
+from ggeval.generators import (
+    COMMUNITY_INTER_FRAC,
+    COMMUNITY_P,
+    LOBSTER_BACKBONE,
+    LOBSTER_NODE_RANGE,
+    LOBSTER_P,
+)
 from ggeval.graphs import Graph
 from ggeval.metrics import f1_score, frechet_distance
 
@@ -425,6 +431,16 @@ def gen_er_slow(n: int, p: float, rng) -> Graph:
     return Graph(n, edges=np.column_stack((iu[keep], iv[keep])))
 
 
+def gen_community_slow(num_nodes: int, rng) -> Graph:
+    """Two-block community graph built from two whole gen_er_slow graphs."""
+    half = num_nodes // 2
+    num_inter = int(round(COMMUNITY_INTER_FRAC * num_nodes))
+    blocks = [gen_er_slow(half, COMMUNITY_P, rng).edges + offset for offset in (0, half)]
+    cross = rng.choice(half * half, size=num_inter, replace=False)
+    blocks.append(np.column_stack((cross // half, half + cross % half)))
+    return Graph(num_nodes, edges=np.concatenate(blocks))
+
+
 def gen_lobster_slow(rng) -> Graph:
     """Lobster rejection sampling with one scalar rng.random() per decision.
 
@@ -474,7 +490,8 @@ def rewire_graph_slow(graph: Graph, r: float, rng) -> Graph:
 
 # ---------------------------------------------------------------------------
 # the scoring path with one fresh array per operation: the reference for
-# the in-place forward, the one-pass packing and the blockwise distances
+# the in-place forward and reverse passes, the one-pass packing and the
+# blockwise distances
 
 
 def pack_graphs_slow(graphs, config) -> BatchedGraphs:
@@ -522,6 +539,49 @@ def forward_batch_slow(params, batch, collect_cache=False):
             ]})
         readouts.append(batch.pool @ h)
     return np.hstack(readouts), cache
+
+
+def encoder_backward_slow(params, cache, d_emb):
+    """encoder_backward with a new array for every step and the readout
+    gradient spread to the nodes by the transposed pooling matrix.
+
+    Follows the forward cache from forward_batch(collect_cache=True).
+    Batch-norm backward uses the batch statistics, matching the forward.
+    """
+    cfg = params.config
+    w = params.weights
+    batch = cache["batch"]
+    grads = {}
+    per_layer = np.split(d_emb, cfg.num_layers, axis=1)
+    carry = None
+    for k in reversed(range(cfg.num_layers)):
+        first, second = cache["layers"][k]["steps"]
+        d_h = batch.pool.T @ per_layer[k]
+        if carry is not None:
+            d_h = d_h + carry
+        # second linear
+        grads[f"l{k}.m1.W"] = second["lin_in"].T @ d_h
+        grads[f"l{k}.m1.b"] = d_h.sum(axis=0)
+        d_h = d_h @ w[f"l{k}.m1.W"].T
+        # ReLU, then the batch norm's affine map and its normalization
+        d_h = d_h * (first["pre_relu"] > 0.0)
+        normed = first["normed"]
+        grads[f"l{k}.m0.gamma"] = np.sum(d_h * normed, axis=0)
+        grads[f"l{k}.m0.beta"] = np.sum(d_h, axis=0)
+        d_norm = d_h * w[f"l{k}.m0.gamma"]
+        nrows = d_norm.shape[0]
+        d_h = (first["inv_std"] / nrows) * (
+            nrows * d_norm
+            - d_norm.sum(axis=0)
+            - normed * np.sum(d_norm * normed, axis=0)
+        )
+        # first linear
+        grads[f"l{k}.m0.W"] = first["lin_in"].T @ d_h
+        grads[f"l{k}.m0.b"] = d_h.sum(axis=0)
+        if k:  # nothing reads layer 0's input gradient
+            # aggregation matrix is symmetric, so its transpose is itself
+            carry = batch.agg @ (d_h @ w[f"l{k}.m0.W"].T)
+    return grads
 
 
 def pooled_sq(real, gen):

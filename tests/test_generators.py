@@ -75,6 +75,25 @@ def test_community_odd_nodes_rejected():
         gen_community(41, substream(0))
 
 
+def test_community_matches_block_graph_oracle():
+    # sizes 0 and 2 have blocks too small to draw from
+    for n in range(0, 201, 2):
+        for key in (0, 1, 2):
+            rng, rng_slow = substream(9, n, key), substream(9, n, key)
+            assert gen_community(n, rng) == oracles.gen_community_slow(n, rng_slow), (n, key)
+            assert rng.random() == rng_slow.random()  # the same draws were consumed
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_community_dataset_matches_block_graph_oracle(seed):
+    expected = []
+    for i in range(200):
+        rng = substream(seed, i)
+        n = generators._sample_even(rng, *COMMUNITY_NODE_RANGE)
+        expected.append(oracles.gen_community_slow(n, rng))
+    assert tuple(gen_dataset("community", 200, seed=seed)) == tuple(expected)
+
+
 def test_grid_shape_and_degrees():
     g = gen_grid(3, 5)
     assert g.num_nodes == 15

@@ -29,17 +29,30 @@ def featured_graphs(draw):
     return Graph(n, edges, node_features=rng.normal(size=(n, 3)))
 
 
+def edge_forms(pairs):
+    """(the pairs as the oracle reads them, the same pairs in one input form).
+
+    The forms: a list, C- and Fortran-ordered int64 arrays, the columns
+    swapped through a reversed view, and uint16 when no endpoint is negative.
+    """
+    arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    forms = [(pairs, pairs), (pairs, arr), (pairs, np.asfortranarray(arr)),
+             ([(v, u) for u, v in pairs], arr[:, ::-1])]
+    if (arr >= 0).all():
+        forms.append((pairs, arr.astype(np.uint16)))
+    return forms
+
+
 @settings(max_examples=300, deadline=None)
 @given(n=st.integers(0, 12), pairs=raw_edges)
 def test_canonicalization_matches_oracle(n, pairs):
-    try:
-        edges = oracles.canonical_edges_slow(n, pairs)
-    except GGEvalError as exc:
-        for given_edges in (pairs, np.asarray(pairs, dtype=np.int64).reshape(-1, 2)):
+    for oracle_pairs, given_edges in edge_forms(pairs):
+        try:
+            edges = oracles.canonical_edges_slow(n, oracle_pairs)
+        except GGEvalError as exc:
             with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
                 Graph(n, given_edges)
-        return
-    for given_edges in (pairs, np.asarray(pairs, dtype=np.int64).reshape(-1, 2)):
+            continue
         g = Graph(n, given_edges)
         assert g.edges.tolist() == [list(e) for e in edges]
         assert g.num_edges == len(edges)

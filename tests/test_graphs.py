@@ -44,6 +44,16 @@ def test_out_of_range_rejected():
         Graph(3, edges=[(-1, 2)])
 
 
+def test_uint64_endpoints_reported_as_given():
+    # past the int64 range the endpoints wrap to negative values, which
+    # are rejected; the message still names the caller's values
+    big = 2**64 - 1
+    with pytest.raises(EndpointOutOfRangeError, match=rf"^edge \(0,{big}\) outside \[0,3\)$"):
+        Graph(3, np.array([[0, big]], dtype=np.uint64))
+    with pytest.raises(SelfLoopError, match=f"^self-loop at node {big}$"):
+        Graph(3, np.array([[1, 2], [big, big]], dtype=np.uint64))
+
+
 def test_negative_num_nodes_rejected():
     with pytest.raises(InvariantViolationError):
         Graph(-1)

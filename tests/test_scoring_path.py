@@ -8,11 +8,13 @@ from unittest import mock
 
 import numpy as np
 import oracles
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import ggeval.encoder as encoder
+import ggeval.training as training
 from ggeval.encoder import (
     EncoderConfig,
     embed_set,
@@ -26,13 +28,14 @@ from ggeval.graphs import Graph
 from ggeval.metrics import (
     REPORT_FIELDS,
     _expand,
+    _median_sigma,
     _mmd,
     _rbf_blocks,
     _sq_dists,
     evaluate,
     prdc,
 )
-from ggeval.training import encoder_backward
+from ggeval.training import TrainConfig, encoder_backward, train_graphcl
 
 
 def assert_same_bytes(a, b):
@@ -122,9 +125,23 @@ def test_forward_matches_oracle(case, collect_cache):
                 assert_same_bytes(step[key], step_slow[key])
     grads = encoder_backward(params, cache, d_emb)
     grads_slow = encoder_backward(params, cache_slow, d_emb)
-    assert grads.keys() == grads_slow.keys()
+    grads_oracle = oracles.encoder_backward_slow(params, cache, d_emb)
+    assert grads.keys() == grads_slow.keys() == grads_oracle.keys()
     for name in grads:
         assert_same_bytes(grads[name], grads_slow[name])
+        assert_same_bytes(grads[name], grads_oracle[name])
+
+
+def test_training_with_oracle_backward_gives_same_parameters():
+    graphs = list(gen_dataset("community", 40, seed=5))
+    train_config = TrainConfig(epochs=2)
+    fast = train_graphcl(graphs, EncoderConfig(), train_config)
+    with mock.patch.object(training, "encoder_backward", oracles.encoder_backward_slow):
+        slow = train_graphcl(graphs, EncoderConfig(), train_config)
+    assert fast.epoch_losses == slow.epoch_losses
+    assert fast.params.weights.keys() == slow.params.weights.keys()
+    for name in fast.params.weights:
+        assert_same_bytes(fast.params.weights[name], slow.params.weights[name])
 
 
 @settings(max_examples=50, deadline=None)
@@ -278,3 +295,21 @@ def test_prdc_mmd_and_sigma_match_pooled_oracle(case, sigma):
     full = _expand(_sq_dists(real, gen))
     assert_same_bytes(_mmd(*_rbf_blocks(full, sigma)),
                       oracles.mmd_pooled(real, gen, "rbf", sigma))
+
+
+@pytest.mark.parametrize("rows", [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4), (5, 7)])
+@pytest.mark.parametrize("values", ["continuous", "tied", "zero", "all zero"])
+def test_median_sigma_matches_pooled_oracle(rows, values):
+    # C(m + n, 2) pooled pairs: 6, 10, 15, 21, 28 and 66, odd and even counts
+    m, n = rows
+    rng = np.random.default_rng(m * 10 + n)
+    pooled = rng.normal(size=(m + n, 3))
+    if values == "tied":  # coarse coordinates repeat distances
+        pooled = rng.integers(0, 2, size=(m + n, 3)).astype(np.float64)
+    elif values == "zero":  # duplicated rows put zero distances at the low end
+        pooled[1::2] = pooled[::2][:len(pooled[1::2])]
+    elif values == "all zero":  # the degenerate fallback
+        pooled[:] = pooled[0]
+    real, gen = pooled[:m], pooled[m:]
+    assert_same_bytes(_median_sigma(_sq_dists(real, gen)), oracles.median_sigma_pooled(real, gen))
+
