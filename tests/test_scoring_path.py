@@ -297,19 +297,20 @@ def test_prdc_mmd_and_sigma_match_pooled_oracle(case, sigma):
                       oracles.mmd_pooled(real, gen, "rbf", sigma))
 
 
-@pytest.mark.parametrize("rows", [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4), (5, 7)])
+@pytest.mark.parametrize("rows", [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4), (5, 7), (17, 35)])
 @pytest.mark.parametrize("values", ["continuous", "tied", "zero", "all zero"])
 def test_median_sigma_matches_pooled_oracle(rows, values):
-    # C(m + n, 2) pooled pairs: 6, 10, 15, 21, 28 and 66, odd and even counts
+    # C(m + n, 2) pooled pairs: 6, 10, 15, 21, 28, 66 and 1,326, odd and even
+    # counts; on the line, numpy's partition of the 1,326 leaves the lower
+    # middle distance below the middle index but not next to it
     m, n = rows
     rng = np.random.default_rng(m * 10 + n)
     pooled = rng.normal(size=(m + n, 3))
-    if values == "tied":  # coarse coordinates repeat distances
-        pooled = rng.integers(0, 2, size=(m + n, 3)).astype(np.float64)
+    if values == "tied":  # evenly spaced points on a line repeat distances
+        pooled = np.concatenate((np.arange(m), np.arange(n) + 0.5))[:, None]
     elif values == "zero":  # duplicated rows put zero distances at the low end
         pooled[1::2] = pooled[::2][:len(pooled[1::2])]
     elif values == "all zero":  # the degenerate fallback
         pooled[:] = pooled[0]
     real, gen = pooled[:m], pooled[m:]
     assert_same_bytes(_median_sigma(_sq_dists(real, gen)), oracles.median_sigma_pooled(real, gen))
-
