@@ -16,6 +16,7 @@ import json
 import logging
 import os
 import sys
+import warnings
 from pathlib import Path
 
 log = logging.getLogger("ggeval")
@@ -48,7 +49,11 @@ def _read_matrix(path):
     from .errors import ParseError
 
     try:
-        return np.loadtxt(path, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # loadtxt's "input contained no data"
+            return np.loadtxt(path, delimiter=",", ndmin=2)
+    except UserWarning:
+        raise ParseError(f"{path}: no rows") from None
     except ValueError as exc:
         raise ParseError(f"{path}: not a numeric CSV matrix: {exc}") from exc
 

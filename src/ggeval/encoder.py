@@ -10,12 +10,10 @@ Normalization: every pass, training or embedding, normalizes with the
 mean and variance over all nodes of the batch it runs on. Comparing two
 sets is done by embedding their union so both live on a common scale.
 A graph object that occurs more than once in a collection is run through
-the encoder once, but the statistics still sum every node row of the
-collection in its order, copies included, so the result equals one pass
-over the whole collection bit for bit. (The exception: with hidden <= 3
-and 8 or more input features, OpenBLAS can round a row by its place in
-the product, so a row's run or its place in the packing can move the
-last bit.)
+the encoder once, and the sums weight its node rows by its count. A
+cached pass, and an embedding of a collection without repeats that fits
+in one run, give the bits of z.mean and z.var over one pack of the
+collection; others agree with that up to rounding.
 
 Memory: the distinct graphs are packed once, and an uncached pass works
 through each layer in runs of at most BLOCK_NODES rows. It holds two
@@ -219,65 +217,6 @@ def pack_graphs(graphs, config: EncoderConfig) -> BatchedGraphs:
     return BatchedGraphs(features=x, agg=agg, pool=pool)
 
 
-def _matmul(a, w, out, union_rows):
-    """out = a @ w, each row rounded as in a product over union_rows rows.
-
-    numpy hands a one-row product to BLAS's gemv, whose sums round
-    differently from the gemm that computes the same row among others.
-    """
-    if len(a) == 1 and union_rows > 1:
-        out[:] = np.matmul(np.repeat(a, 2, axis=0), w)[:1]
-    else:
-        np.matmul(a, w, out=out)
-
-
-def _union_sum(z, rows, head, step, square=False):
-    """np.add.reduce(z[rows], axis=0), of the squares if square, bit for bit.
-
-    rows[:head] is range(head). numpy's axis-0 reduce of a C-contiguous
-    array with two or more columns adds one row at a time, so the rows go
-    through a buffer in chunks of at most step, each summed below the
-    running total in the buffer's first row, which continues the same
-    reduction.
-    """
-    total = None
-    start = 0
-    if head and not square:  # the leading run is reduced where it lies
-        total, start = np.add.reduce(z[:head], axis=0), head
-    buf = np.empty((min(step + 1, len(rows) - start + bool(start)), z.shape[1]))
-    for a in range(start, len(rows), step):
-        b = min(a + step, len(rows))
-        lead = int(total is not None)
-        part = buf[:lead + b - a]
-        if lead:
-            part[0] = total
-        if b <= head:
-            np.square(z[a:b], out=part[lead:])
-        else:
-            # the indices are in range, and "clip" spares take a buffered copy
-            np.take(z, rows[a:b], axis=0, out=part[lead:], mode="clip")
-            if square:
-                np.square(part[lead:], out=part[lead:])
-        total = np.add.reduce(part, axis=0)
-    return np.add.reduce(z[:0], axis=0) if total is None else total
-
-
-def _union_rows(sizes, which):
-    """(rows, head): the node rows of the collection, in its order, as rows
-    of the distinct graphs' packing; rows[:head] is range(head), the
-    leading run of first occurrences."""
-    starts = np.concatenate(([0], np.cumsum(sizes)))  # each distinct graph's first row
-    repeats = np.flatnonzero(which != np.arange(len(which)))
-    lead = int(repeats[0]) if repeats.size else len(which)
-    later = which[lead:]
-    lengths = sizes[later]
-    offsets = np.cumsum(lengths) - lengths
-    rows = np.concatenate((np.arange(starts[lead]),
-                           np.repeat(starts[later] - offsets, lengths)
-                           + np.arange(lengths.sum())))
-    return rows, int(starts[lead])
-
-
 def _csr_rows(m, rows: slice):
     """Rows rows.start:rows.stop of a CSR matrix, built from slices of its
     arrays; scipy copies slices under half the matrix, so a run's rows cost
@@ -288,32 +227,38 @@ def _csr_rows(m, rows: slice):
                          shape=(len(indptr) - 1, m.shape[1]))
 
 
+def _weighted_sum(z, weight, runs, square=False):
+    """Column sums of z, or of z**2 if square, with its rows weighted if
+    weight is given: one run at a time, the runs' totals added. Unweighted
+    runs reduce along axis 0 as z.mean does; weighted ones go through
+    BLAS's gemv, which takes no weighted copy of the run."""
+    parts = []
+    for r in runs:
+        part = np.square(z[r]) if square else z[r]
+        parts.append(np.add.reduce(part, axis=0) if weight is None else weight[r] @ part)
+    return sum(parts[1:], parts[0])
+
+
 def forward_batch(params: EncoderParams, batch: BatchedGraphs, collect_cache: bool = False,
-                  which=None):
+                  counts=None):
     """Run the encoder over a packed batch; params and batch are only read.
 
-    which[i] is the packed graph at position i of the collection being
-    embedded (None: each packed graph once, in order). The batch-norm mean
-    and variance sum the collection's node rows in its order, copies
-    included. An uncached pass works through each layer in runs of at
-    most BLOCK_NODES rows.
+    counts[g] is how often packed graph g occurs in the collection being
+    embedded (None: once each, summed as z.mean does); the batch-norm mean
+    and variance weight each node row by its graph's count. An uncached
+    pass works through each layer in runs of at most BLOCK_NODES rows.
 
     Returns (embeddings of the packed graphs, cache); cache holds the
     intermediates needed for the reverse pass when collect_cache is set,
-    which takes no repeats and runs each layer as one run.
+    which takes no counts and runs each layer as one run.
     """
     w = params.weights
     hidden = params.config.hidden
     nodes = batch.features.shape[0]
-    sizes = np.diff(batch.pool.indptr)
-    rows, head = _union_rows(sizes, np.arange(len(sizes)) if which is None else which)
-    union_rows = len(rows)
-    if collect_cache and union_rows != nodes:
-        raise ValueError("a cached pass takes no repeats")
-    step = BLOCK_NODES
-    if hidden == 1:
-        # numpy sums a single column pairwise, which no running total continues
-        head, step = 0, max(union_rows, 1)
+    if collect_cache and counts is not None:
+        raise ValueError("a cached pass takes no counts")
+    weight = None if counts is None else np.repeat(counts, np.diff(batch.pool.indptr))
+    rows = nodes if weight is None else weight.sum()  # node rows of the collection
     run = max(nodes, 1) if collect_cache else BLOCK_NODES
     runs = [slice(a, min(a + run, nodes)) for a in range(0, nodes, run)] or [slice(0, 0)]
 
@@ -330,18 +275,17 @@ def forward_batch(params: EncoderParams, batch: BatchedGraphs, collect_cache: bo
                 # it lands on fresh pages at every training step
                 z = h = x = None
             if z is None:
-                # sized by the union: pages past the packed rows stay untouched
-                z = np.empty((union_rows, hidden))[:nodes]
-            _matmul(lin_in, w[f"l{k}.m0.W"], z[r], union_rows)
+                z = np.empty((nodes, hidden))
+            np.matmul(lin_in, w[f"l{k}.m0.W"], out=z[r])
         first = {"lin_in": lin_in} if collect_cache else None
         del lin_in, x
         z += w[f"l{k}.m0.b"]
-        # same operations, in the same order, as z.mean and z.var over the union
-        z -= _union_sum(z, rows, head, step) / union_rows
-        inv_std = 1.0 / np.sqrt(_union_sum(z, rows, head, step, square=True) / union_rows
-                                + BN_EPS)
+        # with unit weights and one run, the same operations in the same
+        # order as z.mean and z.var
+        z -= _weighted_sum(z, weight, runs) / rows
+        inv_std = 1.0 / np.sqrt(_weighted_sum(z, weight, runs, square=True) / rows + BN_EPS)
         if h is None:
-            h = np.empty((union_rows, hidden))[:nodes]
+            h = np.empty((nodes, hidden))
         for r in runs:
             zr, hr = z[r], h[r]
             zr *= inv_std
@@ -351,7 +295,7 @@ def forward_batch(params: EncoderParams, batch: BatchedGraphs, collect_cache: bo
             normed, zr = zr, np.multiply(zr, w[f"l{k}.m0.gamma"], out=out)
             zr += w[f"l{k}.m0.beta"]
             pre_relu, zr = zr, np.maximum(zr, 0.0, out=out)
-            _matmul(zr, w[f"l{k}.m1.W"], hr, union_rows)
+            np.matmul(zr, w[f"l{k}.m1.W"], out=hr)
             hr += w[f"l{k}.m1.b"]
         readouts.append(batch.pool @ h)
         if collect_cache:
@@ -365,8 +309,8 @@ def embed_set(params: EncoderParams, graphs) -> np.ndarray:
 
     The normalization statistics come from this collection's nodes, so
     embedding the union of two sets places them on one scale. A graph
-    object that occurs more than once is embedded once, and its rows still
-    count once per occurrence in the statistics.
+    object that occurs more than once is embedded once, and the statistics
+    weight its rows by its number of occurrences.
     """
     graphs = list(graphs)
     if not graphs:
@@ -378,7 +322,8 @@ def embed_set(params: EncoderParams, graphs) -> np.ndarray:
         batch = pack_graphs([graphs[i] for i in firsts], params.config)
     except FeatureMismatchError as exc:
         raise FeatureMismatchError(exc.reason, graph=int(firsts[exc.graph])) from exc
-    emb, _ = forward_batch(params, batch, which=which)
+    counts = np.bincount(which)
+    emb, _ = forward_batch(params, batch, counts=counts if counts.max() > 1 else None)
     emb = emb[which]
     if not np.all(np.isfinite(emb)):
         bad = np.flatnonzero(~np.isfinite(emb).all(axis=1))

@@ -5,6 +5,7 @@ import os
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -199,15 +200,19 @@ def test_evaluate_k_too_large_fails_cleanly(tmp_path, capsys):
     assert "evaluate" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text", ["1,2\n3,abc\n", "1,2,3\n4,5\n"],
-                         ids=["non-numeric", "ragged"])
-def test_evaluate_malformed_csv_fails_cleanly(tmp_path, capsys, text):
+@pytest.mark.parametrize("text, reason", [("1,2\n3,abc\n", "not a numeric CSV matrix"),
+                                          ("1,2,3\n4,5\n", "not a numeric CSV matrix"),
+                                          ("", "no rows"), ("\n\n", "no rows")],
+                         ids=["non-numeric", "ragged", "empty", "blank lines"])
+def test_evaluate_malformed_csv_fails_cleanly(tmp_path, capsys, text, reason):
     ref, _ = embedding_files(tmp_path)
     bad = tmp_path / "bad.csv"
     bad.write_text(text)
-    assert run("evaluate", "--ref", str(ref), "--gen", str(bad)) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning escapes
+        assert run("evaluate", "--ref", str(ref), "--gen", str(bad)) == 1
     err = capsys.readouterr().err
-    assert "ParseError" in err
+    assert f"ParseError: {bad}: {reason}" in err
     assert len(err.strip().splitlines()) == 1
 
 
