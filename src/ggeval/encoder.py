@@ -13,10 +13,11 @@ A graph object that occurs more than once in a collection is run through
 the encoder once, and the sums weight its node rows by its count. A
 cached pass, and an embedding of a collection without repeats that fits
 in one run, give the bits of z.mean and z.var over one pack of the
-collection; others agree with that up to rounding.
+collection; others center each column on its first row, so equal rows
+normalize to exact zeros, and agree with one pack up to rounding.
 
 Memory: the distinct graphs are packed once, and an uncached pass works
-through each layer in runs of at most BLOCK_NODES rows. It holds two
+through each layer in runs of about BLOCK_NODES rows. It holds two
 (nodes, hidden) arrays and, beside them, temporaries of at most one run.
 """
 
@@ -246,7 +247,7 @@ def forward_batch(params: EncoderParams, batch: BatchedGraphs, collect_cache: bo
     counts[g] is how often packed graph g occurs in the collection being
     embedded (None: once each, summed as z.mean does); the batch-norm mean
     and variance weight each node row by its graph's count. An uncached
-    pass works through each layer in runs of at most BLOCK_NODES rows.
+    pass works through each layer in runs of about BLOCK_NODES rows.
 
     Returns (embeddings of the packed graphs, cache); cache holds the
     intermediates needed for the reverse pass when collect_cache is set,
@@ -260,7 +261,12 @@ def forward_batch(params: EncoderParams, batch: BatchedGraphs, collect_cache: bo
     weight = None if counts is None else np.repeat(counts, np.diff(batch.pool.indptr))
     rows = nodes if weight is None else weight.sum()  # node rows of the collection
     run = max(nodes, 1) if collect_cache else BLOCK_NODES
+    shifted = weight is not None or nodes > run
     runs = [slice(a, min(a + run, nodes)) for a in range(0, nodes, run)] or [slice(0, 0)]
+    if run > 1 and len(runs) > 1 and runs[-1].stop - runs[-1].start == 1:
+        # numpy multiplies one row with gemv, which rounds unlike gemm: a
+        # one-row tail joins the run before it, so equal rows stay equal
+        runs[-2:] = [slice(runs[-2].start, nodes)]
 
     readouts = []
     cache = {"batch": batch, "layers": []} if collect_cache else None
@@ -279,9 +285,11 @@ def forward_batch(params: EncoderParams, batch: BatchedGraphs, collect_cache: bo
             np.matmul(lin_in, w[f"l{k}.m0.W"], out=z[r])
         first = {"lin_in": lin_in} if collect_cache else None
         del lin_in, x
-        z += w[f"l{k}.m0.b"]
-        # with unit weights and one run, the same operations in the same
-        # order as z.mean and z.var
+        if shifted:  # batch norm cancels the bias, and equal rows give exact zeros
+            z -= z[:1].copy()
+        else:
+            z += w[f"l{k}.m0.b"]
+        # unshifted, the operations of z.mean and z.var in their order
         z -= _weighted_sum(z, weight, runs) / rows
         inv_std = 1.0 / np.sqrt(_weighted_sum(z, weight, runs, square=True) / rows + BN_EPS)
         if h is None:
@@ -317,12 +325,11 @@ def embed_set(params: EncoderParams, graphs) -> np.ndarray:
         raise ValueError("cannot embed an empty collection")
     slot = {}  # distinct graphs are numbered in order of first occurrence
     which = np.array([slot.setdefault(id(g), len(slot)) for g in graphs])
-    firsts = np.unique(which, return_index=True)[1]
+    _, firsts, counts = np.unique(which, return_index=True, return_counts=True)
     try:
         batch = pack_graphs([graphs[i] for i in firsts], params.config)
     except FeatureMismatchError as exc:
         raise FeatureMismatchError(exc.reason, graph=int(firsts[exc.graph])) from exc
-    counts = np.bincount(which)
     emb, _ = forward_batch(params, batch, counts=counts if counts.max() > 1 else None)
     emb = emb[which]
     if not np.all(np.isfinite(emb)):
