@@ -320,7 +320,7 @@ def run_benchmark(reference: GraphSet, embed, kind: str, seeds=(0,),
     """One curve per seed for the given perturbation kind.
 
     embed is a callable (set_a, set_b) -> (H_a, H_b) producing embedding
-    matrices on a common scale, such as the encoder's union embedding. k
+    matrices in one space, such as embed_union under set_a's statistics. k
     is the PRDC neighborhood size of every evaluate call.
 
     Clustering for the mode perturbations is deterministic, so it is

@@ -6,30 +6,25 @@ batch normalization, ReLU, linear. The graph readout sums node states per
 layer and concatenates the per-layer sums, so the embedding dimension is
 num_layers * hidden.
 
-Normalization: every pass, training or embedding, normalizes with the
-mean and variance over all nodes of the batch it runs on. Comparing two
-sets is done by embedding their union so both live on a common scale.
-A graph object that occurs more than once in a collection is run through
-the encoder once, and the sums weight its node rows by its count. A
-cached pass, and an embedding of a collection without repeats that fits
-in one run, give the bits of z.mean and z.var over one pack of the
-collection; others center each column on its first row, so equal rows
-normalize to exact zeros, and agree with one pack up to rounding.
+Normalization: training normalizes with the statistics of its batch.
+calibrate(params, reference) stores the batch statistics of a reference's
+nodes, and embed_set applies them, so a graph's embedding depends on no
+other graph; embed_union takes them from its reference in the same pass.
 
-Memory: the distinct graphs are packed once, and an uncached pass works
-through each layer in runs of about BLOCK_NODES rows. It holds two
-(nodes, hidden) arrays and, beside them, temporaries of at most one run.
+Memory: an uncached pass works through each layer in runs of BLOCK_NODES
+rows. It holds two (nodes, hidden) arrays and, beside them, temporaries of
+at most one run.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import FeatureMismatchError, ParseError, require_integer
+from .errors import DegenerateSetError, FeatureMismatchError, ParseError, require_integer
 from .features import FEATURE_CONFIGS, feature_dim, structural_features
 from .graphs import Graph, atomic_write_text
 
@@ -81,11 +76,13 @@ class EncoderParams:
 
     weights maps "l{k}.m0.W" / ".b" / ".gamma" / ".beta" for layer k's
     first linear and its normalization, and "l{k}.m1.W" / ".b" for its
-    second linear.
+    second linear. stats is the (num_layers, 2, hidden) batch-norm mean and
+    inv_std that calibrate stores, None before.
     """
 
     config: EncoderConfig
     weights: dict = field(default_factory=dict)
+    stats: np.ndarray | None = None
 
     def weight_matrices(self):
         """(name, matrix) pairs for the linear weights, layer order."""
@@ -228,45 +225,37 @@ def _csr_rows(m, rows: slice):
                          shape=(len(indptr) - 1, m.shape[1]))
 
 
-def _weighted_sum(z, weight, runs, square=False):
-    """Column sums of z, or of z**2 if square, with its rows weighted if
-    weight is given: one run at a time, the runs' totals added. Unweighted
-    runs reduce along axis 0 as z.mean does; weighted ones go through
-    BLAS's gemv, which takes no weighted copy of the run."""
-    parts = []
-    for r in runs:
-        part = np.square(z[r]) if square else z[r]
-        parts.append(np.add.reduce(part, axis=0) if weight is None else weight[r] @ part)
-    return sum(parts[1:], parts[0])
+def _gemm(a, b, out):
+    """a @ b into out, every row through gemm: numpy multiplies a single row
+    with gemv, which rounds unlike gemm, so one row goes in as two copies."""
+    if len(a) == 1:
+        out[:] = (np.vstack((a, a)) @ b)[:1]
+    else:
+        np.matmul(a, b, out=out)
 
 
 def forward_batch(params: EncoderParams, batch: BatchedGraphs, collect_cache: bool = False,
-                  counts=None):
+                  stats=None, stat_nodes=None):
     """Run the encoder over a packed batch; params and batch are only read.
 
-    counts[g] is how often packed graph g occurs in the collection being
-    embedded (None: once each, summed as z.mean does); the batch-norm mean
-    and variance weight each node row by its graph's count. An uncached
-    pass works through each layer in runs of about BLOCK_NODES rows.
+    Batch norm applies stats, each layer's (mean, inv_std), if given, and
+    else the statistics of the first stat_nodes node rows (default: all),
+    each column centered on its first row so equal rows give exact zeros;
+    a row under stored statistics is its row in the pass that took them.
+    An uncached pass works through each layer in runs of BLOCK_NODES rows.
 
-    Returns (embeddings of the packed graphs, cache); cache holds the
-    intermediates needed for the reverse pass when collect_cache is set,
-    which takes no counts and runs each layer as one run.
+    Returns (embeddings of the packed graphs, the statistics applied,
+    cache); cache holds the intermediates needed for the reverse pass when
+    collect_cache is set, which runs each layer as one run.
     """
     w = params.weights
     hidden = params.config.hidden
     nodes = batch.features.shape[0]
-    if collect_cache and counts is not None:
-        raise ValueError("a cached pass takes no counts")
-    weight = None if counts is None else np.repeat(counts, np.diff(batch.pool.indptr))
-    rows = nodes if weight is None else weight.sum()  # node rows of the collection
     run = max(nodes, 1) if collect_cache else BLOCK_NODES
-    shifted = weight is not None or nodes > run
     runs = [slice(a, min(a + run, nodes)) for a in range(0, nodes, run)] or [slice(0, 0)]
-    if run > 1 and len(runs) > 1 and runs[-1].stop - runs[-1].start == 1:
-        # numpy multiplies one row with gemv, which rounds unlike gemm: a
-        # one-row tail joins the run before it, so equal rows stay equal
-        runs[-2:] = [slice(runs[-2].start, nodes)]
+    count = nodes if stat_nodes is None else stat_nodes
+    stat_runs = [slice(r.start, min(r.stop, count)) for r in runs]
+    applied = []
 
     readouts = []
     cache = {"batch": batch, "layers": []} if collect_cache else None
@@ -282,16 +271,20 @@ def forward_batch(params: EncoderParams, batch: BatchedGraphs, collect_cache: bo
                 z = h = x = None
             if z is None:
                 z = np.empty((nodes, hidden))
-            np.matmul(lin_in, w[f"l{k}.m0.W"], out=z[r])
+            _gemm(lin_in, w[f"l{k}.m0.W"], z[r])
         first = {"lin_in": lin_in} if collect_cache else None
         del lin_in, x
-        if shifted:  # batch norm cancels the bias, and equal rows give exact zeros
-            z -= z[:1].copy()
+        # batch norm cancels the first linear's bias, so no pass adds it
+        if stats is None:
+            shift = z[0] if count else 0.0
+            mean = shift + sum(np.add.reduce(z[r] - shift, axis=0) for r in stat_runs) / count
+            z -= mean
+            var = sum(np.add.reduce(np.square(z[r]), axis=0) for r in stat_runs) / count
+            inv_std = 1.0 / np.sqrt(var + BN_EPS)
         else:
-            z += w[f"l{k}.m0.b"]
-        # unshifted, the operations of z.mean and z.var in their order
-        z -= _weighted_sum(z, weight, runs) / rows
-        inv_std = 1.0 / np.sqrt(_weighted_sum(z, weight, runs, square=True) / rows + BN_EPS)
+            mean, inv_std = stats[k]
+            z -= mean
+        applied.append((mean, inv_std))
         if h is None:
             h = np.empty((nodes, hidden))
         for r in runs:
@@ -303,57 +296,74 @@ def forward_batch(params: EncoderParams, batch: BatchedGraphs, collect_cache: bo
             normed, zr = zr, np.multiply(zr, w[f"l{k}.m0.gamma"], out=out)
             zr += w[f"l{k}.m0.beta"]
             pre_relu, zr = zr, np.maximum(zr, 0.0, out=out)
-            np.matmul(zr, w[f"l{k}.m1.W"], out=hr)
+            _gemm(zr, w[f"l{k}.m1.W"], hr)
             hr += w[f"l{k}.m1.b"]
         readouts.append(batch.pool @ h)
         if collect_cache:
             first.update(normed=normed, inv_std=inv_std, pre_relu=pre_relu)
             cache["layers"].append({"steps": [first, {"lin_in": zr}]})
-    return np.hstack(readouts), cache
+    return np.hstack(readouts), np.array(applied), cache
+
+
+def _embed(params: EncoderParams, graphs: list, stat_graphs=None):
+    """(embeddings, statistics) of graphs from one pack and one pass, under
+    params' stored statistics or, given stat_graphs, under the statistics
+    of the first stat_graphs graphs' nodes."""
+    if not graphs:
+        raise ValueError("cannot embed an empty collection")
+    if stat_graphs is None and params.stats is None:
+        raise ValueError("params hold no batch-norm statistics: calibrate them first")
+    batch = pack_graphs(graphs, params.config)
+    nodes = None if stat_graphs is None else int(batch.pool.indptr[stat_graphs])
+    if nodes == 0:
+        raise DegenerateSetError("batch-norm statistics need a reference with a node")
+    emb, stats, _ = forward_batch(params, batch, stats=None if nodes else params.stats,
+                                  stat_nodes=nodes)
+    bad = np.flatnonzero(~np.isfinite(emb).all(axis=1))
+    if bad.size:
+        raise FeatureMismatchError(f"non-finite embedding for graph indices {bad.tolist()}")
+    return emb, stats
 
 
 def embed_set(params: EncoderParams, graphs) -> np.ndarray:
-    """Embed a collection of graphs; row i corresponds to graphs[i].
-
-    The normalization statistics come from this collection's nodes, so
-    embedding the union of two sets places them on one scale. A graph
-    object that occurs more than once is embedded once, and the statistics
-    weight its rows by its number of occurrences.
-    """
-    graphs = list(graphs)
-    if not graphs:
-        raise ValueError("cannot embed an empty collection")
-    slot = {}  # distinct graphs are numbered in order of first occurrence
-    which = np.array([slot.setdefault(id(g), len(slot)) for g in graphs])
-    _, firsts, counts = np.unique(which, return_index=True, return_counts=True)
-    try:
-        batch = pack_graphs([graphs[i] for i in firsts], params.config)
-    except FeatureMismatchError as exc:
-        raise FeatureMismatchError(exc.reason, graph=int(firsts[exc.graph])) from exc
-    emb, _ = forward_batch(params, batch, counts=counts if counts.max() > 1 else None)
-    emb = emb[which]
-    if not np.all(np.isfinite(emb)):
-        bad = np.flatnonzero(~np.isfinite(emb).all(axis=1))
-        raise FeatureMismatchError(f"non-finite embedding for graph indices {bad.tolist()}")
-    return emb
+    """Embed graphs under params' stored batch-norm statistics; row i is
+    graphs[i]'s embedding and depends on no other graph."""
+    return _embed(params, list(graphs))[0]
 
 
-def embed_union(params: EncoderParams, set_a, set_b):
-    """Embed two sets in one pass with shared statistics; returns (H_a, H_b)."""
-    graphs_a, graphs_b = list(set_a), list(set_b)
-    emb = embed_set(params, graphs_a + graphs_b)
-    return emb[: len(graphs_a)], emb[len(graphs_a):]
+def calibrate(params: EncoderParams, reference):
+    """(params storing the batch-norm statistics of reference's nodes, as
+    batch norm does for inference (Ioffe & Szegedy 2015), and reference's
+    embedding under them)."""
+    reference = list(reference)
+    emb, stats = _embed(params, reference, len(reference))
+    return replace(params, stats=stats), emb
 
 
-CHECKPOINT_VERSION = 2
+def embed_union(params: EncoderParams, reference, generated):
+    """(H_reference, H_generated) under the reference's batch-norm statistics:
+    calibrate's reference rows, from one pack and one pass of the reference and
+    the generated graphs that are not reference objects (by id)."""
+    reference, generated = list(reference), list(generated)
+    row = {id(g): i for i, g in enumerate(reference)}
+    extra = list({id(g): g for g in generated if id(g) not in row}.values())
+    row.update((id(g), i) for i, g in enumerate(extra, len(reference)))
+    emb = _embed(params, reference + extra, len(reference))[0]
+    return emb[:len(reference)], emb[[row[id(g)] for g in generated]]
+
+
+CHECKPOINT_VERSION = 3
 
 
 def save_params(params: EncoderParams, path) -> None:
-    """Versioned JSON checkpoint with the config embedded."""
+    """Versioned JSON checkpoint with the config and the stored statistics."""
+    if params.stats is None:
+        raise ValueError("params hold no batch-norm statistics: calibrate them first")
     payload = {
         "version": CHECKPOINT_VERSION,
         "config": asdict(params.config),
         "weights": {k: v.tolist() for k, v in params.weights.items()},
+        "stats": params.stats.tolist(),
     }
     atomic_write_text(path, json.dumps(payload))
 
@@ -361,12 +371,12 @@ def save_params(params: EncoderParams, path) -> None:
 def load_params(path) -> EncoderParams:
     """Read a checkpoint written by save_params.
 
-    The payload must carry this version and the weight_shapes(config)
-    layout: every name, every shape, and finite values; a stored
-    "mlp_depth" must be 2. Anything else raises ParseError. The layout is
-    checked without drawing weights, and the array count before any name
-    is built, so a config that claims a huge encoder costs nothing to
-    reject.
+    The payload must carry this version, the weight_shapes(config) layout
+    (every name, every shape, and finite values) and finite statistics of
+    shape (num_layers, 2, hidden). Anything else raises ParseError. The
+    layout is checked without drawing weights, and the array count before
+    any name is built, so a config that claims a huge encoder costs nothing
+    to reject.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -378,12 +388,6 @@ def load_params(path) -> EncoderParams:
     version = payload.get("version")
     if version != CHECKPOINT_VERSION:
         raise ParseError(f"unsupported checkpoint version {version!r}")
-    fields = payload.get("config")
-    if isinstance(fields, dict) and "mlp_depth" in fields:
-        # files written before the layer block was fixed hold "mlp_depth": 2
-        depth = fields.pop("mlp_depth")
-        if type(depth) is not int or depth != 2:
-            raise ParseError(f"checkpoint config mlp_depth {depth!r} is not 2")
     try:
         config = EncoderConfig(**payload["config"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -402,15 +406,15 @@ def load_params(path) -> EncoderParams:
     if missing or extra:
         raise ParseError(f"checkpoint 'weights' keys: missing {missing}, unexpected {extra}")
     weights = {}
-    for key, shape in layout.items():
+    for key, shape in [*layout.items(), ("stats", (config.num_layers, 2, config.hidden))]:
         try:
-            arr = np.asarray(stored[key], dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"checkpoint weights[{key!r}] is not a numeric array") from exc
+            arr = np.asarray(payload["stats"] if key == "stats" else stored[key], np.float64)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"checkpoint {key!r} is missing or not a numeric array") from exc
         if arr.shape != shape:
-            raise ParseError(f"checkpoint weights[{key!r}] has shape {arr.shape}, "
-                             f"expected {shape}")
+            raise ParseError(f"checkpoint {key!r} has shape {arr.shape}, expected {shape}")
         if not np.all(np.isfinite(arr)):
-            raise ParseError(f"checkpoint weights[{key!r}] has non-finite values")
+            raise ParseError(f"checkpoint {key!r} has non-finite values")
         weights[key] = arr
-    return EncoderParams(config=config, weights=weights)
+    stats = weights.pop("stats")
+    return EncoderParams(config=config, weights=weights, stats=stats)

@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .benchmark import (BenchmarkCurve, curves_to_csv, ratio_grid, require_three_ratios,
                         rho_summary, run_benchmark, zero_variance_names)
-from .encoder import EncoderConfig, embed_union, init_random, save_params
+from .encoder import EncoderConfig, calibrate, embed_union, init_random, save_params
 from .errors import require_integer
 from .generators import _sample_even, gen_community, substream
 from .graphs import GraphSet, atomic_write_text
@@ -106,12 +106,22 @@ def desk_community_set(count: int = 100, node_range=(60, 100),
     return GraphSet(f"community-{count}-seed{seed}", tuple(graphs))
 
 
+def bn_scale(params) -> list:
+    """Per layer, max |gamma * inv_std| under the stored statistics: the
+    factor each batch-norm layer multiplies by, which the spectral
+    projection of the weights does not bound."""
+    return [float(np.max(np.abs(params.weights[f"l{k}.m0.gamma"] * inv_std)))
+            for k, (_, inv_std) in enumerate(params.stats)]
+
+
 @dataclass
 class SeedRun:
     seed: int
     epoch_losses: list
     trained_curve: BenchmarkCurve
     random_curve: BenchmarkCurve
+    trained_bn_scale: list  # bn_scale of the encoder calibrated on its training set
+    random_bn_scale: list  # bn_scale of the random-init encoder calibrated on the reference
 
     @property
     def trained_rhos(self) -> dict:
@@ -153,6 +163,7 @@ class ReproduceReport:
                     str(run.seed): run.trained_rhos for run in self.runs
                 },
                 "zero_variance": zero_variance_names([run.trained_curve for run in self.runs]),
+                "bn_scale": {str(run.seed): run.trained_bn_scale for run in self.runs},
             },
             "random_init": {
                 "mean_rho": self.mean_rhos("random"),
@@ -160,6 +171,7 @@ class ReproduceReport:
                     str(run.seed): run.random_rhos for run in self.runs
                 },
                 "zero_variance": zero_variance_names([run.random_curve for run in self.runs]),
+                "bn_scale": {str(run.seed): run.random_bn_scale for run in self.runs},
             },
             "recall_trend": {
                 "trained_wins": self.recall_trend_wins(),
@@ -195,7 +207,7 @@ def run_reproduction(config: ReproduceConfig = ReproduceConfig(),
             reference, partial(embed_union, result.params), "mix_random",
             seeds=(seed,), step=config.step,
         )[0]
-        random_params = init_random(enc_cfg, seed=seed)
+        random_params = calibrate(init_random(enc_cfg, seed=seed), reference)[0]
         random_curve = run_benchmark(
             reference, partial(embed_union, random_params), "mix_random",
             seeds=(seed,), step=config.step,
@@ -203,7 +215,9 @@ def run_reproduction(config: ReproduceConfig = ReproduceConfig(),
         say(f"seed {seed}: trained fd rho {trained_curve.rhos['fd']:.3f}, "
             f"random fd rho {random_curve.rhos['fd']:.3f}")
         runs.append(SeedRun(seed=seed, epoch_losses=result.epoch_losses,
-                            trained_curve=trained_curve, random_curve=random_curve))
+                            trained_curve=trained_curve, random_curve=random_curve,
+                            trained_bn_scale=bn_scale(result.params),
+                            random_bn_scale=bn_scale(random_params)))
         if out_dir is not None:
             ckpt = Path(out_dir) / f"encoder-seed{seed}.json"
             Path(out_dir).mkdir(parents=True, exist_ok=True)

@@ -21,6 +21,7 @@ import numpy as np
 from .encoder import (
     EncoderConfig,
     EncoderParams,
+    calibrate,
     forward_batch,
     graph_features,
     init_random,
@@ -379,7 +380,7 @@ def loss_and_grads(params: EncoderParams, head: dict, views1, views2, tau: float
     Returns (loss, grads) with grads keyed like params.weights and head.
     """
     batch = pack_graphs(list(views1) + list(views2), params.config)
-    emb, cache = forward_batch(params, batch, collect_cache=True)
+    emb, _, cache = forward_batch(params, batch, collect_cache=True)
     proj, head_cache = head_forward(head, emb)
     n = len(views1)
     loss, d1, d2 = nt_xent(proj[:n], proj[n:], tau)
@@ -407,7 +408,7 @@ def train_graphcl(graphs, encoder_config: EncoderConfig,
 
     Randomness is split into named substreams keyed by (epoch, graph
     index, view), so augmentation draws do not depend on batch layout.
-    Trailing batches smaller than 2 graphs are skipped.
+    Trailing batches of 1 graph are skipped. Returns params calibrated on graphs.
     """
     graphs = attach_features(list(graphs), encoder_config)
     if len(graphs) < 2:
@@ -439,7 +440,7 @@ def train_graphcl(graphs, encoder_config: EncoderConfig,
                            train_config.lipschitz_enabled)
             )
         epoch_losses.append(float(np.mean(losses)))
-    return TrainResult(params=params, epoch_losses=epoch_losses)
+    return TrainResult(params=calibrate(params, graphs)[0], epoch_losses=epoch_losses)
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +450,7 @@ def train_graphcl(graphs, encoder_config: EncoderConfig,
 def training_loss(params: EncoderParams, head: dict, views1, views2, tau: float):
     """Loss of one prepared batch without any parameter mutation."""
     batch = pack_graphs(list(views1) + list(views2), params.config)
-    emb, _ = forward_batch(params, batch)
+    emb = forward_batch(params, batch)[0]
     proj, _ = head_forward(head, emb)
     n = len(views1)
     loss, _, _ = nt_xent(proj[:n], proj[n:], tau)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
@@ -516,29 +517,43 @@ def pack_graphs_slow(graphs, config) -> BatchedGraphs:
     return BatchedGraphs(features=x, agg=agg, pool=pool)
 
 
-def forward_batch_slow(params, batch, collect_cache=False):
-    """Forward pass with z.mean / z.var and a new array for every step."""
+def gemm(a, b):
+    """a @ b through BLAS's gemm even for one row: a row stacked on itself,
+    because numpy multiplies a single row with gemv, which rounds unlike gemm."""
+    return (np.vstack((a, a)) @ b)[:len(a)]
+
+
+def forward_batch_slow(params, batch, collect_cache=False, stats=None):
+    """Forward pass with a new array for every step.
+
+    Batch norm applies stats when given; otherwise it takes the batch's
+    mean, each column centered on its first row, and the mean square of
+    z - mean. Returns (embeddings, statistics applied, cache)."""
     w = params.weights
     h = batch.features
-    readouts = []
+    readouts, applied = [], []
     cache = {"batch": batch, "layers": []} if collect_cache else None
     for k in range(params.config.num_layers):
         lin_in = batch.agg @ h
-        z = lin_in @ w[f"l{k}.m0.W"] + w[f"l{k}.m0.b"]
-        mean = z.mean(axis=0)
-        var = z.var(axis=0)
-        inv_std = 1.0 / np.sqrt(var + BN_EPS)
+        z = gemm(lin_in, w[f"l{k}.m0.W"])
+        if stats is None:
+            shift = z[0] if len(z) else np.zeros(z.shape[1])
+            mean = shift + (z - shift).sum(axis=0) / len(z)
+            inv_std = 1.0 / np.sqrt(np.square(z - mean).sum(axis=0) / len(z) + BN_EPS)
+        else:
+            mean, inv_std = stats[k]
+        applied.append((mean, inv_std))
         normed = (z - mean) * inv_std
         pre_relu = normed * w[f"l{k}.m0.gamma"] + w[f"l{k}.m0.beta"]
         hidden = np.maximum(pre_relu, 0.0)
-        h = hidden @ w[f"l{k}.m1.W"] + w[f"l{k}.m1.b"]
+        h = gemm(hidden, w[f"l{k}.m1.W"]) + w[f"l{k}.m1.b"]
         if collect_cache:
             cache["layers"].append({"steps": [
                 {"lin_in": lin_in, "normed": normed, "inv_std": inv_std, "pre_relu": pre_relu},
                 {"lin_in": hidden},
             ]})
         readouts.append(batch.pool @ h)
-    return np.hstack(readouts), cache
+    return np.hstack(readouts), np.array(applied), cache
 
 
 def encoder_backward_slow(params, cache, d_emb):
@@ -627,17 +642,31 @@ def mmd_pooled(real, gen, kernel, sigma=None) -> float:
     """Unbiased squared MMD, the rbf kernel at bandwidth sigma read from
     the pooled matrix."""
     m = len(real)
-    if kernel == "rbf":
-        sq = pooled_sq(real, gen)
-        with np.errstate(over="ignore"):
-            k_rr, k_gg, k_rg = (np.exp(-block / (2.0 * sigma * sigma))
-                                for block in (sq[:m, :m], sq[m:, m:], sq[:m, m:]))
-    else:
-        k_rr, k_gg, k_rg = real @ real.T, gen @ gen.T, real @ gen.T
+    if kernel != "rbf":
+        raise ValueError(kernel)
+    sq = pooled_sq(real, gen)
+    with np.errstate(over="ignore"):
+        k_rr, k_gg, k_rg = (np.exp(-block / (2.0 * sigma * sigma))
+                            for block in (sq[:m, :m], sq[m:, m:], sq[:m, m:]))
     n = len(gen)
     term_r = (k_rr.sum() - np.trace(k_rr)) / (m * (m - 1))
     term_g = (k_gg.sum() - np.trace(k_gg)) / (n * (n - 1))
     return float(term_r + term_g - 2.0 * k_rg.sum() / (m * n))
+
+
+def mmd_linear_exact(real, gen) -> float:
+    """Unbiased squared MMD of the linear kernel over every pair of rows, in
+    exact rational arithmetic on the float inputs, rounded once."""
+    x, y = ([[Fraction(v) for v in row] for row in s.tolist()] for s in (real, gen))
+    m, n = len(x), len(y)
+
+    def pairs(a, b, skip_diagonal):
+        return sum(sum(p * q for p, q in zip(a[i], b[j]))
+                   for i in range(len(a)) for j in range(len(b))
+                   if not (skip_diagonal and i == j))
+
+    return float(pairs(x, x, True) / (m * (m - 1)) + pairs(y, y, True) / (n * (n - 1))
+                 - 2 * pairs(x, y, False) / (m * n))
 
 
 def evaluate_pooled(real, gen, knn_k=5) -> dict:
@@ -649,7 +678,7 @@ def evaluate_pooled(real, gen, knn_k=5) -> dict:
         **scores,
         "f1_pr": f1_score(scores["precision"], scores["recall"]),
         "f1_dc": f1_score(scores["density"], scores["coverage"]),
-        "mmd_linear": mmd_pooled(real, gen, "linear"),
+        "mmd_linear": mmd_linear_exact(real, gen),
         "mmd_rbf": mmd_pooled(real, gen, "rbf", sigma),
         "k": knn_k,
         "rbf_sigma": sigma,

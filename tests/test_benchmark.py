@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from functools import partial
 
 import numpy as np
@@ -7,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import ggeval
 from ggeval import benchmark
 from ggeval.benchmark import (
     DEFAULT_NUM_CLUSTERS,
@@ -535,3 +539,37 @@ def test_rho_summary_shape():
 def test_benchmark_default_constants():
     assert DEFAULT_RATIO_STEP == 0.01
     assert DEFAULT_NUM_CLUSTERS == 10
+
+
+# ------------------------------------------------------------ BLAS threads
+
+THREAD_SCRIPT = """
+from functools import partial
+from ggeval.benchmark import run_benchmark
+from ggeval.encoder import EncoderConfig, embed_union, init_random
+from ggeval.generators import gen_dataset
+
+reference = gen_dataset("lobster", 12, seed=0)
+config = EncoderConfig(feature_config="degree+clustering")
+embed = partial(embed_union, init_random(config, seed=0))
+for kind in ("rewire", "mode_collapse"):
+    for curve in run_benchmark(reference, embed, kind, seeds=(0,), step=0.25, num_clusters=3):
+        print(kind, curve.ratios, curve.rhos, [report.as_dict() for report in curve.reports])
+"""
+
+
+def test_scoring_does_not_depend_on_blas_threads():
+    # scoring takes no product whose rounding depends on the thread count:
+    # the forward pass multiplies every row through gemm alone, and the
+    # linear MMD is a closed form of column sums
+    src = os.path.dirname(os.path.dirname(ggeval.__file__))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-c", THREAD_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0].count("\n") == 2
+    assert outputs[0] == outputs[1]

@@ -159,6 +159,50 @@ def test_embed_missing_out_is_usage_error(tmp_path, capsys, loaders_fail):
     assert "the following arguments are required: --out" in capsys.readouterr().err
 
 
+def test_separate_embeds_score_as_the_union(tmp_path, capsys):
+    # the README flow: embed applies the training set's statistics, so the
+    # reference and the generated set embedded apart share one space
+    from ggeval.encoder import embed_union, load_params
+    from ggeval.metrics import evaluate
+
+    ref, gen, ckpt = tmp_path / "ref.jsonl", tmp_path / "gen.jsonl", tmp_path / "enc.json"
+    for seed, path in (("0", ref), ("1", gen)):
+        assert run("--seed", seed, "generate", "--recipe", "community",
+                   "--count", "12", "--out", str(path)) == 0
+    assert run("--seed", "0", "train", "--data", str(ref), "--out", str(ckpt),
+               "--epochs", "1", "--batch-size", "4", "--layers", "2", "--hidden", "8",
+               "--features", "degree+clustering") == 0
+    for path in (ref, gen):
+        assert run("embed", "--params", str(ckpt), "--in", str(path),
+                   "--out", str(path.with_suffix(".csv"))) == 0
+    capsys.readouterr()
+    assert run("evaluate", "--ref", str(ref.with_suffix(".csv")),
+               "--gen", str(gen.with_suffix(".csv"))) == 0
+    report = json.loads(capsys.readouterr().out)
+    expected = evaluate(*embed_union(load_params(ckpt), load_graphs(ref),
+                                     load_graphs(gen))).as_dict()
+    assert report.keys() == expected.keys()
+    for name, value in expected.items():
+        assert report[name] == pytest.approx(value, rel=1e-12, abs=0), name
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_old_checkpoint_version_fails_cleanly(workspace, tmp_path, capsys, version):
+    # versions 1 and 2 hold no batch-norm statistics to embed with
+    _, data, ckpt = workspace
+    blob = json.loads(ckpt.read_text())
+    del blob["stats"]
+    blob["version"] = version
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(blob))
+    assert run("embed", "--params", str(old), "--in", str(data),
+               "--out", str(tmp_path / "emb.csv")) == 1
+    err = capsys.readouterr().err
+    assert f"ParseError: unsupported checkpoint version {version}" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "emb.csv").exists()
+
+
 def test_train_bad_variant_is_parser_error(workspace):
     _, data, _ = workspace
     with pytest.raises(SystemExit) as exc:

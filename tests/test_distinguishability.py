@@ -19,7 +19,7 @@ from ggeval.distinguishability import (
     verify_wl_separation,
     wl_ceiling_pair,
 )
-from ggeval.encoder import EncoderConfig, embed_set, init_random
+from ggeval.encoder import EncoderConfig, calibrate, init_random
 from ggeval.errors import HypothesisViolationError
 from ggeval.features import clustering, degrees, wl_first_separation
 
@@ -119,7 +119,7 @@ def test_deep_encoder_separates_pair():
     g1, g2 = cycle_pair_graphs(5, 8, 6, 7)
     cfg = EncoderConfig(num_layers=3, hidden=16, feature_config="degree")
     for seed in range(5):
-        emb = embed_set(init_random(cfg, seed=seed), [g1, g2])
+        _, emb = calibrate(init_random(cfg, seed=seed), [g1, g2])
         assert float(np.max(np.abs(emb[0] - emb[1]))) > 1e-6
 
 
@@ -129,7 +129,7 @@ def test_shallow_encoder_cannot_separate_pair():
     g1, g2 = cycle_pair_graphs(5, 8, 6, 7)
     cfg = EncoderConfig(num_layers=2, hidden=16, feature_config="degree")
     for seed in range(5):
-        emb = embed_set(init_random(cfg, seed=seed), [g1, g2])
+        _, emb = calibrate(init_random(cfg, seed=seed), [g1, g2])
         assert float(np.max(np.abs(emb[0] - emb[1]))) < 1e-9
 
 

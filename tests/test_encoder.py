@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import ggeval.encoder as encoder
 from ggeval.encoder import (
     EncoderConfig,
+    calibrate,
     embed_set,
     embed_union,
     init_random,
@@ -21,11 +22,21 @@ from ggeval.encoder import (
     weight_count,
     weight_shapes,
 )
-from ggeval.errors import FeatureMismatchError, ParseError
+from ggeval.errors import DegenerateSetError, FeatureMismatchError, ParseError
 from ggeval.generators import gen_community, gen_cycle_pair, gen_grid, substream
 from ggeval.graphs import Graph
 
 CFG = EncoderConfig(num_layers=2, hidden=6, feature_config="degree")
+
+
+def calibrated(config, seed=0):
+    """init_random(config, seed), calibrated on two small graphs."""
+    graphs = [gen_grid(2, 3), Graph(3, [(0, 1)])]
+    if config.feature_config == "provided":
+        rows = np.random.default_rng(seed).normal(size=(9, config.in_dim))
+        graphs = [Graph(g.num_nodes, g.edges, node_features=rows[:g.num_nodes])
+                  for g in graphs]
+    return calibrate(init_random(config, seed=seed), graphs)[0]
 
 
 def relabel(graph: Graph, perm) -> Graph:
@@ -83,7 +94,7 @@ def test_config_dict_round_trip(tmp_path):
     cfg = EncoderConfig(num_layers=2, hidden=5, lipschitz_bound=0.7,
                         feature_config="provided", input_dim=3)
     path = tmp_path / "enc.json"
-    save_params(init_random(cfg, seed=0), path)
+    save_params(calibrated(cfg), path)
     stored = json.loads(path.read_text())["config"]
     # every field, in declaration order
     assert list(stored.items()) == [("num_layers", 2), ("hidden", 5), ("lipschitz_bound", 0.7),
@@ -99,7 +110,7 @@ def test_numpy_integer_config_serializes(tmp_path):
     assert type(cfg.num_layers) is int and type(cfg.hidden) is int
     assert json.loads(json.dumps(dataclasses.asdict(cfg)))["hidden"] == 8
     path = tmp_path / "enc.json"
-    save_params(init_random(cfg, seed=0), path)
+    save_params(calibrated(cfg), path)
     assert load_params(path).config == EncoderConfig(num_layers=2, hidden=8)
 
 
@@ -192,7 +203,7 @@ def test_projection_custom_bound():
 
 def test_forward_single_node_graph():
     cfg = EncoderConfig(num_layers=2, hidden=4, feature_config="none")
-    params = init_random(cfg, seed=0)
+    params, _ = calibrate(init_random(cfg, seed=0), [Graph(1)])
     emb = embed_set(params, [Graph(1)])[0]
     assert emb.shape == (cfg.embedding_dim,)
     assert np.all(np.isfinite(emb))
@@ -200,8 +211,8 @@ def test_forward_single_node_graph():
 
 def test_permutation_invariance():
     cfg = EncoderConfig(num_layers=3, hidden=8, feature_config="degree")
-    params = init_random(cfg, seed=0)
     g = gen_community(20, rng=substream(0))
+    params, _ = calibrate(init_random(cfg, seed=0), [g])
     base = embed_set(params, [g])[0]
     rng = substream(1)
     for _ in range(50):
@@ -211,7 +222,7 @@ def test_permutation_invariance():
 
 
 def test_isomorphic_graphs_equal_embeddings():
-    params = init_random(CFG, seed=4)
+    params = calibrated(CFG, seed=4)
     a = Graph(4, edges=[(0, 1), (1, 2), (2, 3)])
     b = Graph(4, edges=[(3, 2), (2, 1), (1, 0)])
     np.testing.assert_array_equal(embed_set(params, [a])[0], embed_set(params, [b])[0])
@@ -225,15 +236,14 @@ def test_wl_equivalent_pair_identical_embeddings(feature_config):
     c6 = Graph(6, edges=[(i, (i + 1) % 6) for i in range(6)])
     two_c3 = Graph(6, edges=[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     for seed in range(5):
-        params = init_random(cfg, seed=seed)
-        h = embed_set(params, [c6, two_c3])
+        _, h = calibrate(init_random(cfg, seed=seed), [c6, two_c3])
         np.testing.assert_allclose(h[0], h[1], rtol=0, atol=1e-9)
 
 
 def test_embed_set_shape_and_determinism():
     cfg = EncoderConfig(num_layers=3, hidden=32, feature_config="none")
-    params = init_random(cfg, seed=0)
     graphs = [gen_community(n, rng=substream(n)) for n in (12, 16, 20)]
+    params, _ = calibrate(init_random(cfg, seed=0), graphs)
     h1 = embed_set(params, graphs)
     h2 = embed_set(params, graphs)
     assert h1.shape == (3, 96)
@@ -242,9 +252,15 @@ def test_embed_set_shape_and_determinism():
 
 
 def test_embed_set_empty_rejected():
-    params = init_random(CFG, seed=0)
-    with pytest.raises(ValueError):
-        embed_set(params, [])
+    with pytest.raises(ValueError, match="empty"):
+        embed_set(calibrated(CFG), [])
+    with pytest.raises(ValueError, match="empty"):
+        calibrate(init_random(CFG, seed=0), [])
+    # no statistics to apply: the encoder is not calibrated
+    with pytest.raises(ValueError, match="calibrate"):
+        embed_set(init_random(CFG, seed=0), [gen_grid(2, 2)])
+    with pytest.raises(DegenerateSetError):
+        calibrate(init_random(CFG, seed=0), [Graph(0), Graph(0)])
 
 
 def test_embed_union_matches_joint_pass():
@@ -252,30 +268,37 @@ def test_embed_union_matches_joint_pass():
     set_a = [gen_grid(3, 3), gen_grid(2, 5)]
     set_b = [gen_grid(4, 3)]
     ha, hb = embed_union(params, set_a, set_b)
-    joint = embed_set(params, list(set_a) + list(set_b))
-    np.testing.assert_array_equal(np.vstack([ha, hb]), joint)
+    # one pass with the reference's statistics: calibrate's rows, and the
+    # generated rows under the statistics calibrate stores
+    reference_params, reference_rows = calibrate(params, set_a)
+    np.testing.assert_array_equal(ha, reference_rows)
+    np.testing.assert_array_equal(hb, embed_set(reference_params, set_b))
     assert ha.shape[0] == 2 and hb.shape[0] == 1
 
 
-def test_eval_statistics_depend_on_companion_set():
-    # normalization is joint: embedding a graph next to different
-    # companions shifts its row, which is the intended common-scale behavior
+def test_reference_rows_do_not_depend_on_generated_set():
+    # stored statistics make one embedding space per reference: scoring two
+    # generated sets against it leaves its rows' bytes as they are
     params = init_random(CFG, seed=0)
-    g = gen_grid(3, 4)
-    alone = embed_set(params, [g, gen_grid(2, 2)])
-    crowd = embed_set(params, [g, gen_community(30, rng=substream(3))])
-    assert not np.allclose(alone[0], crowd[0])
+    reference = [gen_grid(3, 4), gen_grid(2, 2)]
+    few, _ = embed_union(params, reference, [gen_grid(2, 3)])
+    crowd, _ = embed_union(params, reference, [gen_community(30, rng=substream(3)),
+                                               reference[1], gen_grid(5, 5)])
+    assert few.tobytes() == crowd.tobytes()
+    # a calibrated encoder's own statistics do not enter a union either
+    other = calibrate(params, [gen_community(30, rng=substream(4))])[0]
+    assert embed_union(other, reference, [])[0].tobytes() == few.tobytes()
 
 
 def test_feature_mismatch_errors():
     cfg = EncoderConfig(feature_config="provided", input_dim=3)
-    params = init_random(cfg, seed=0)
+    params = calibrated(cfg)
     with pytest.raises(FeatureMismatchError, match="graph 0"):
         embed_set(params, [Graph(2)])  # no features attached
     bad_dim = Graph(2, node_features=np.ones((2, 2)))
     with pytest.raises(FeatureMismatchError):
         embed_set(params, [bad_dim])
-    # the unfeatured graph is the fourth distinct one, first seen at index 4
+    # the first unfeatured graph sits at index 4
     good = [Graph(2, node_features=np.ones((2, 3))) for _ in range(3)]
     bare = Graph(2)
     with pytest.raises(FeatureMismatchError, match=r"^graph 4: config expects provided"):
@@ -285,22 +308,21 @@ def test_feature_mismatch_errors():
 def test_non_finite_embedding_lists_every_occurrence(monkeypatch):
     monkeypatch.setattr(encoder, "BLOCK_NODES", 2)
     cfg = EncoderConfig(num_layers=1, hidden=2, feature_config="provided", input_dim=1)
-    params = init_random(cfg, seed=0)
     ok = Graph(2, node_features=np.ones((2, 1)))
     huge = Graph(2, [(0, 1)], node_features=np.full((2, 1), 1e308))
-    # the aggregation overflows, and the infinite rows spoil the shared
-    # statistics, so every position of the collection is reported, copies included
+    params, _ = calibrate(init_random(cfg, seed=0), [ok])
+    # the aggregation overflows; under stored statistics the rows of the
+    # other graphs stay finite, and every position of huge is reported
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-            FeatureMismatchError, match=r"graph indices \[0, 1, 2, 3\]$"):
+            FeatureMismatchError, match=r"graph indices \[1, 3\]$"):
         embed_set(params, [ok, huge, ok, huge])
 
 
 def test_provided_features_used():
     cfg = EncoderConfig(num_layers=1, hidden=4, feature_config="provided", input_dim=2)
-    params = init_random(cfg, seed=0)
     g1 = Graph(3, edges=[(0, 1)], node_features=np.ones((3, 2)))
     g2 = Graph(3, edges=[(0, 1)], node_features=np.full((3, 2), 2.0))
-    h = embed_set(params, [g1, g2])
+    _, h = calibrate(init_random(cfg, seed=0), [g1, g2])
     assert not np.allclose(h[0], h[1])
 
 
@@ -329,7 +351,7 @@ def test_bounded_sensitivity_under_edge_addition():
             continue
         u, v = missing[int(rng.integers(len(missing)))]
         g_plus = Graph(n, edges=g.edges.tolist() + [[u, v]])
-        h = embed_set(params, [g, g_plus])
+        _, h = calibrate(params, [g, g_plus])
         base = np.linalg.norm(h[0]) + 1e-9
         ratios.append(np.linalg.norm(h[0] - h[1]) / base)
     assert np.max(ratios) < 10.0**cfg.num_layers
@@ -338,7 +360,7 @@ def test_bounded_sensitivity_under_edge_addition():
 def test_checkpoint_round_trip_exact(tmp_path):
     cfg = EncoderConfig(num_layers=2, hidden=5, feature_config="degree+clustering",
                         lipschitz_bound=0.9)
-    params = init_random(cfg, seed=11)
+    params = calibrated(cfg, seed=11)
     path = tmp_path / "enc.json"
     save_params(params, path)
     loaded = load_params(path)
@@ -346,38 +368,25 @@ def test_checkpoint_round_trip_exact(tmp_path):
     assert sorted(loaded.weights) == sorted(params.weights)
     for k in params.weights:
         np.testing.assert_array_equal(loaded.weights[k], params.weights[k])
+    assert loaded.stats.shape == (2, 2, 5)
+    assert loaded.stats.tobytes() == params.stats.tobytes()
     g = gen_grid(4, 4)
     np.testing.assert_array_equal(
         embed_set(loaded, [g]), embed_set(params, [g])
     )
 
 
-def test_checkpoint_storing_mlp_depth_2_loads(tmp_path):
-    import json
-
-    # the layout files had while the layer block's depth was a config field
-    params = init_random(CFG, seed=4)
-    config = {"num_layers": 2, "hidden": 6, "lipschitz_bound": 1.0, "feature_config": "degree",
-              "mlp_depth": 2, "input_dim": None}
-    path = tmp_path / "enc.json"
-    path.write_text(json.dumps({"version": 2, "config": config,
-                                "weights": {k: v.tolist() for k, v in params.weights.items()}}))
-    loaded = load_params(path)
-    assert loaded.config == CFG
-    assert list(loaded.weights) == list(params.weights)
-    for name, w in params.weights.items():
-        assert loaded.weights[name].tobytes() == w.tobytes()
-    save_params(loaded, path)
-    assert "mlp_depth" not in json.loads(path.read_text())["config"]
+def test_uncalibrated_params_are_not_saved(tmp_path):
+    with pytest.raises(ValueError, match="calibrate"):
+        save_params(init_random(CFG, seed=0), tmp_path / "enc.json")
+    assert not (tmp_path / "enc.json").exists()
 
 
 def test_checkpoint_version_guard(tmp_path):
     import json
 
-    cfg = EncoderConfig()
-    params = init_random(cfg, seed=0)
     path = tmp_path / "enc.json"
-    save_params(params, path)
+    save_params(calibrated(EncoderConfig()), path)
     blob = json.loads(path.read_text())
     blob["version"] = 99
     path.write_text(json.dumps(blob))
@@ -385,16 +394,36 @@ def test_checkpoint_version_guard(tmp_path):
         load_params(path)
 
 
+def old_checkpoint(version):
+    """A payload as versions 1 and 2 wrote it: no stored statistics; version 2
+    files could also hold "mlp_depth": 2."""
+    params = init_random(EncoderConfig(), seed=0)
+    config = dataclasses.asdict(params.config)
+    if version == 2:
+        config["mlp_depth"] = 2
+    return {"version": version, "config": config,
+            "weights": {k: v.tolist() for k, v in params.weights.items()}}
+
+
 def test_version_1_checkpoint_rejected(tmp_path):
     import json
 
     path = tmp_path / "enc.json"
-    save_params(init_random(EncoderConfig(), seed=0), path)
+    save_params(calibrated(EncoderConfig()), path)
     blob = json.loads(path.read_text())
-    assert blob["version"] == 2 and set(blob) == {"version", "config", "weights"}
-    blob["version"] = 1
-    path.write_text(json.dumps(blob))
+    assert blob["version"] == 3 and set(blob) == {"version", "config", "weights", "stats"}
+    path.write_text(json.dumps(old_checkpoint(1)))
     with pytest.raises(ParseError, match="unsupported checkpoint version 1"):
+        load_params(path)
+
+
+def test_version_2_checkpoint_rejected(tmp_path):
+    import json
+
+    # version 2 held no statistics, so it cannot place a graph in a reference's space
+    path = tmp_path / "enc.json"
+    path.write_text(json.dumps(old_checkpoint(2)))
+    with pytest.raises(ParseError, match="unsupported checkpoint version 2"):
         load_params(path)
 
 
@@ -421,7 +450,7 @@ def test_oversized_config_rejected_without_building_it(tmp_path, claim):
 
     path = tmp_path / "enc.json"
     names = [name for name, _ in weight_shapes(EncoderConfig())]
-    path.write_text(json.dumps({"version": 2, "config": OVERSIZED_CONFIGS[claim],
+    path.write_text(json.dumps({"version": 3, "config": OVERSIZED_CONFIGS[claim],
                                 "weights": {name: [0.0] for name in names}}))
     start = time.perf_counter()
     with pytest.raises(ParseError):
@@ -447,14 +476,15 @@ def checkpoint_payloads(draw):
     cfg = EncoderConfig(num_layers=draw(st.integers(1, 2)), hidden=draw(st.integers(1, 3)),
                         feature_config=feature_config,
                         input_dim=2 if feature_config == "provided" else None)
-    params = init_random(cfg, seed=0)
-    blob = {"version": 2, "config": dataclasses.asdict(cfg),
-            "weights": {k: v.tolist() for k, v in params.weights.items()}}
+    params = calibrated(cfg)
+    blob = {"version": 3, "config": dataclasses.asdict(cfg),
+            "weights": {k: v.tolist() for k, v in params.weights.items()},
+            "stats": params.stats.tolist()}
     names = sorted(blob["weights"])
     fields = sorted(blob["config"])
     for _ in range(draw(st.integers(0, 3))):
         edit = draw(st.sampled_from(("drop", "add", "value", "shape", "non-finite",
-                                     "config", "config field")))
+                                     "config", "config field", "stats")))
         if edit == "drop":
             blob["weights"].pop(draw(st.sampled_from(names)), None)
         elif edit == "add":
@@ -471,6 +501,13 @@ def checkpoint_payloads(draw):
             value.flat[draw(st.integers(0, value.size - 1))] = draw(
                 st.sampled_from((np.nan, np.inf, -np.inf)))
             blob["weights"][name] = value.tolist()
+        elif edit == "stats":
+            stats = params.stats.copy()
+            stats.flat[draw(st.integers(0, stats.size - 1))] = draw(
+                st.sampled_from((np.nan, np.inf, 1.5)))
+            blob["stats"] = draw(st.sampled_from((stats.tolist(), stats[:-1].tolist(),
+                                                  stats[..., :1].tolist()))
+                                 | JSON_VALUES)
         elif edit == "config":
             name = draw(st.sampled_from(fields))
             old = blob["config"].get(name)
@@ -483,7 +520,7 @@ def checkpoint_payloads(draw):
             key = draw(st.text(max_size=8) | st.just("mlp_depth"))
             blob["config"][key] = draw(st.just(2) | CONFIG_VALUES)
     if draw(st.integers(0, 9)) == 0:
-        blob[draw(st.sampled_from(("version", "config", "weights")))] = draw(JSON_VALUES)
+        blob[draw(st.sampled_from(("version", "config", "weights", "stats")))] = draw(JSON_VALUES)
     return blob
 
 
@@ -501,6 +538,8 @@ def test_checkpoint_fuzz_loads_or_raises_parse_error(tmp_path_factory, blob):
     assert [(name, w.shape) for name, w in params.weights.items()] == list(
         weight_shapes(params.config))
     assert all(np.all(np.isfinite(w)) for w in params.weights.values())
+    assert params.stats.shape == (params.config.num_layers, 2, params.config.hidden)
+    assert np.all(np.isfinite(params.stats))
 
 
 # name -> (edit of the saved JSON payload, expected message fragment)
@@ -513,7 +552,13 @@ CHECKPOINT_CORRUPTIONS = {
     "non-finite weight": (lambda b: b["weights"].update({"l1.m0.gamma": [float("nan")] * 32}),
                           "non-finite"),
     "invalid config value": (lambda b: b["config"].update(hidden=0), "config"),
-    "mlp depth 3": (lambda b: b["config"].update(mlp_depth=3), "mlp_depth"),
+    "mlp depth 2": (lambda b: b["config"].update(mlp_depth=2), "mlp_depth"),
+    "missing stats": (lambda b: b.pop("stats"), "'stats' is missing"),
+    "ill-shaped stats": (lambda b: b.update(stats=b["stats"][:2]),
+                         r"'stats' has shape \(2, 2, 32\)"),
+    "ragged stats": (lambda b: b["stats"][0][1].pop(), "'stats' is missing or not a numeric"),
+    "non-finite stats": (lambda b: b["stats"][2][1].__setitem__(0, float("inf")),
+                         "'stats' has non-finite values"),
     "unknown config field": (lambda b: b["config"].update(width=3), "config"),
     "weights not an object": (lambda b: b.update(weights=[]), "not an object"),
 }
@@ -524,7 +569,7 @@ def test_corrupt_checkpoint_raises_parse_error(tmp_path, corruption):
     import json
 
     path = tmp_path / "enc.json"
-    save_params(init_random(EncoderConfig(), seed=0), path)
+    save_params(calibrated(EncoderConfig()), path)
     blob = json.loads(path.read_text())
     corrupt, message = CHECKPOINT_CORRUPTIONS[corruption]
     corrupt(blob)
@@ -533,7 +578,7 @@ def test_corrupt_checkpoint_raises_parse_error(tmp_path, corruption):
         load_params(path)
 
 
-@pytest.mark.parametrize("text", ["{not json", "[1, 2]", '{"version": 2}'],
+@pytest.mark.parametrize("text", ["{not json", "[1, 2]", '{"version": 3}'],
                          ids=["invalid JSON", "not an object", "no config"])
 def test_malformed_checkpoint_file_raises_parse_error(tmp_path, text):
     path = tmp_path / "enc.json"

@@ -1,9 +1,10 @@
 """Differential tests: the in-place forward pass, the one-pass packing and
 the blockwise distances against the allocating, pooled versions kept in
-oracles.py. Every comparison is byte for byte, except for embeddings of
-collections with repeats or of more than one run, whose batch-norm sums
-round differently from the oracle's row-by-row ones; their rows are held to
-1e-12 of a one-pack forward whose sums are exact."""
+oracles.py. Every comparison is byte for byte, except for batch statistics
+taken over more than one run, which round differently from the oracle's
+one-pass sums and are held to 1e-12 of exact ones, for a graph's row when it
+is embedded on its own, which the contract holds to 1e-12 of its row in the
+reference, and for the linear MMD, held to 1e-12 of an exact evaluation."""
 
 import math
 import tracemalloc
@@ -21,12 +22,14 @@ import ggeval.encoder as encoder
 import ggeval.training as training
 from ggeval.encoder import (
     EncoderConfig,
+    calibrate,
     embed_set,
     embed_union,
     forward_batch,
     init_random,
     pack_graphs,
 )
+from ggeval.errors import DegenerateSetError
 from ggeval.generators import gen_dataset
 from ggeval.graphs import Graph
 from ggeval.metrics import (
@@ -123,9 +126,17 @@ def test_forward_matches_oracle(case, collect_cache):
     with warnings.catch_warnings():
         # a batch without nodes has empty normalization statistics
         warnings.simplefilter("ignore", RuntimeWarning)
-        emb, cache = forward_batch(params, batch, collect_cache)
-        emb_slow, cache_slow = oracles.forward_batch_slow(params, batch, collect_cache)
+        emb, stats, cache = forward_batch(params, batch, collect_cache)
+        emb_slow, stats_slow, cache_slow = oracles.forward_batch_slow(params, batch,
+                                                                      collect_cache)
+        # the batch's statistics stored and applied give the batch's rows
+        stored = forward_batch(params, batch, stats=stats)
+        stored_slow = oracles.forward_batch_slow(params, batch, stats=stats)
     assert_same_bytes(emb, emb_slow)
+    assert_same_bytes(stats, stats_slow)
+    assert_same_bytes(stored[0], stored_slow[0])
+    assert_same_bytes(stored[0], emb)
+    assert_same_bytes(stored[1], stats)
     if not collect_cache:
         assert cache is None
         return
@@ -216,45 +227,73 @@ def forward_exact_sums(params, batch):
     h = batch.features
     readouts = []
     for k in range(params.config.num_layers):
-        z = batch.agg @ h @ w[f"l{k}.m0.W"] + w[f"l{k}.m0.b"]
+        z = oracles.gemm(batch.agg @ h, w[f"l{k}.m0.W"])
         z = z - z[:1]
         z -= np.array([math.fsum(col) for col in z.T]) / len(z)
         var = np.array([math.fsum(col) for col in np.square(z).T]) / len(z)
         normed = z / np.sqrt(var + encoder.BN_EPS)
         hidden = np.maximum(normed * w[f"l{k}.m0.gamma"] + w[f"l{k}.m0.beta"], 0.0)
-        h = hidden @ w[f"l{k}.m1.W"] + w[f"l{k}.m1.b"]
+        h = oracles.gemm(hidden, w[f"l{k}.m1.W"]) + w[f"l{k}.m1.b"]
         readouts.append(batch.pool @ h)
     return np.hstack(readouts)
+
+
+def copies(graphs):
+    """New graph objects equal to graphs, so a union packs them again."""
+    return [Graph(g.num_nodes, g.edges, node_features=g.node_features) for g in graphs]
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=repeated_collections())
 @example(case=(init_random(EncoderConfig()), [EMPTY, EMPTY], EncoderConfig(), 5))
+@example(case=(init_random(EncoderConfig()), [EMPTY, SINGLE], EncoderConfig(), 1))
 @example(case=(init_random(TWO_LAYERS), [SINGLE, SINGLE], TWO_LAYERS, 5))
 @example(case=(init_random(TWO_LAYERS), [TRIANGLE, NINE, TRIANGLE, SINGLE, NINE],
                TWO_LAYERS, 5))
 @example(case=(init_random(TWO_LAYERS), [Graph(1), NINE, Graph(1)], TWO_LAYERS, 5))
 # all rows equal: two copies of an edgeless graph, and a square whose last
-# row would be a run of its own
+# row is a run of its own
 @example(case=(init_random(TWO_LAYERS), [Graph(5)] * 2, TWO_LAYERS, 3))
 @example(case=(init_random(TWO_LAYERS), [SQUARE], TWO_LAYERS, 3))
 def test_embed_set_matches_one_pack_oracle(case):
     params, graphs, config, block_nodes = case
     batch = oracles.pack_graphs_slow(graphs, config)
-    with warnings.catch_warnings(), mock.patch.object(encoder, "BLOCK_NODES", block_nodes):
-        # a collection without nodes has empty normalization statistics
-        warnings.simplefilter("ignore", RuntimeWarning)
-        emb = embed_set(params, graphs)
-        expected, _ = oracles.forward_batch_slow(params, batch)
-        exact = forward_exact_sums(params, batch)
-    if len({id(g) for g in graphs}) == len(graphs) and batch.features.shape[0] <= block_nodes:
+    with mock.patch.object(encoder, "BLOCK_NODES", block_nodes):
+        if not batch.features.shape[0]:
+            with pytest.raises(DegenerateSetError):
+                calibrate(params, graphs)
+            return
+        calibrated, emb = calibrate(params, graphs)
+        alone = np.vstack([embed_set(calibrated, [g]) for g in graphs])
+        stored = embed_set(calibrated, graphs)
+        generated = copies(graphs[::-1]) + graphs[:1]
+        h_ref, h_gen = embed_union(params, graphs, generated)
+    expected, stats, _ = oracles.forward_batch_slow(params, batch)
+    if batch.features.shape[0] <= block_nodes:
+        assert_same_bytes(calibrated.stats, stats)
         assert_same_bytes(emb, expected)
     else:
-        # exact sums, not the oracle's: in a column whose rows are all
-        # equal the oracle's mean is off by an ulp, which batch norm scales
-        # by up to 1/sqrt(BN_EPS) per layer, so its rows can miss the exact
-        # ones by more than 1e-12
-        assert_rows_close(emb, exact)
+        # exact sums, not the oracle's: in a nearly constant column the
+        # rounding of the oracle's mean is scaled by up to 1/sqrt(BN_EPS)
+        # per layer, so its rows can miss the exact ones by more than 1e-12
+        assert_rows_close(emb, forward_exact_sums(params, batch))
+    # under stored statistics a row depends on no other graph
+    assert_same_bytes(stored, oracles.forward_batch_slow(calibrated, batch,
+                                                         stats=calibrated.stats)[0])
+    assert_same_bytes(stored, emb)
+    assert_rows_close(alone, emb)
+    assert_same_bytes(h_ref, emb)
+    assert_rows_close(h_gen, np.vstack([emb[::-1], emb[:1]]))
+
+
+def test_stored_statistics_embed_a_pack_without_nodes():
+    calibrated, _ = calibrate(init_random(TWO_LAYERS), [NINE, TRIANGLE])
+    emb = embed_set(calibrated, [EMPTY, EMPTY])
+    assert_same_bytes(emb, np.zeros((2, TWO_LAYERS.embedding_dim)))
+    expected = oracles.forward_batch_slow(
+        calibrated, oracles.pack_graphs_slow([EMPTY, EMPTY], TWO_LAYERS),
+        stats=calibrated.stats)[0]
+    assert_same_bytes(emb, expected)
 
 
 def test_union_with_repeated_half_packs_only_distinct_graphs(monkeypatch):
@@ -273,42 +312,42 @@ def test_union_with_repeated_half_packs_only_distinct_graphs(monkeypatch):
     h_a, h_b = embed_union(params, graphs, graphs)
     nodes = sum(g.num_nodes for g in graphs)
     assert packed == [nodes]
-    expected, _ = oracles.forward_batch_slow(
-        params, oracles.pack_graphs_slow(graphs + graphs, config))
-    assert_rows_close(np.vstack([h_a, h_b]), expected)
+    _, expected = calibrate(params, graphs)
+    assert_same_bytes(h_a, expected)
+    assert_same_bytes(h_b, expected)
 
 
 def test_orderings_of_one_multiset_embed_alike():
-    # the batch-norm statistics are functions of the multiset of graphs
-    params = init_random(EncoderConfig(feature_config="degree+clustering"), seed=0)
+    # under stored statistics each row depends on its graph alone
+    config = EncoderConfig(feature_config="degree+clustering")
     g = list(gen_dataset("community", count=40, seed=0))
-    first = embed_set(params, g[:20] + g[:20] + g[20:])
-    second = embed_set(params, g[:20] + g[20:] + g[:20])
+    calibrated, _ = calibrate(init_random(config, seed=0), g)
+    first = embed_set(calibrated, g[:20] + g[:20] + g[20:])
+    second = embed_set(calibrated, g[:20] + g[20:] + g[:20])
     assert_same_bytes(first[20:], second[:40])
     assert_same_bytes(first[:20], second[40:])
-
-
-def test_cached_pass_takes_no_counts():
-    config = EncoderConfig()
-    batch = pack_graphs([TRIANGLE, NINE], config)
-    with pytest.raises(ValueError, match="no counts"):
-        forward_batch(init_random(config), batch, collect_cache=True, counts=[1, 2])
+    expected = oracles.forward_batch_slow(
+        calibrated, oracles.pack_graphs_slow(g[:20] + g[:20] + g[20:], config),
+        stats=calibrated.stats)[0]
+    assert_same_bytes(first, expected)
 
 
 def test_uncached_forward_holds_about_two_node_arrays(monkeypatch):
-    # the pass keeps two (distinct nodes, hidden) arrays, z and the second
-    # linear's output, and every other temporary is at most BLOCK_NODES
-    # rows; a name that keeps a whole-set array alive one op too long reads
-    # about 3. Embedding each graph twice packs each once and costs no more.
+    # the pass keeps two (nodes, hidden) arrays, z and the second linear's
+    # output, and every other temporary is at most BLOCK_NODES rows; a name
+    # that keeps a whole-set array alive one op too long reads about 3. A
+    # union whose generated set repeats the reference packs it once.
     config = EncoderConfig()
     params = init_random(config, seed=0)
     graphs = list(gen_dataset("community", count=300, seed=0))
     batch = pack_graphs(graphs, config)
     assert batch.features.shape[0] > 4 * encoder.BLOCK_NODES
-    # the packing is not measured here; embed_set gets it ready-made
+    calibrated, _ = calibrate(params, graphs)
+    # the packing is not measured here; embed_set and embed_union get it ready-made
     monkeypatch.setattr(encoder, "pack_graphs", lambda graphs, config: batch)
     for run in (lambda: forward_batch(params, batch),
-                lambda: embed_set(params, graphs + graphs)):
+                lambda: embed_set(calibrated, graphs),
+                lambda: embed_union(params, graphs, graphs)):
         tracemalloc.start()
         try:
             run()
@@ -344,7 +383,12 @@ def test_evaluate_matches_pooled_oracle(case):
     expected = oracles.evaluate_pooled(real, gen, k)
     assert set(expected) == set(REPORT_FIELDS)
     for name in REPORT_FIELDS:
-        assert_same_bytes(report[name], expected[name])
+        if name != "mmd_linear":
+            assert_same_bytes(report[name], expected[name])
+    # each term of the closed form is at most about sum |x_i|^2 / (m - 1)
+    m, n = len(real), len(gen)
+    scale = np.sum(np.square(real)) / (m - 1) + np.sum(np.square(gen)) / (n - 1)
+    assert abs(report.mmd_linear - expected["mmd_linear"]) <= 1e-12 * scale
 
 
 @settings(max_examples=200, deadline=None)

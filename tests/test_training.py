@@ -394,11 +394,11 @@ def test_zero_gated_paths_have_zero_gradient():
     params = init_random(cfg, seed=1)
     head = init_head(cfg.embedding_dim, substream(1, 3))
     head["head.m0.b"][:] = 0.0
-    from ggeval.encoder import embed_set
+    from ggeval.encoder import calibrate
     from ggeval.training import head_backward, head_forward
 
     graphs = attach_features([TRIANGLE, Graph(4, edges=[(0, 1), (2, 3)])], cfg)
-    h = embed_set(params, graphs)
+    _, h = calibrate(params, graphs)
     head["head.m0.W"] *= 0.0
     head["head.m0.b"][:] = -1.0  # every pre-activation is -1: ReLU closed
     out, cache = head_forward(head, h)
