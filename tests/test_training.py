@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ggeval.encoder import EncoderConfig, init_random
+from ggeval.encoder import EncoderConfig, calibrate, embed_set, init_random
 from ggeval.errors import DegenerateBatchError, FeatureMismatchError
 from ggeval.generators import gen_lobster, substream
 from ggeval.graphs import Graph, GraphSet
@@ -21,11 +21,13 @@ from ggeval.training import (
     finite_difference_check,
     induced_subgraph,
     init_head,
+    loss_and_grads,
     node_drop,
     nt_xent,
     subgraph_walk,
     train_graphcl,
     train_step,
+    training_loss,
     variant_light_aug,
     variant_no_lipschitz,
 )
@@ -281,6 +283,30 @@ def test_train_deterministic_per_seed():
         np.testing.assert_array_equal(a.params.weights[k], b.params.weights[k])
     c = train_graphcl(gs, small_cfg(), TrainConfig(epochs=3, batch_size=4, lr=0.005, seed=8))
     assert a.epoch_losses != c.epoch_losses
+
+
+def test_training_uses_batch_statistics_on_calibrated_params():
+    # stored statistics serve embedding only: the loss, its gradients and the
+    # finite-difference check normalize each batch with its own statistics
+    cfg = small_cfg()
+    views = attach_features(list(lobster_set(4)), cfg)
+    plain = init_random(cfg, seed=0)
+    calibrated, _ = calibrate(plain, attach_features(list(lobster_set(6, seed=9)), cfg))
+    head = init_head(cfg.embedding_dim, substream(0, 3))
+    loss, grads = loss_and_grads(plain, head, views[:2], views[2:], 0.2)
+    loss_cal, grads_cal = loss_and_grads(calibrated, head, views[:2], views[2:], 0.2)
+    assert loss_cal == loss == training_loss(calibrated, head, views[:2], views[2:], 0.2)
+    for name in grads:
+        assert grads_cal[name].tobytes() == grads[name].tobytes()
+    assert finite_difference_check(calibrated, head, views[:2], views[2:], 0.2) < 1e-4
+
+
+def test_train_graphcl_returns_params_calibrated_on_its_graphs():
+    gs = lobster_set(6)
+    result = train_graphcl(gs, small_cfg(), TrainConfig(epochs=1, batch_size=4, seed=3))
+    expected, rows = calibrate(result.params, gs)
+    assert result.params.stats.tobytes() == expected.stats.tobytes()
+    assert embed_set(result.params, gs).tobytes() == rows.tobytes()
 
 
 def test_train_step_keeps_spectral_bound():
