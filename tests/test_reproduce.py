@@ -167,6 +167,12 @@ def test_report_dict_json_round_trip(tiny_report):
     assert set(back["trained"]["mean_rho"]) == set(METRIC_NAMES)
     assert back["recall_trend"]["total_seeds"] == 2
     assert set(back["epoch_losses"]) == {"0", "1"}
+    # one largest |gamma * inv_std| per layer and seed, for each encoder
+    for key in ("trained", "random_init"):
+        scales = back[key]["bn_scale"]
+        assert set(scales) == {"0", "1"}
+        assert all(len(v) == tiny_report.config.num_layers and min(v) > 0
+                   for v in scales.values())
 
 
 def test_chart_series_structure(tiny_report):
