@@ -2,9 +2,11 @@
 
 Layer k update: h_v <- MLP_k(h_v + sum of neighbor states), i.e. sum
 aggregation with epsilon = 0. Every MLP is the same fixed block: linear,
-batch normalization, ReLU, linear. The graph readout sums node states per
-layer and concatenates the per-layer sums, so the embedding dimension is
-num_layers * hidden.
+batch normalization, ReLU, linear. The first linear has no bias, since
+batch norm subtracts each column's mean and would cancel it. weight_shapes
+is the one statement of the block's arrays. The graph readout sums node
+states per layer and concatenates the per-layer sums, so the embedding
+dimension is num_layers * hidden.
 
 Normalization: training normalizes with the statistics of its batch.
 calibrate(params, reference) stores the batch statistics of a reference's
@@ -18,6 +20,7 @@ at most one run.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import asdict, dataclass, field, replace
 
@@ -74,10 +77,10 @@ class EncoderConfig:
 class EncoderParams:
     """Trainable weights of an encoder.
 
-    weights maps "l{k}.m0.W" / ".b" / ".gamma" / ".beta" for layer k's
-    first linear and its normalization, and "l{k}.m1.W" / ".b" for its
-    second linear. stats is the (num_layers, 2, hidden) batch-norm mean and
-    inv_std that calibrate stores, None before.
+    weights maps "l{k}.m0.W" / ".gamma" / ".beta" for layer k's first
+    linear and its normalization, and "l{k}.m1.W" / ".b" for its second
+    linear, in weight_shapes' order. stats is the (num_layers, 2, hidden)
+    batch-norm mean and inv_std that calibrate stores, None before.
     """
 
     config: EncoderConfig
@@ -86,7 +89,7 @@ class EncoderParams:
 
     def weight_matrices(self):
         """(name, matrix) pairs for the linear weights, layer order."""
-        return [(name, w) for name, w in sorted(self.weights.items()) if name.endswith(".W")]
+        return [(name, w) for name, w in self.weights.items() if name.endswith(".W")]
 
 
 def orthogonal_matrix(rng, rows: int, cols: int) -> np.ndarray:
@@ -99,17 +102,11 @@ def orthogonal_matrix(rng, rows: int, cols: int) -> np.ndarray:
     return np.ascontiguousarray(q)
 
 
-def weight_count(config: EncoderConfig) -> int:
-    """Number of arrays weight_shapes(config) yields, without building them."""
-    return 6 * config.num_layers
-
-
 def weight_shapes(config: EncoderConfig):
     """(name, shape) of every trainable array, in init_random's draw order."""
     d_in, hidden = config.in_dim, config.hidden
     for k in range(config.num_layers):
         yield f"l{k}.m0.W", (d_in, hidden)
-        yield f"l{k}.m0.b", (hidden,)
         yield f"l{k}.m0.gamma", (hidden,)
         yield f"l{k}.m0.beta", (hidden,)
         yield f"l{k}.m1.W", (hidden, hidden)
@@ -245,8 +242,9 @@ def forward_batch(params: EncoderParams, batch: BatchedGraphs, collect_cache: bo
     An uncached pass works through each layer in runs of BLOCK_NODES rows.
 
     Returns (embeddings of the packed graphs, the statistics applied,
-    cache); cache holds the intermediates needed for the reverse pass when
-    collect_cache is set, which runs each layer as one run.
+    cache). When collect_cache is set, which runs each layer as one run,
+    cache holds the batch and, per layer, what the reverse pass reads: the
+    aggregated input lin_in, normed, inv_std, pre_relu and relu.
     """
     w = params.weights
     hidden = params.config.hidden
@@ -272,9 +270,9 @@ def forward_batch(params: EncoderParams, batch: BatchedGraphs, collect_cache: bo
             if z is None:
                 z = np.empty((nodes, hidden))
             _gemm(lin_in, w[f"l{k}.m0.W"], z[r])
-        first = {"lin_in": lin_in} if collect_cache else None
+        layer = {"lin_in": lin_in} if collect_cache else None
         del lin_in, x
-        # batch norm cancels the first linear's bias, so no pass adds it
+        # the first linear has no bias: batch norm's mean subtraction would cancel it
         if stats is None:
             shift = z[0] if count else 0.0
             mean = shift + sum(np.add.reduce(z[r] - shift, axis=0) for r in stat_runs) / count
@@ -300,8 +298,8 @@ def forward_batch(params: EncoderParams, batch: BatchedGraphs, collect_cache: bo
             hr += w[f"l{k}.m1.b"]
         readouts.append(batch.pool @ h)
         if collect_cache:
-            first.update(normed=normed, inv_std=inv_std, pre_relu=pre_relu)
-            cache["layers"].append({"steps": [first, {"lin_in": zr}]})
+            layer.update(normed=normed, inv_std=inv_std, pre_relu=pre_relu, relu=zr)
+            cache["layers"].append(layer)
     return np.hstack(readouts), np.array(applied), cache
 
 
@@ -352,7 +350,7 @@ def embed_union(params: EncoderParams, reference, generated):
     return emb[:len(reference)], emb[[row[id(g)] for g in generated]]
 
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 def save_params(params: EncoderParams, path) -> None:
@@ -374,9 +372,9 @@ def load_params(path) -> EncoderParams:
     The payload must carry this version, the weight_shapes(config) layout
     (every name, every shape, and finite values) and finite statistics of
     shape (num_layers, 2, hidden). Anything else raises ParseError. The
-    layout is checked without drawing weights, and the array count before
-    any name is built, so a config that claims a huge encoder costs nothing
-    to reject.
+    layout is checked without drawing weights, and only its first
+    len(weights) + 1 names are built, so a config that claims a huge encoder
+    costs nothing to reject.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -395,12 +393,8 @@ def load_params(path) -> EncoderParams:
     stored = payload.get("weights")
     if not isinstance(stored, dict):
         raise ParseError("checkpoint 'weights' is missing or not an object")
-    count = weight_count(config)
-    if len(stored) != count:
-        what = "missing" if len(stored) < count else "unexpected"
-        raise ParseError(f"checkpoint 'weights' holds {len(stored)} arrays, its config "
-                         f"needs {count}: {abs(count - len(stored))} {what}")
-    layout = dict(weight_shapes(config))
+    # one name past the stored count shows a config that needs more arrays
+    layout = dict(itertools.islice(weight_shapes(config), len(stored) + 1))
     missing = sorted(set(layout) - set(stored))
     extra = sorted(set(stored) - set(layout))
     if missing or extra:

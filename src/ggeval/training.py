@@ -241,17 +241,17 @@ def encoder_backward(params: EncoderParams, cache, d_emb: np.ndarray) -> dict:
     per_layer = np.split(d_emb, cfg.num_layers, axis=1)
     carry = None
     for k in reversed(range(cfg.num_layers)):
-        first, second = cache["layers"][k]["steps"]
+        layer = cache["layers"][k]
         d_h = np.repeat(per_layer[k], sizes, axis=0)
         if carry is not None:
             d_h += carry
         # second linear
-        grads[f"l{k}.m1.W"] = second["lin_in"].T @ d_h
+        grads[f"l{k}.m1.W"] = layer["relu"].T @ d_h
         grads[f"l{k}.m1.b"] = d_h.sum(axis=0)
         d_h = d_h @ w[f"l{k}.m1.W"].T
         # ReLU, then the batch norm's affine map and its normalization
-        d_h *= first["pre_relu"] > 0.0
-        normed = first["normed"]
+        d_h *= layer["pre_relu"] > 0.0
+        normed = layer["normed"]
         prod = np.multiply(d_h, normed)
         grads[f"l{k}.m0.gamma"] = np.sum(prod, axis=0)
         grads[f"l{k}.m0.beta"] = np.sum(d_h, axis=0)
@@ -262,10 +262,9 @@ def encoder_backward(params: EncoderParams, cache, d_emb: np.ndarray) -> dict:
         d_h *= nrows
         d_h -= d_sum
         d_h -= np.multiply(normed, d_dot, out=prod)
-        d_h *= first["inv_std"] / nrows
+        d_h *= layer["inv_std"] / nrows
         # first linear
-        grads[f"l{k}.m0.W"] = first["lin_in"].T @ d_h
-        grads[f"l{k}.m0.b"] = d_h.sum(axis=0)
+        grads[f"l{k}.m0.W"] = layer["lin_in"].T @ d_h
         if k:  # nothing reads layer 0's input gradient
             # aggregation matrix is symmetric, so its transpose is itself
             carry = batch.agg @ (d_h @ w[f"l{k}.m0.W"].T)
@@ -447,16 +446,6 @@ def train_graphcl(graphs, encoder_config: EncoderConfig,
 # gradient validation
 
 
-def training_loss(params: EncoderParams, head: dict, views1, views2, tau: float):
-    """Loss of one prepared batch without any parameter mutation."""
-    batch = pack_graphs(list(views1) + list(views2), params.config)
-    emb = forward_batch(params, batch)[0]
-    proj, _ = head_forward(head, emb)
-    n = len(views1)
-    loss, _, _ = nt_xent(proj[:n], proj[n:], tau)
-    return loss
-
-
 def finite_difference_check(params: EncoderParams, head: dict, views1, views2,
                             tau: float, step: float = 1e-5) -> float:
     """Worst error between analytic and central-difference gradients.
@@ -476,9 +465,9 @@ def finite_difference_check(params: EncoderParams, head: dict, views1, views2,
         for j in range(flat.size):
             orig = flat[j]
             flat[j] = orig + step
-            up = training_loss(params, head, views1, views2, tau)
+            up = loss_and_grads(params, head, views1, views2, tau)[0]
             flat[j] = orig - step
-            down = training_loss(params, head, views1, views2, tau)
+            down = loss_and_grads(params, head, views1, views2, tau)[0]
             flat[j] = orig
             numeric = (up - down) / (2.0 * step)
             err = abs(numeric - gflat[j]) / (1e-3 + max(abs(numeric), abs(gflat[j])))

@@ -548,10 +548,8 @@ def forward_batch_slow(params, batch, collect_cache=False, stats=None):
         hidden = np.maximum(pre_relu, 0.0)
         h = gemm(hidden, w[f"l{k}.m1.W"]) + w[f"l{k}.m1.b"]
         if collect_cache:
-            cache["layers"].append({"steps": [
-                {"lin_in": lin_in, "normed": normed, "inv_std": inv_std, "pre_relu": pre_relu},
-                {"lin_in": hidden},
-            ]})
+            cache["layers"].append({"lin_in": lin_in, "normed": normed, "inv_std": inv_std,
+                                    "pre_relu": pre_relu, "relu": hidden})
         readouts.append(batch.pool @ h)
     return np.hstack(readouts), np.array(applied), cache
 
@@ -570,29 +568,28 @@ def encoder_backward_slow(params, cache, d_emb):
     per_layer = np.split(d_emb, cfg.num_layers, axis=1)
     carry = None
     for k in reversed(range(cfg.num_layers)):
-        first, second = cache["layers"][k]["steps"]
+        layer = cache["layers"][k]
         d_h = batch.pool.T @ per_layer[k]
         if carry is not None:
             d_h = d_h + carry
         # second linear
-        grads[f"l{k}.m1.W"] = second["lin_in"].T @ d_h
+        grads[f"l{k}.m1.W"] = layer["relu"].T @ d_h
         grads[f"l{k}.m1.b"] = d_h.sum(axis=0)
         d_h = d_h @ w[f"l{k}.m1.W"].T
         # ReLU, then the batch norm's affine map and its normalization
-        d_h = d_h * (first["pre_relu"] > 0.0)
-        normed = first["normed"]
+        d_h = d_h * (layer["pre_relu"] > 0.0)
+        normed = layer["normed"]
         grads[f"l{k}.m0.gamma"] = np.sum(d_h * normed, axis=0)
         grads[f"l{k}.m0.beta"] = np.sum(d_h, axis=0)
         d_norm = d_h * w[f"l{k}.m0.gamma"]
         nrows = d_norm.shape[0]
-        d_h = (first["inv_std"] / nrows) * (
+        d_h = (layer["inv_std"] / nrows) * (
             nrows * d_norm
             - d_norm.sum(axis=0)
             - normed * np.sum(d_norm * normed, axis=0)
         )
         # first linear
-        grads[f"l{k}.m0.W"] = first["lin_in"].T @ d_h
-        grads[f"l{k}.m0.b"] = d_h.sum(axis=0)
+        grads[f"l{k}.m0.W"] = layer["lin_in"].T @ d_h
         if k:  # nothing reads layer 0's input gradient
             # aggregation matrix is symmetric, so its transpose is itself
             carry = batch.agg @ (d_h @ w[f"l{k}.m0.W"].T)

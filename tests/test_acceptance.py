@@ -167,9 +167,7 @@ def test_gate_4_gradient_gate():
         proj, (_, head_pre, _) = head_forward(head, emb)
         kink_margin = min(
             [float(np.abs(head_pre).min())]
-            + [float(np.abs(step["pre_relu"]).min())
-               for layer in cache["layers"] for step in layer["steps"]
-               if "pre_relu" in step]
+            + [float(np.abs(layer["pre_relu"]).min()) for layer in cache["layers"]]
         )
         if np.linalg.norm(proj, axis=1).min() < 1e-3 or kink_margin < 1e-4:
             continue

@@ -13,6 +13,7 @@ import pytest
 
 import ggeval
 from ggeval.cli import build_parser, main
+from ggeval.encoder import CHECKPOINT_VERSION
 from ggeval.graphs import load_graphs
 from ggeval.metrics import METRIC_NAMES, REPORT_FIELDS
 
@@ -186,12 +187,16 @@ def test_separate_embeds_score_as_the_union(tmp_path, capsys):
         assert report[name] == pytest.approx(value, rel=1e-12, abs=0), name
 
 
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 3])
 def test_old_checkpoint_version_fails_cleanly(workspace, tmp_path, capsys, version):
-    # versions 1 and 2 hold no batch-norm statistics to embed with
+    # versions 1 and 2 hold no batch-norm statistics to embed with, and all
+    # three hold the first linear's bias, which batch norm cancels
     _, data, ckpt = workspace
     blob = json.loads(ckpt.read_text())
-    del blob["stats"]
+    if version < 3:
+        del blob["stats"]
+    hidden, layers = blob["config"]["hidden"], blob["config"]["num_layers"]
+    blob["weights"].update({f"l{k}.m0.b": [0.0] * hidden for k in range(layers)})
     blob["version"] = version
     old = tmp_path / "old.json"
     old.write_text(json.dumps(blob))
@@ -595,6 +600,14 @@ def test_readme_quick_start_parses():
     parser = build_parser()
     for line in lines:
         parser.parse_args(shlex.split(line)[1:])
+
+
+def test_readme_names_the_checkpoint_version():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    paragraph = text.split("Checkpoints written by `train`", 1)[1].split("\n\n", 1)[0]
+    words = " ".join(paragraph.split())
+    assert f"format version {CHECKPOINT_VERSION}:" in words
+    assert f"versions 1 to {CHECKPOINT_VERSION - 1}:" in words
 
 
 def test_missing_subcommand_is_parser_error():

@@ -19,7 +19,6 @@ from ggeval.encoder import (
     project_lipschitz_inplace,
     save_params,
     spectral_norm,
-    weight_count,
     weight_shapes,
 )
 from ggeval.errors import DegenerateSetError, FeatureMismatchError, ParseError
@@ -173,11 +172,11 @@ def test_projection_scales_only_oversized_weights():
     params.weights["l0.m0.W"] = big = params.weights["l0.m0.W"] * 4.0
     params.weights["l1.m0.W"] = params.weights["l1.m0.W"] * 0.5
     before_small = params.weights["l1.m0.W"].copy()
-    before_bias = params.weights["l0.m0.b"].copy()
+    before_bias = params.weights["l0.m1.b"].copy()
     project_lipschitz_inplace(params)
     assert spectral_norm(params.weights["l0.m0.W"]) == pytest.approx(1.0, abs=1e-9)
     np.testing.assert_array_equal(params.weights["l1.m0.W"], before_small)
-    np.testing.assert_array_equal(params.weights["l0.m0.b"], before_bias)
+    np.testing.assert_array_equal(params.weights["l0.m1.b"], before_bias)
     # an oversized matrix is replaced, not written into
     assert spectral_norm(big) == pytest.approx(4.0, abs=1e-6)
 
@@ -395,14 +394,20 @@ def test_checkpoint_version_guard(tmp_path):
 
 
 def old_checkpoint(version):
-    """A payload as versions 1 and 2 wrote it: no stored statistics; version 2
+    """A payload as versions 1 to 3 wrote it: every layer holds a first-linear
+    bias "l{k}.m0.b"; versions 1 and 2 stored no statistics, and version 2
     files could also hold "mlp_depth": 2."""
-    params = init_random(EncoderConfig(), seed=0)
+    params = calibrated(EncoderConfig())
     config = dataclasses.asdict(params.config)
     if version == 2:
         config["mlp_depth"] = 2
-    return {"version": version, "config": config,
-            "weights": {k: v.tolist() for k, v in params.weights.items()}}
+    weights = {k: v.tolist() for k, v in params.weights.items()}
+    for k in range(config["num_layers"]):
+        weights[f"l{k}.m0.b"] = [0.0] * config["hidden"]
+    blob = {"version": version, "config": config, "weights": weights}
+    if version == 3:
+        blob["stats"] = params.stats.tolist()
+    return blob
 
 
 def test_version_1_checkpoint_rejected(tmp_path):
@@ -411,7 +416,8 @@ def test_version_1_checkpoint_rejected(tmp_path):
     path = tmp_path / "enc.json"
     save_params(calibrated(EncoderConfig()), path)
     blob = json.loads(path.read_text())
-    assert blob["version"] == 3 and set(blob) == {"version", "config", "weights", "stats"}
+    assert blob["version"] == 4 and set(blob) == {"version", "config", "weights", "stats"}
+    assert not any(name.endswith(".m0.b") for name in blob["weights"])
     path.write_text(json.dumps(old_checkpoint(1)))
     with pytest.raises(ParseError, match="unsupported checkpoint version 1"):
         load_params(path)
@@ -427,17 +433,41 @@ def test_version_2_checkpoint_rejected(tmp_path):
         load_params(path)
 
 
+def test_version_3_checkpoint_rejected(tmp_path):
+    import json
+
+    # version 3 stored the first linear's bias, which batch norm cancels
+    path = tmp_path / "enc.json"
+    blob = old_checkpoint(3)
+    path.write_text(json.dumps(blob))
+    with pytest.raises(ParseError, match="unsupported checkpoint version 3"):
+        load_params(path)
+    blob["version"] = 4
+    path.write_text(json.dumps(blob))
+    with pytest.raises(ParseError, match=r"unexpected \['l0.m0.b', 'l1.m0.b', 'l2.m0.b'\]"):
+        load_params(path)
+
+
 def test_weight_shapes_match_init_random():
     for cfg in (CFG, EncoderConfig(num_layers=2, feature_config="provided", input_dim=5)):
         params = init_random(cfg, seed=3)
         shapes = list(weight_shapes(cfg))
-        assert len(shapes) == weight_count(cfg)
+        assert len(shapes) == 5 * cfg.num_layers
         assert [(name, w.shape) for name, w in params.weights.items()] == shapes
+
+
+def test_weight_matrices_follow_layer_order():
+    # eleven layers: sorted names would put l10 before l2
+    cfg = EncoderConfig(num_layers=11, hidden=2, feature_config="degree")
+    names = [name for name, _ in init_random(cfg, seed=0).weight_matrices()]
+    assert names == [name for name, _ in weight_shapes(cfg) if name.endswith(".W")]
+    assert names[:4] == ["l0.m0.W", "l0.m1.W", "l1.m0.W", "l1.m1.W"]
 
 
 OVERSIZED_CONFIGS = {
     # each payload carries the default encoder's names with one-element
-    # arrays: the hidden claim fails on shapes, the layer claim on the count
+    # arrays: the hidden claim fails on shapes, the layer claim on the first
+    # name past the stored ones
     "hidden 1500": dict(hidden=1500),
     "20000 layers": dict(num_layers=20000),
 }
@@ -450,7 +480,7 @@ def test_oversized_config_rejected_without_building_it(tmp_path, claim):
 
     path = tmp_path / "enc.json"
     names = [name for name, _ in weight_shapes(EncoderConfig())]
-    path.write_text(json.dumps({"version": 3, "config": OVERSIZED_CONFIGS[claim],
+    path.write_text(json.dumps({"version": 4, "config": OVERSIZED_CONFIGS[claim],
                                 "weights": {name: [0.0] for name in names}}))
     start = time.perf_counter()
     with pytest.raises(ParseError):
@@ -477,7 +507,7 @@ def checkpoint_payloads(draw):
                         feature_config=feature_config,
                         input_dim=2 if feature_config == "provided" else None)
     params = calibrated(cfg)
-    blob = {"version": 3, "config": dataclasses.asdict(cfg),
+    blob = {"version": 4, "config": dataclasses.asdict(cfg),
             "weights": {k: v.tolist() for k, v in params.weights.items()},
             "stats": params.stats.tolist()}
     names = sorted(blob["weights"])
@@ -548,7 +578,7 @@ CHECKPOINT_CORRUPTIONS = {
     "unexpected weight": (lambda b: b["weights"].update({"l9.m0.W": [[1.0]]}), "unexpected"),
     "wrong-shaped matrix": (lambda b: b["weights"].update({"l0.m0.W": [[0.5] * 32] * 2}),
                             "shape"),
-    "non-numeric weight": (lambda b: b["weights"].update({"l0.m0.b": ["x"] * 32}), "numeric"),
+    "non-numeric weight": (lambda b: b["weights"].update({"l0.m1.b": ["x"] * 32}), "numeric"),
     "non-finite weight": (lambda b: b["weights"].update({"l1.m0.gamma": [float("nan")] * 32}),
                           "non-finite"),
     "invalid config value": (lambda b: b["config"].update(hidden=0), "config"),
@@ -578,7 +608,7 @@ def test_corrupt_checkpoint_raises_parse_error(tmp_path, corruption):
         load_params(path)
 
 
-@pytest.mark.parametrize("text", ["{not json", "[1, 2]", '{"version": 3}'],
+@pytest.mark.parametrize("text", ["{not json", "[1, 2]", '{"version": 4}'],
                          ids=["invalid JSON", "not an object", "no config"])
 def test_malformed_checkpoint_file_raises_parse_error(tmp_path, text):
     path = tmp_path / "enc.json"

@@ -140,11 +140,10 @@ def test_forward_matches_oracle(case, collect_cache):
     if not collect_cache:
         assert cache is None
         return
-    for lc, lc_slow in zip(cache["layers"], cache_slow["layers"], strict=True):
-        for step, step_slow in zip(lc["steps"], lc_slow["steps"], strict=True):
-            assert step.keys() == step_slow.keys()
-            for key in step:
-                assert_same_bytes(step[key], step_slow[key])
+    for layer, layer_slow in zip(cache["layers"], cache_slow["layers"], strict=True):
+        assert layer.keys() == layer_slow.keys()
+        for key in layer:
+            assert_same_bytes(layer[key], layer_slow[key])
     grads = encoder_backward(params, cache, d_emb)
     grads_slow = encoder_backward(params, cache_slow, d_emb)
     grads_oracle = oracles.encoder_backward_slow(params, cache, d_emb)
