@@ -248,7 +248,7 @@ def cmd_reproduce(ns) -> int:
                  "hidden", "feature_config"))
     report = run_reproduction(config, out_dir=ns.out, log=log.info)
     mean_trained = report.mean_rhos("trained")
-    mean_random = report.mean_rhos("random")
+    mean_random = report.mean_rhos("random_init")
     print(f"experiment community-mix-random: {len(report.runs)} seeds, "
           f"{report.elapsed_seconds:.1f}s, outputs in {ns.out}")
     for name in METRIC_NAMES:
@@ -378,7 +378,8 @@ def main(argv=None) -> int:
             print(f"ggeval {ns.command}: {exc}", file=sys.stderr)
             return 1
         except ValueError as exc:
-            # every ValueError a subcommand lets out is about an option value
+            # data faults must arrive as GGEvalError, above: numpy's LinAlgError
+            # is a ValueError too, and here it would read as a bad option value
             raise UsageError(f"{ns.command}: {exc}") from exc
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -51,8 +51,14 @@ def _frechet(real: np.ndarray, gen: np.ndarray):
     mu_g = gen.mean(axis=0)
     c_r = np.atleast_2d(np.cov(real, rowvar=False, ddof=1))
     c_g = np.atleast_2d(np.cov(gen, rowvar=False, ddof=1))
-    s = _psd_sqrt(c_r)
-    cross_vals = np.linalg.eigvalsh(s @ c_g @ s)
+    # the cross product grows as the fourth power of the embeddings' scale
+    # and overflows float64 from about 1e77; eigh then fails or returns NaN
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            s = _psd_sqrt(c_r)
+            cross_vals = np.linalg.eigvalsh(s @ c_g @ s)
+    except (FloatingPointError, np.linalg.LinAlgError) as exc:
+        raise DegenerateSetError(f"Frechet distance out of float range: {exc}") from exc
     clamp = float(-np.sum(cross_vals[cross_vals < 0.0]))
     cross = 2.0 * np.sum(np.sqrt(np.clip(cross_vals, 0.0, None)))
     fd = float(np.sum((mu_r - mu_g) ** 2) + np.trace(c_r) + np.trace(c_g) - cross)

@@ -114,22 +114,27 @@ def bn_scale(params) -> list:
             for k, (_, inv_std) in enumerate(params.stats)]
 
 
+# Each seed's encoders, named by their summary.json keys: the contrastively
+# trained one and a random-init one calibrated on the same reference.
+ARMS = ("trained", "random_init")
+CURVE_FILES = {"trained": "curves-trained.csv", "random_init": "curves-random.csv"}
+
+
 @dataclass
 class SeedRun:
     seed: int
     epoch_losses: list
-    trained_curve: BenchmarkCurve
-    random_curve: BenchmarkCurve
-    trained_bn_scale: list  # bn_scale of the encoder calibrated on its training set
-    random_bn_scale: list  # bn_scale of the random-init encoder calibrated on the reference
+    curves: dict  # arm -> BenchmarkCurve
+    bn_scale: dict  # arm -> bn_scale of its encoder, calibrated on the reference
+
+    # perfbench/workloads.py reads the curves under these names
+    @property
+    def trained_curve(self) -> BenchmarkCurve:
+        return self.curves["trained"]
 
     @property
-    def trained_rhos(self) -> dict:
-        return self.trained_curve.rhos
-
-    @property
-    def random_rhos(self) -> dict:
-        return self.random_curve.rhos
+    def random_curve(self) -> BenchmarkCurve:
+        return self.curves["random_init"]
 
 
 @dataclass
@@ -139,16 +144,18 @@ class ReproduceReport:
     runs: list
     elapsed_seconds: float
 
-    def mean_rhos(self, which: str = "trained") -> dict:
-        summary = rho_summary([getattr(run, f"{which}_curve") for run in self.runs])
+    def curves(self, arm: str) -> list:
+        return [run.curves[arm] for run in self.runs]
+
+    def mean_rhos(self, arm: str = "trained") -> dict:
+        summary = rho_summary(self.curves(arm))
         return {name: stats["mean"] for name, stats in summary.items()}
 
     def recall_trend_wins(self) -> int:
         """Seeds where the trained encoder tracks recall better than random."""
-        return sum(
-            1 for run in self.runs
-            if run.trained_rhos["recall"] > run.random_rhos["recall"]
-        )
+        return sum(1 for run in self.runs
+                   if run.curves["trained"].rhos["recall"]
+                   > run.curves["random_init"].rhos["recall"])
 
     def to_dict(self) -> dict:
         return {
@@ -157,22 +164,12 @@ class ReproduceReport:
             "dataset": self.dataset_name,
             "seeds": list(self.config.seeds),
             "elapsed_seconds": self.elapsed_seconds,
-            "trained": {
-                "mean_rho": self.mean_rhos("trained"),
-                "per_seed_rho": {
-                    str(run.seed): run.trained_rhos for run in self.runs
-                },
-                "zero_variance": zero_variance_names([run.trained_curve for run in self.runs]),
-                "bn_scale": {str(run.seed): run.trained_bn_scale for run in self.runs},
-            },
-            "random_init": {
-                "mean_rho": self.mean_rhos("random"),
-                "per_seed_rho": {
-                    str(run.seed): run.random_rhos for run in self.runs
-                },
-                "zero_variance": zero_variance_names([run.random_curve for run in self.runs]),
-                "bn_scale": {str(run.seed): run.random_bn_scale for run in self.runs},
-            },
+            **{arm: {
+                "mean_rho": self.mean_rhos(arm),
+                "per_seed_rho": {str(run.seed): run.curves[arm].rhos for run in self.runs},
+                "zero_variance": zero_variance_names(self.curves(arm)),
+                "bn_scale": {str(run.seed): run.bn_scale[arm] for run in self.runs},
+            } for arm in ARMS},
             "recall_trend": {
                 "trained_wins": self.recall_trend_wins(),
                 "total_seeds": len(self.runs),
@@ -203,21 +200,15 @@ def run_reproduction(config: ReproduceConfig = ReproduceConfig(),
         result = train_graphcl(reference, enc_cfg, config.train_config(seed))
         say(f"seed {seed}: loss {result.epoch_losses[0]:.4f} -> "
             f"{result.epoch_losses[-1]:.4f}")
-        trained_curve = run_benchmark(
-            reference, partial(embed_union, result.params), "mix_random",
-            seeds=(seed,), step=config.step,
-        )[0]
-        random_params = calibrate(init_random(enc_cfg, seed=seed), reference)[0]
-        random_curve = run_benchmark(
-            reference, partial(embed_union, random_params), "mix_random",
-            seeds=(seed,), step=config.step,
-        )[0]
-        say(f"seed {seed}: trained fd rho {trained_curve.rhos['fd']:.3f}, "
-            f"random fd rho {random_curve.rhos['fd']:.3f}")
-        runs.append(SeedRun(seed=seed, epoch_losses=result.epoch_losses,
-                            trained_curve=trained_curve, random_curve=random_curve,
-                            trained_bn_scale=bn_scale(result.params),
-                            random_bn_scale=bn_scale(random_params)))
+        params = {"trained": result.params,
+                  "random_init": calibrate(init_random(enc_cfg, seed=seed), reference)[0]}
+        curves = {arm: run_benchmark(reference, partial(embed_union, p), "mix_random",
+                                     seeds=(seed,), step=config.step)[0]
+                  for arm, p in params.items()}
+        say(f"seed {seed}: " + ", ".join(f"{arm} fd rho {curve.rhos['fd']:.3f}"
+                                         for arm, curve in curves.items()))
+        runs.append(SeedRun(seed=seed, epoch_losses=result.epoch_losses, curves=curves,
+                            bn_scale={arm: bn_scale(p) for arm, p in params.items()}))
         if out_dir is not None:
             ckpt = Path(out_dir) / f"encoder-seed{seed}.json"
             Path(out_dir).mkdir(parents=True, exist_ok=True)
@@ -260,10 +251,8 @@ def save_metric_charts(curves, path_of) -> None:
 def write_outputs(report: ReproduceReport, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    trained = [run.trained_curve for run in report.runs]
-    random_ = [run.random_curve for run in report.runs]
-    atomic_write_text(out / "curves-trained.csv", curves_to_csv(trained))
-    atomic_write_text(out / "curves-random.csv", curves_to_csv(random_))
+    for arm, file_name in CURVE_FILES.items():
+        atomic_write_text(out / file_name, curves_to_csv(report.curves(arm)))
     atomic_write_text(out / "summary.json",
                       json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    save_metric_charts(trained, lambda name: out / f"{name}.svg")
+    save_metric_charts(report.curves("trained"), lambda name: out / f"{name}.svg")

@@ -33,8 +33,8 @@ from .encoder import (
 # through project_lipschitz_inplace), but the benchmark's tracer
 # (perfbench/tracer.py) wraps these names in this module
 from .encoder import spectral_norm  # noqa: F401
-from .errors import (DegenerateBatchError, FeatureMismatchError, NonFiniteGradientError,
-                     require_integer)
+from .errors import (DegenerateBatchError, DegenerateSetError, FeatureMismatchError,
+                     NonFiniteGradientError, require_integer)
 from .features import structural_features  # noqa: F401
 from .generators import substream
 from .graphs import Graph
@@ -75,8 +75,11 @@ def subgraph_walk(graph: Graph, length: int, rng) -> Graph:
     """Induced subgraph on the nodes visited by one random walk.
 
     The walk starts at a uniform node and takes up to `length` steps to a
-    uniform neighbor; it stops early at a node with no neighbors.
+    uniform neighbor; it stops early at a node with no neighbors. A graph
+    without nodes has no start and is returned unchanged.
     """
+    if graph.num_nodes == 0:
+        return graph
     nbrs = graph.neighbors()
     cur = int(rng.integers(graph.num_nodes))
     visited = {cur}
@@ -412,6 +415,8 @@ def train_graphcl(graphs, encoder_config: EncoderConfig,
     graphs = attach_features(list(graphs), encoder_config)
     if len(graphs) < 2:
         raise DegenerateBatchError("training needs at least 2 graphs")
+    if not any(g.num_nodes for g in graphs):
+        raise DegenerateSetError("training needs a graph with a node")
     seed = train_config.seed
     params = init_random(encoder_config, seed=seed)
     head_rng = substream(seed, 3)

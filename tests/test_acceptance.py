@@ -261,7 +261,7 @@ def test_gate_8_trained_vs_random_trend(full_run_report):
     wins = full_run_report.recall_trend_wins()
     total = len(full_run_report.runs)
     trained = full_run_report.mean_rhos("trained")["recall"]
-    random_ = full_run_report.mean_rhos("random")["recall"]
+    random_ = full_run_report.mean_rhos("random_init")["recall"]
     ok = wins >= 3
     gate(8, ok, f"trained recall rho beats random-init in {wins}/{total} seeds "
                 f"(means {trained:+.3f} vs {random_:+.3f})")

@@ -143,6 +143,22 @@ def test_train_history_csv(workspace, tmp_path):
     assert ckpt.exists()
 
 
+def test_train_on_a_set_holding_a_graph_without_nodes(tmp_path, capsys):
+    data = tmp_path / "mixed.jsonl"
+    assert run("--seed", "0", "generate", "--recipe", "community",
+               "--count", "20", "--out", str(data)) == 0
+    with data.open("a") as f:
+        f.write('{"n": 0, "edges": []}\n')
+    assert run("train", "--data", str(data), "--out", str(tmp_path / "enc.json"),
+               "--epochs", "5") == 0
+    # a set of only such graphs has no node to train or calibrate on
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text('{"n": 0, "edges": []}\n' * 3)
+    assert run("train", "--data", str(empty), "--out", str(tmp_path / "e.json"),
+               "--epochs", "5") == 1
+    assert "DegenerateSetError" in capsys.readouterr().err
+
+
 def test_embed_matrix_shape(workspace, tmp_path):
     _, data, ckpt = workspace
     out = tmp_path / "emb.csv"
@@ -247,6 +263,15 @@ def test_evaluate_k_too_large_fails_cleanly(tmp_path, capsys):
     assert run("evaluate", "--ref", str(ref), "--gen", str(gen),
                "--k", "50") == 1
     assert "evaluate" in capsys.readouterr().err
+
+
+def test_evaluate_out_of_float_range_fails_cleanly(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    ref, gen = tmp_path / "ref.csv", tmp_path / "gen.csv"
+    np.savetxt(ref, rng.normal(size=(10, 3)) * 1e80, delimiter=",")
+    np.savetxt(gen, rng.normal(size=(10, 3)) * 1e80, delimiter=",")
+    assert run("evaluate", "--ref", str(ref), "--gen", str(gen), "--k", "3") == 1
+    assert "DegenerateSetError: Frechet distance" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text, reason", [("1,2\n3,abc\n", "not a numeric CSV matrix"),

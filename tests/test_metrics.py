@@ -55,6 +55,16 @@ def test_fd_clamp_diagnostic_small_on_healthy_inputs():
     assert 0.0 <= clamp < 1e-8
 
 
+def test_fd_out_of_float_range_is_degenerate():
+    # the covariance product, about scale**4, overflows float64 from about 1e77 up
+    a, b = sample(40, rows=10, dim=3), sample(41, rows=10, dim=3)
+    with pytest.raises(DegenerateSetError, match="Frechet distance out of float range"):
+        frechet_distance(a * 1e80, b * 1e80)
+    with pytest.raises(DegenerateSetError):
+        evaluate(a * 1e80, b * 1e80, k=3)
+    assert np.isfinite(frechet_distance(a * 1e76, b * 1e76))
+
+
 def test_fd_mean_shift_only():
     # equal covariances: FD reduces to the squared mean gap
     h = sample(5, rows=50)

@@ -9,6 +9,7 @@ import pytest
 from ggeval.benchmark import BenchmarkCurve
 from ggeval.metrics import DEFAULT_KNN_K, METRIC_NAMES
 from ggeval.reproduce import (
+    ARMS,
     ReproduceConfig,
     ReproduceReport,
     desk_community_set,
@@ -140,21 +141,30 @@ def test_report_shape(tiny_report):
     for run in tiny_report.runs:
         assert len(run.epoch_losses) == 2
         assert all(np.isfinite(run.epoch_losses))
-        assert isinstance(run.trained_curve, BenchmarkCurve)
-        assert run.trained_curve.ratios[0] == 0.0
-        assert run.trained_curve.ratios[-1] == 1.0
-        assert set(run.trained_rhos) == set(METRIC_NAMES)
-        assert set(run.random_rhos) == set(METRIC_NAMES)
+        assert set(run.curves) == set(run.bn_scale) == set(ARMS)
+        for curve in run.curves.values():
+            assert isinstance(curve, BenchmarkCurve)
+            assert curve.ratios[0] == 0.0
+            assert curve.ratios[-1] == 1.0
+            assert set(curve.rhos) == set(METRIC_NAMES)
+
+
+def test_curve_properties_name_the_arms(tiny_report):
+    # perfbench/workloads.py reads each seed's curves under these names
+    for run in tiny_report.runs:
+        assert run.trained_curve is run.curves["trained"]
+        assert run.random_curve is run.curves["random_init"]
 
 
 def test_mean_rhos_and_trend(tiny_report):
     means = tiny_report.mean_rhos("trained")
     assert set(means) == set(METRIC_NAMES)
     for name in METRIC_NAMES:
-        per_seed = [run.trained_rhos[name] for run in tiny_report.runs]
+        per_seed = [run.curves["trained"].rhos[name] for run in tiny_report.runs]
         assert means[name] == float(np.mean(per_seed))
     wins = tiny_report.recall_trend_wins()
-    expected = sum(run.trained_rhos["recall"] > run.random_rhos["recall"]
+    expected = sum(run.curves["trained"].rhos["recall"]
+                   > run.curves["random_init"].rhos["recall"]
                    for run in tiny_report.runs)
     assert wins == expected
 
@@ -167,16 +177,20 @@ def test_report_dict_json_round_trip(tiny_report):
     assert set(back["trained"]["mean_rho"]) == set(METRIC_NAMES)
     assert back["recall_trend"]["total_seeds"] == 2
     assert set(back["epoch_losses"]) == {"0", "1"}
-    # one largest |gamma * inv_std| per layer and seed, for each encoder
-    for key in ("trained", "random_init"):
-        scales = back[key]["bn_scale"]
+    for arm in ARMS:
+        # every arm reports the same record
+        assert set(back[arm]) == {"mean_rho", "per_seed_rho", "zero_variance", "bn_scale"}
+        assert back[arm]["per_seed_rho"] == {str(run.seed): run.curves[arm].rhos
+                                             for run in tiny_report.runs}
+        # one largest |gamma * inv_std| per layer and seed
+        scales = back[arm]["bn_scale"]
         assert set(scales) == {"0", "1"}
         assert all(len(v) == tiny_report.config.num_layers and min(v) > 0
                    for v in scales.values())
 
 
 def test_chart_series_structure(tiny_report):
-    curves = [run.trained_curve for run in tiny_report.runs]
+    curves = [run.curves["trained"] for run in tiny_report.runs]
     series = metric_chart_series(curves, "fd")
     assert len(series) == len(curves) + 1
     assert series[-1].label == "mean"
@@ -193,7 +207,7 @@ def test_write_outputs_artifacts(tiny_report, tmp_path):
         assert (tmp_path / f"{name}.svg").exists()
     # csv: header plus one row per (seed, ratio)
     lines = (tmp_path / "curves-trained.csv").read_text().strip().splitlines()
-    ratios = tiny_report.runs[0].trained_curve.ratios
+    ratios = tiny_report.runs[0].curves["trained"].ratios
     assert len(lines) == 1 + len(tiny_report.runs) * len(ratios)
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["dataset"] == tiny_report.dataset_name
@@ -202,12 +216,12 @@ def test_write_outputs_artifacts(tiny_report, tmp_path):
 def test_summary_names_the_zero_variance_metrics(tiny_report, tmp_path):
     write_outputs(tiny_report, tmp_path)
     summary = json.loads((tmp_path / "summary.json").read_text())
-    for key, curve in (("trained", "trained_curve"), ("random_init", "random_curve")):
+    for arm in ARMS:
         # the ratios vary, so a flag means the metric's curve is constant
         want = {str(run.seed): [name for name in METRIC_NAMES
-                                if len(set(getattr(run, curve).metric_values(name))) == 1]
+                                if len(set(run.curves[arm].metric_values(name))) == 1]
                 for run in tiny_report.runs}
-        assert summary[key]["zero_variance"] == want
+        assert summary[arm]["zero_variance"] == want
     # twelve graphs with k = 5 cover every reference ball at every ratio
     assert all("coverage" in names for names in summary["trained"]["zero_variance"].values())
 

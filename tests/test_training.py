@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ggeval.encoder import EncoderConfig, calibrate, embed_set, init_random
-from ggeval.errors import DegenerateBatchError, FeatureMismatchError
+from ggeval.errors import DegenerateBatchError, DegenerateSetError, FeatureMismatchError
 from ggeval.generators import gen_lobster, substream
 from ggeval.graphs import Graph, GraphSet
 from ggeval.training import (
@@ -133,6 +133,14 @@ def test_augment_carries_original_features():
     original = {tuple(row) for row in g.node_features}
     for row in view.node_features:
         assert tuple(row) in original
+
+
+def test_every_augmentation_keeps_a_graph_without_nodes_empty():
+    # a walk has no start node there; augment's redraw rule decides the view
+    for kind in AUGMENTATION_KINDS:
+        config = AugmentationConfig(enabled=(kind,))
+        assert apply_augmentation(Graph(0), kind, config, substream(0)).num_nodes == 0
+        assert augment(Graph(0), config, substream(0)).num_nodes == 0
 
 
 def test_augment_empty_view_falls_back_to_original():
@@ -348,6 +356,12 @@ def test_train_without_projection_can_exceed_bound():
 def test_train_single_graph_rejected():
     gs = GraphSet("one", (gen_lobster(rng=substream(0)),))
     with pytest.raises(DegenerateBatchError):
+        train_graphcl(gs, small_cfg(), TrainConfig(epochs=1, seed=0))
+
+
+def test_train_set_without_a_node_rejected():
+    gs = GraphSet("empty", (Graph(0), Graph(0), Graph(0)))
+    with pytest.raises(DegenerateSetError, match="a graph with a node"):
         train_graphcl(gs, small_cfg(), TrainConfig(epochs=1, seed=0))
 
 
