@@ -410,13 +410,17 @@ def train_graphcl(graphs, encoder_config: EncoderConfig,
 
     Randomness is split into named substreams keyed by (epoch, graph
     index, view), so augmentation draws do not depend on batch layout.
-    Trailing batches of 1 graph are skipped. Returns params calibrated on graphs.
+    Trailing batches of 1 graph are skipped, and so are batches in which no
+    graph has a node, whose batch norm would have no statistics. Two graphs
+    with a node are required, so every epoch trains a batch. Returns params
+    calibrated on graphs.
     """
     graphs = attach_features(list(graphs), encoder_config)
     if len(graphs) < 2:
         raise DegenerateBatchError("training needs at least 2 graphs")
-    if not any(g.num_nodes for g in graphs):
-        raise DegenerateSetError("training needs a graph with a node")
+    with_nodes = sum(1 for g in graphs if g.num_nodes)
+    if with_nodes < 2:
+        raise DegenerateSetError(f"training needs 2 graphs with a node, got {with_nodes}")
     seed = train_config.seed
     params = init_random(encoder_config, seed=seed)
     head_rng = substream(seed, 3)
@@ -431,7 +435,7 @@ def train_graphcl(graphs, encoder_config: EncoderConfig,
         losses = []
         for start in range(0, len(order), train_config.batch_size):
             idx = order[start:start + train_config.batch_size]
-            if idx.size < 2:
+            if idx.size < 2 or not any(graphs[int(i)].num_nodes for i in idx):
                 continue
             views1, views2 = [], []
             for i in idx:

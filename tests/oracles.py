@@ -19,6 +19,7 @@ import scipy.sparse as sp
 import scipy.stats
 from scipy.spatial.distance import cdist
 
+from ggeval import benchmark
 from ggeval.encoder import BN_EPS, BatchedGraphs, graph_features
 from ggeval.errors import EndpointOutOfRangeError, SelfLoopError
 from ggeval.features import ORBIT4_CLASSES
@@ -28,9 +29,10 @@ from ggeval.generators import (
     LOBSTER_BACKBONE,
     LOBSTER_NODE_RANGE,
     LOBSTER_P,
+    substream,
 )
 from ggeval.graphs import Graph
-from ggeval.metrics import f1_score, frechet_distance
+from ggeval.metrics import evaluate, f1_score, frechet_distance
 
 
 def canonical_edges_slow(num_nodes: int, edges):
@@ -411,6 +413,27 @@ def cluster_wl_slow(kernel, num_clusters: int):
         medoids.append(max(members, key=lambda i: sum(kernel[i][j] for j in members)
                            / len(members)))
     return labels, medoids
+
+
+def run_benchmark_slow(reference, embed, kind, seeds, step, num_clusters, k=5):
+    """run_benchmark's curves with embed(reference, perturbed) called at every
+    ratio of every seed, keeping no reference rows between calls."""
+    ratios = benchmark.sweep_ratios(kind, step, num_clusters)
+    mode = kind in benchmark.MODE_KINDS
+    clusters = benchmark.cluster_wl(reference, num_clusters) if mode else ()
+    perturb = getattr(benchmark, f"perturb_{kind}")
+    curves = []
+    for seed in seeds:
+        reports = []
+        for i, r in enumerate(ratios):
+            rng = substream(seed, 11, benchmark.PERTURBATION_KINDS.index(kind), i)
+            perturbed = perturb(reference, r, rng, *clusters)
+            reports.append(evaluate(*embed(reference, perturbed), k))
+        rhos, flags = benchmark.oriented_rhos(ratios, reports)
+        curves.append(benchmark.BenchmarkCurve(kind=kind, seed=seed, ratios=tuple(ratios),
+                                               reports=tuple(reports), rhos=rhos,
+                                               zero_variance=flags))
+    return tuple(curves)
 
 
 def random_graph(rng: np.random.Generator, n: int, p: float) -> Graph:

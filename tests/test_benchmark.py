@@ -16,6 +16,7 @@ from ggeval.benchmark import (
     DEFAULT_NUM_CLUSTERS,
     DEFAULT_RATIO_STEP,
     FLIP_METRICS,
+    MODE_KINDS,
     PERTURBATION_KINDS,
     _mean_ranks,
     _rewire_graph,
@@ -132,7 +133,7 @@ def test_mix_random_validates_ratio():
 def test_rewire_identity_at_zero():
     gs = small_set()
     out = perturb_rewire(gs, 0.0, substream(5))
-    assert all(a == b for a, b in zip(out, gs))
+    assert all(a is b for a, b in zip(out, gs))
 
 
 def test_rewire_preserves_edge_and_node_counts():
@@ -167,6 +168,9 @@ def test_rewire_matches_candidate_list_oracle(n, p, r, seed):
     fast = _rewire_graph(graph, r, rng_fast)
     slow = oracles.rewire_graph_slow(graph, r, rng_slow)
     assert fast.edges.tolist() == slow.edges.tolist() and fast.num_nodes == slow.num_nodes
+    # a moved edge never lands on an edge the graph had, so the oracle moved
+    # no edge exactly when its result equals the input
+    assert (fast is graph) == (slow == graph)
     # the same draws were consumed
     assert rng_fast.random() == rng_slow.random()
 
@@ -428,6 +432,28 @@ def test_run_benchmark_all_kinds():
             assert curve.ratios[-1] == 1.0
 
 
+@pytest.mark.parametrize("kind", PERTURBATION_KINDS)
+def test_run_benchmark_matches_an_embed_at_every_ratio(kind):
+    gs = small_set(12)
+    embed = random_embed()
+    calls = []
+
+    def counting(set_a, set_b):
+        calls.append(set_b)
+        return embed(set_a, set_b)
+
+    settings = dict(seeds=(0, 1), step=0.25, num_clusters=3)
+    fast = run_benchmark(gs, counting, kind, **settings)
+    slow = oracles.run_benchmark_slow(gs, embed, kind, **settings)
+    for a, b in zip(fast, slow, strict=True):
+        assert a.reports == b.reports
+        assert a.rhos == b.rhos and a.zero_variance == b.zero_variance
+    # only a set holding a new graph is embedded: no mode set, and r = 0
+    # for the first seed only; every other r > 0 set holds a new graph
+    ratios = len(fast[0].ratios)
+    assert len(calls) == (1 if kind in MODE_KINDS else 2 * (ratios - 1) + 1)
+
+
 def test_run_benchmark_unknown_kind():
     with pytest.raises(ValueError):
         run_benchmark(small_set(), random_embed(), "shuffle")
@@ -489,10 +515,17 @@ def test_mode_drop_sweep_computes_each_graphs_features_once(monkeypatch):
         return original(graph)
 
     monkeypatch.setattr(ggeval.features, "clustering", spy)
-    run_benchmark(lobsters, partial(embed_union, init_random(cfg, seed=0)), "mode_drop",
-                  seeds=(0, 1), num_clusters=4)
-    # every set the sweep embeds holds only reference graphs: 2 seeds x 4 ratios
-    # x 24 rows, of which each of the 12 graphs is computed the first time only
+    params = init_random(cfg, seed=0)
+    embedded = []
+
+    def embed(set_a, set_b):
+        embedded.append(set_b)
+        return embed_union(params, set_a, set_b)
+
+    run_benchmark(lobsters, embed, "mode_drop", seeds=(0, 1), num_clusters=4)
+    # every perturbed set holds only reference graphs, so the sweep embeds
+    # once, at seed 0's r = 0, and computes each of the 12 graphs once
+    assert len(embedded) == 1
     assert len(computed) == len(lobsters)
     assert {id(g) for g in computed} == {id(g) for g in lobsters}
 

@@ -159,6 +159,21 @@ def test_train_on_a_set_holding_a_graph_without_nodes(tmp_path, capsys):
     assert "DegenerateSetError" in capsys.readouterr().err
 
 
+def test_train_skips_batches_without_a_node(tmp_path):
+    data = tmp_path / "half_empty.jsonl"
+    assert run("--seed", "0", "generate", "--recipe", "community",
+               "--count", "20", "--out", str(data)) == 0
+    with data.open("a") as f:
+        f.write('{"n": 0, "edges": []}\n' * 20)
+    history = tmp_path / "history.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no batch normalizes over zero nodes
+        assert run("train", "--data", str(data), "--out", str(tmp_path / "enc.json"),
+                   "--epochs", "3", "--batch-size", "4", "--history", str(history)) == 0
+    losses = [float(line.split(",")[1]) for line in history.read_text().splitlines()[1:]]
+    assert len(losses) == 3 and np.isfinite(losses).all()
+
+
 def test_embed_matrix_shape(workspace, tmp_path):
     _, data, ckpt = workspace
     out = tmp_path / "emb.csv"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import oracles
 import pytest
@@ -360,9 +362,20 @@ def test_train_single_graph_rejected():
 
 
 def test_train_set_without_a_node_rejected():
-    gs = GraphSet("empty", (Graph(0), Graph(0), Graph(0)))
-    with pytest.raises(DegenerateSetError, match="a graph with a node"):
-        train_graphcl(gs, small_cfg(), TrainConfig(epochs=1, seed=0))
+    # a lone graph with a node could be every epoch's trailing batch of one
+    lone = gen_lobster(rng=substream(0))
+    for graphs in ((Graph(0),) * 3, (lone,) + (Graph(0),) * 3):
+        with pytest.raises(DegenerateSetError, match="2 graphs with a node"):
+            train_graphcl(GraphSet("few", graphs), small_cfg(), TrainConfig(epochs=1, seed=0))
+
+
+def test_train_skips_batches_without_a_node():
+    graphs = GraphSet("mixed", tuple(lobster_set(8)) + (Graph(0),) * 24)
+    with warnings.catch_warnings():
+        # batch norm over a batch without a node would divide by a zero count
+        warnings.simplefilter("error")
+        result = train_graphcl(graphs, small_cfg(), TrainConfig(epochs=3, batch_size=4, seed=0))
+    assert len(result.epoch_losses) == 3 and np.isfinite(result.epoch_losses).all()
 
 
 def test_train_config_validation():
